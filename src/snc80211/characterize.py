@@ -33,7 +33,8 @@ DEFAULT_T_CAP = 10_000
 
 
 class FitConvergenceError(RuntimeError):
-    """Envelope slope never settled within the configured t cap."""
+    """A numerical solve did not converge: the envelope slope never settled
+    within the t cap, or the MAC fixed point could not be bracketed."""
 
 
 @dataclass

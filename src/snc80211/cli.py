@@ -325,8 +325,11 @@ def main(argv=None) -> int:
     except InfeasibleBoundError as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (FitConvergenceError, RuntimeError) as e:
+    except FitConvergenceError as e:
         print(f"did not converge: {e}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    except RuntimeError as e:
+        print(f"error: {e}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
 

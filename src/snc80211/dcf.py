@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .characterize import DEFAULT_EPSILON, MgfEnvelope, fit_sigma_rho
+from .characterize import DEFAULT_EPSILON, FitConvergenceError, MgfEnvelope, fit_sigma_rho
 from .curves import CurveWithBound, SigmaRho, vb_curve_from_sigma_rho
 
 __all__ = [
@@ -156,7 +156,7 @@ def solve_fixed_point(params: Params80211, tol: float = 1e-10) -> DcfFixedPoint:
 
     lo, hi = 0.0, 1.0
     if resid(lo) <= 0 or resid(hi) >= 0:
-        raise RuntimeError("fixed-point residual failed to bracket a root")
+        raise FitConvergenceError("fixed-point residual failed to bracket a root")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if resid(mid) > 0:

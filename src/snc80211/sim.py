@@ -7,11 +7,18 @@ slots. All transmissions start at idle-slot boundaries; a successful
 exchange occupies exactly L idle slots including the trailing DIFS, matching
 the analytic model's geometry.
 
+Each node's next arrival sits in a heap, and each backlogged node keeps the
+slot at which its DIFS wait ends and the one at which its backoff expires.
+A busy period delays every expiry alike, so it moves one shared offset. An
+arrival or a countdown stop then costs O(log n); only a transmission pays
+O(n), to find the transmitters and the next expiry.
+
 Replication i draws from an independent stream spawned from the root seed,
 so results are bit-reproducible for a fixed (config, seed).
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -23,7 +30,6 @@ __all__ = [
     "TRAFFIC_MODES",
     "COLLISION_MODES",
     "SimConfig",
-    "NodeState",
     "SimResult",
     "run",
     "empirical_tail",
@@ -33,6 +39,7 @@ TRAFFIC_MODES = ("poisson", "saturated")
 COLLISION_MODES = ("same-as-success", "data-plus-difs")
 _SATURATED_QUEUE = 1 << 40
 _INF = float("inf")
+_NEVER = 1 << 62  # expiry of an empty queue, past any horizon
 
 
 @dataclass(frozen=True)
@@ -66,22 +73,6 @@ class SimConfig:
             raise ValueError("duration must be positive")
         if not 0 <= self.sample_time <= self.duration:
             raise ValueError("need 0 <= sample_time <= duration")
-
-
-@dataclass(slots=True)
-class NodeState:
-    """Mutable per-node MAC state.
-
-    difs_wait counts idle slots the node must still observe before its
-    backoff counter may resume; it is re-armed after every busy period and
-    on a packet arriving to an empty queue.
-    """
-
-    queue_len: int
-    cw: int
-    backoff_counter: int
-    retries: int
-    difs_wait: int
 
 
 @dataclass(eq=False)
@@ -140,18 +131,33 @@ def _run_one(config: SimConfig, rng: np.random.Generator) -> _RepStats:
     s_slot = config.sample_time * slots_per_sec
     saturated = config.traffic == "saturated"
     q0 = _SATURATED_QUEUE if saturated else 0
+    cw_min, cw_max, retry_limit = p.cw_min, p.cw_max, p.retry_limit
+    draw = rng.integers
 
-    nodes = [NodeState(queue_len=q0, cw=p.cw_min,
-                       backoff_counter=int(rng.integers(p.cw_min)), retries=0,
-                       difs_wait=difs_arm if q0 else 0)
-             for _ in range(n)]
-    tagged = nodes[0]
+    # Per-node MAC state in plain lists. bo holds the frozen backoff counter
+    # of an empty queue. A backlogged node transmits at its expiry: the slot
+    # its DIFS wait ends (difs_end) plus its frozen backoff. Every busy period
+    # delays all countdowns alike, so expiry[i] is kept net of the summed
+    # delay of past busy periods and re-arming is one addition. expiry is
+    # _NEVER for an empty queue; next_tx is the smallest expiry + delay.
+    queue = [q0] * n
+    cw = [cw_min] * n
+    bo = [int(draw(cw_min)) for _ in range(n)]
+    retries = [0] * n
+    difs_end = [difs_arm] * n
+    expiry = [difs_arm + b if q0 else _NEVER for b in bo]
+    delay = 0
+    next_tx = min(expiry)
+    # next arrival of each node as (time, node): ties go to the lowest index
     if saturated or config.rate <= 0:
         mean_gap = _INF
-        next_arr = [_INF] * n
+        arrivals = [(_INF, j) for j in range(n)]
     else:
         mean_gap = L / config.rate
-        next_arr = [float(rng.exponential(mean_gap)) for _ in range(n)]
+        arrivals = [(float(rng.exponential(mean_gap)), j) for j in range(n)]
+        heapq.heapify(arrivals)
+    exponential = rng.exponential
+    heapreplace = heapq.heapreplace
 
     delivered = [0] * n
     succ = [0] * n
@@ -160,136 +166,127 @@ def _run_one(config: SimConfig, rng: np.random.Generator) -> _RepStats:
     sampled = False
     sample_val = 0
 
-    def deliver(limit: float):
-        # hand queued arrivals with time <= limit to their nodes, in order
-        while True:
-            j = min(range(n), key=next_arr.__getitem__)
-            u = next_arr[j]
-            if u > limit:
-                return
-            st = nodes[j]
-            st.queue_len += 1
+    def deliver(limit: float, arm: int):
+        # hand queued arrivals with time <= limit to their nodes, in order;
+        # a node whose queue was empty starts its DIFS wait, ending at arm
+        nonlocal next_tx
+        while arrivals[0][0] <= limit:
+            u, j = arrivals[0]
+            queue[j] += 1
             delivered[j] += 1
-            if st.queue_len == 1:
-                st.difs_wait = difs_arm
-            next_arr[j] = u + rng.exponential(mean_gap)
+            if queue[j] == 1:
+                difs_end[j] = arm
+                e = arm + bo[j]
+                expiry[j] = e - delay
+                if e < next_tx:
+                    next_tx = e
+            heapreplace(arrivals, (u + exponential(mean_gap), j))
 
-    def advance(limit: float):
+    def advance(limit: int):
         # the backlog sample fires the first time the clock would pass
         # s_slot: arrivals up to the sample instant count, departures whose
         # busy period ends later do not
         nonlocal sampled, sample_val
         if not sampled and limit > s_slot:
-            deliver(s_slot)
-            sample_val = tagged.queue_len
+            deliver(s_slot, limit + difs_arm)
+            sample_val = queue[0]
             sampled = True
-        deliver(limit)
+        deliver(limit, limit + difs_arm)
 
     t = 0
     while t < t_end:
-        k = None
-        for st in nodes:
-            if st.queue_len > 0:
-                w = st.difs_wait + st.backoff_counter
-                if k is None or w < k:
-                    k = w
-        if k is None:
-            # idle system: jump to the next arrival boundary
-            u = min(next_arr)
-            if u > t_end:
-                break
+        u = arrivals[0][0]
+        if u <= next_tx - 1 and u <= t_end:
+            # an arrival boundary lands inside the countdown (or the system
+            # is idle); stop there so the newly backlogged node joins the race
             nt = math.ceil(u)
+            if queue[0] and nt > difs_end[0]:
+                ticks0 += nt - max(t, difs_end[0])
             advance(nt)
             t = nt
             continue
-        u = min(next_arr)
-        tx_t = t + k
-        if u <= tx_t - 1 and u <= t_end:
-            # an arrival boundary lands inside the countdown; stop there so
-            # the newly backlogged node joins the race consistently
-            nt = math.ceil(u)
-            ticks0 += _elapse(nodes, tagged, nt - t)
-            advance(nt)
-            t = nt
-            continue
+        tx_t = next_tx
         if tx_t > t_end:
+            # the countdown cannot complete: counters freeze at the horizon
             advance(t_end)
-            t = t_end
             break
-        ticks0 += _elapse(nodes, tagged, k)
-        transmitters = [i for i in range(n)
-                        if nodes[i].queue_len > 0
-                        and nodes[i].difs_wait + nodes[i].backoff_counter == 0]
-        assert transmitters, "countdown expired with no transmitter"
-        if len(transmitters) == 1:
-            b_end = tx_t + busy_success
+        if queue[0] and tx_t > difs_end[0]:
+            ticks0 += tx_t - max(t, difs_end[0])
+        # find the transmitters first: the DIFS fix-up and the deliveries
+        # below can give a node with a zero backoff the same stored expiry
+        due = tx_t - delay
+        n_tx = expiry.count(due)
+        if n_tx == 0:
+            raise RuntimeError(f"countdown expired at slot {tx_t} with no transmitter")
+        collided = n_tx > 1
+        if collided:
+            transmitters = [i for i, e in enumerate(expiry) if e == due]
         else:
-            b_end = tx_t + busy_collision
+            i = expiry.index(due)
+        b_end = tx_t + (busy_collision if collided else busy_success)
+        # The busy period and the DIFS after it delay every countdown by
+        # arm - tx_t. A node still in its DIFS at tx_t restarts that DIFS and
+        # gets back the part it had served; it became backlogged at a stop
+        # less than a DIFS before tx_t, so only if the last stop t was.
+        arm = b_end + difs_arm
+        if t + difs_arm > tx_t:
+            for j, d in enumerate(difs_end):
+                if d > tx_t:
+                    expiry[j] -= d - tx_t
+        delay += arm - tx_t
         advance(b_end)
-        if len(transmitters) == 1:
-            i = transmitters[0]
-            st = nodes[i]
+        if not collided:
             if i == 0:
                 attempts0 += 1
                 ticks0 += 1
-            st.queue_len -= 1
+            queue[i] -= 1
             succ[i] += 1
-            st.cw = p.cw_min
-            st.retries = 0
+            cw[i] = cw_min
+            retries[i] = 0
             # mandatory fresh backoff between consecutive transmissions
-            st.backoff_counter = int(rng.integers(st.cw))
+            bo[i] = b = int(draw(cw_min))
+            expiry[i] = arm + b - delay if queue[i] else _NEVER
         else:
             for i in transmitters:
-                st = nodes[i]
                 if i == 0:
                     attempts0 += 1
                     ticks0 += 1
                     colls0 += 1
-                st.retries += 1
-                if st.retries >= p.retry_limit:
-                    st.queue_len -= 1
+                retries[i] += 1
+                if retries[i] >= retry_limit:
+                    queue[i] -= 1
                     dropped[i] += 1
-                    st.cw = p.cw_min
-                    st.retries = 0
+                    cw[i] = cw_min
+                    retries[i] = 0
                 else:
-                    st.cw = min(2 * st.cw, p.cw_max)
-                st.backoff_counter = int(rng.integers(st.cw))
-                assert st.cw <= p.cw_max and st.retries < p.retry_limit
-        for st in nodes:
-            if st.queue_len > 0:
-                st.difs_wait = difs_arm
+                    cw[i] = min(2 * cw[i], cw_max)
+                if cw[i] > cw_max or retries[i] >= retry_limit:
+                    raise RuntimeError(f"node {i}: cw {cw[i]} or retries {retries[i]} out of "
+                                       f"bounds (cw_max {cw_max}, retry_limit {retry_limit})")
+                bo[i] = b = int(draw(cw[i]))
+                expiry[i] = arm + b - delay if queue[i] else _NEVER
+        difs_end = [arm] * n
+        next_tx = min(expiry) + delay
+        if next_tx < arm:
+            i = expiry.index(next_tx - delay)
+            raise RuntimeError(f"node {i}: backoff counter {next_tx - arm} < 0 "
+                               f"at slot {tx_t}")
         t = b_end
 
     if not sampled:
-        deliver(s_slot)
-        sample_val = tagged.queue_len
-    deliver(t_end)
+        deliver(s_slot, t_end)
+        sample_val = queue[0]
+    deliver(t_end, t_end)
 
     for i in range(n):
         # conservation: every delivered packet is served, dropped, or queued
-        assert delivered[i] == succ[i] + dropped[i] + (nodes[i].queue_len - q0)
+        queued = queue[i] - q0
+        if delivered[i] != succ[i] + dropped[i] + queued:
+            raise RuntimeError(f"node {i}: {delivered[i]} packets delivered but "
+                               f"{succ[i]} served + {dropped[i]} dropped + "
+                               f"{queued} queued")
     return _RepStats(sample=sample_val, succ=succ, drops=dropped,
                      attempts0=attempts0, colls0=colls0, ticks0=ticks0)
-
-
-def _elapse(nodes, tagged, delta: int) -> int:
-    """Advance delta idle slots of countdown for all backlogged nodes;
-    returns the tagged node's backoff decrements for attempt-rate accounting."""
-    ticks = 0
-    for st in nodes:
-        if st.queue_len == 0:
-            continue
-        d = st.difs_wait
-        if d >= delta:
-            st.difs_wait = d - delta
-        else:
-            st.difs_wait = 0
-            rem = delta - d
-            st.backoff_counter -= rem
-            assert st.backoff_counter >= 0
-            if st is tagged:
-                ticks = rem
-    return ticks
 
 
 def run(config: SimConfig) -> SimResult:

@@ -241,3 +241,17 @@ def test_degenerate_fixed_point_exits_nonconvergent(tmp_path, capsys):
                      "[mac]\ncw_min = 1\ncw_max = 1\nn_nodes = 3\n")
     assert main(["fixed-point", "--config", cfgfile]) == 4
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_internal_check_failure_is_an_error_not_nonconvergence(capsys, monkeypatch):
+    # a failed simulator check keeps exit code 4 but is not reported as
+    # a convergence failure
+    def broken_run(config):
+        raise RuntimeError("node 3: conservation violated")
+
+    monkeypatch.setattr("snc80211.cli.run", broken_run)
+    assert main(["simulate", "--rate", "0.04", "--duration", "1",
+                 "--replications", "1", "--sample-time", "1"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: node 3")
+    assert "did not converge" not in err

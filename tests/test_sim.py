@@ -266,3 +266,70 @@ def test_event_jump_matches_slot_stepper(cfg):
         want = _reference_rep(cfg, np.random.default_rng(child))
         assert (got.sample, got.succ, got.drops,
                 got.attempts0, got.colls0, got.ticks0) == want
+
+
+# Edge configurations the reference configs above do not reach, each with a
+# check that the edge really occurs in the compared replications.
+_EDGE_CONFIGS = [
+    # a single node: no contention, so every attempt succeeds
+    (SimConfig(params=Params80211(n_nodes=1), traffic="poisson", rate=0.6,
+               duration=0.5, replications=3, sample_time=0.3, seed=17),
+     lambda reps: all(r.colls0 == 0 for r in reps) and sum(r.succ[0] for r in reps) > 0),
+    # windows of 24, 48 and 96: not powers of two, so integers() masks and
+    # may reject raw draws
+    (SimConfig(params=Params80211(n_nodes=6, cw_min=24, cw_max=96), traffic="poisson",
+               rate=0.5, duration=0.3, replications=3, sample_time=0.2, seed=19),
+     lambda reps: sum(r.colls0 for r in reps) > 0),
+    # one attempt per packet: every collision drops
+    (SimConfig(params=Params80211(n_nodes=8, retry_limit=1), traffic="poisson",
+               rate=0.5, duration=0.3, replications=3, sample_time=0.15, seed=23),
+     lambda reps: sum(sum(r.drops) for r in reps) > 0),
+]
+
+
+@pytest.mark.parametrize("cfg,edge_seen", _EDGE_CONFIGS,
+                         ids=["one-node", "cw-not-power-of-two", "retry-limit-1"])
+def test_event_jump_matches_slot_stepper_at_edges(cfg, edge_seen):
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
+    reps = []
+    for child in children:
+        got = _run_one(cfg, np.random.default_rng(child))
+        want = _reference_rep(cfg, np.random.default_rng(child))
+        assert (got.sample, got.succ, got.drops,
+                got.attempts0, got.colls0, got.ticks0) == want
+        reps.append(got)
+    assert edge_seen(reps)
+
+
+# Workload-sized horizons are too long for the slot stepper. These tuples
+# (sample, succ, drops, attempts0, colls0, ticks0) of the first replication
+# were computed with the earlier event loop, which rescanned every node on
+# each event and matched the slot stepper on all configs above.
+_FROZEN_REPS = [
+    (SimConfig(traffic="poisson", rate=0.07, duration=50.0, replications=1,
+               sample_time=50.0, seed=7),
+     (1, [4442, 4464, 4509, 4364, 4541, 4485, 4526, 4396, 4465, 4654],
+      [0] * 10, 4935, 493, 93732)),
+    (SimConfig(traffic="saturated", duration=50.0, replications=1,
+               sample_time=50.0, seed=42),
+     ((1 << 40) - 5255, [5255, 4860, 5028, 5082, 5206, 5019, 4874, 4831, 5080, 4826],
+      [0, 4, 1, 0, 0, 0, 1, 2, 0, 0], 7316, 2061, 184694)),
+    (SimConfig(traffic="poisson", rate=0.07, duration=50.0, replications=1,
+               sample_time=50.0, seed=3, collision_duration_mode="data-plus-difs"),
+     (0, [4396, 4498, 4515, 4568, 4486, 4485, 4450, 4557, 4479, 4546],
+      [0] * 10, 4850, 454, 89500)),
+    (SimConfig(traffic="poisson", rate=0.078, duration=50.0, replications=1,
+               sample_time=23.45678, seed=11),
+     (1, [5065, 5011, 5053, 5073, 5074, 5085, 5002, 5028, 5048, 4934],
+      [0, 0, 0, 1, 0, 0, 0, 0, 1, 1], 6437, 1372, 142299)),
+]
+
+
+@pytest.mark.parametrize("cfg,want", _FROZEN_REPS,
+                         ids=["poisson-007", "saturated", "data-plus-difs-007",
+                              "mid-run-sample"])
+def test_frozen_replication_at_workload_horizon(cfg, want):
+    child = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+    got = _run_one(cfg, np.random.default_rng(child))
+    assert (got.sample, got.succ, got.drops,
+            got.attempts0, got.colls0, got.ticks0) == want
