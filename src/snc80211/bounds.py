@@ -28,13 +28,15 @@ import numpy as np
 
 from .characterize import average_rate
 from .curves import (
+    _indep_vec,
+    _minplus_vec,
     independent_tail_convolve,
     minplus_convolve,
     ta_curve_from_sigma_rho,
     ta_to_vb,
     vb_curve_from_sigma_rho,
 )
-from .dcf import ImpairmentModel, stable_rate_threshold
+from .dcf import ImpairmentModel, slot_length, solve_fixed_point, stable_rate_threshold
 
 __all__ = [
     "VARIANTS",
@@ -45,7 +47,6 @@ __all__ = [
     "VacuousBoundWarning",
     "StabilityReport",
     "build_bound",
-    "compute_bound",
     "quantile",
     "quantile_table",
     "stability_check",
@@ -80,6 +81,12 @@ class GridOptions:
     theta_max: float = 5.0
     r_points: int = 60
 
+    def __post_init__(self):
+        if self.theta_points < 1 or self.r_points < 1:
+            raise ValueError("theta_points and r_points must be at least 1")
+        if not (self.theta_min > 0 and self.theta_max > 0):
+            raise ValueError("theta_min and theta_max must be positive")
+
     def thetas(self) -> np.ndarray:
         return np.geomspace(self.theta_min, self.theta_max, self.theta_points)
 
@@ -111,57 +118,6 @@ def _independent(variant: str) -> bool:
     return variant in ("bound3", "bound4")
 
 
-def _minplus_vec(a, t1, b, t2, x):
-    # min over the split point y of a e^{-t1 y} + b e^{-t2 (x-y)}: endpoints
-    # plus the interior stationary point when it lands inside (0, x)
-    h0 = a + b * np.exp(-t2 * x)
-    hx = a * np.exp(-t1 * x) + b
-    vals = np.minimum(h0, hx)
-    if x > 0:
-        ystar = (np.log(t1 * a / (t2 * b)) + t2 * x) / (t1 + t2)
-        hin = a * np.exp(-t1 * ystar) * (1.0 + t1 / t2)
-        ok = (ystar > 0.0) & (ystar < x)
-        vals = np.where(ok, np.minimum(vals, hin), vals)
-    return np.clip(vals, 0.0, 1.0)
-
-
-def _dead_zone(a, t):
-    # first integer m with a e^{-t m} < 1; zero when the prefactor is <= 1
-    kf = np.floor(np.log(np.maximum(a, 1e-300)) / t + 1e-12) + 1.0
-    return np.where(a <= 1.0, 0.0, kf)
-
-
-def _indep_vec(a, t1, b, t2, x):
-    """Complemented independent-case convolution of a e^{-t1 x} and
-    b e^{-t2 x} in closed form: 1 - sum_k (gbar(k)-gbar(k-1)) fbar(x-k) with
-    fbar = max(0, 1-f). Prefactors above 1 zero out fbar/gbar below a cutoff,
-    which splits the geometric sum at integer offsets kf, kg."""
-    a = np.asarray(a, dtype=float)
-    kf = _dead_zone(a, t1)
-    kg = _dead_zone(b, t2)
-    K = x - kf  # last k with fbar(x-k) > 0
-    cnt = K - kg
-    d_kg = 1.0 - b * np.exp(-t2 * kg)
-    g = t1 - t2
-    # sum_{k=kg+1}^{K} e^{g k}, folded with e^{-t1 x} so exponents stay small;
-    # empty-range lanes (K < kg) can carry huge exponents, so clamp before
-    # exp -- they are masked out of the result below
-    e1 = np.minimum(g * (K + 1.0) - t1 * x, 50.0)
-    e0 = np.minimum(g * (kg + 1.0) - t1 * x, 50.0)
-    gcnt = g * cnt
-    em1g = np.expm1(g)
-    safe_em1g = np.where(em1g == 0.0, 1.0, em1g)
-    small = np.exp(e0) * np.expm1(np.minimum(gcnt, 50.0)) / safe_em1g
-    big = (np.exp(e1) - np.exp(e0)) / safe_em1g
-    geom_e = np.where(np.abs(g) < 1e-15, cnt * np.exp(e0),
-                      np.where(gcnt > 30.0, big, small))
-    geom_e = np.where(cnt > 0, geom_e, 0.0)
-    T = a * (d_kg * np.exp(np.minimum(t1 * (kg - x), 50.0)) + b * np.expm1(t2) * geom_e)
-    S = (1.0 - b * np.exp(np.minimum(-t2 * K, 50.0))) - T
-    vals = np.where(K >= kg, 1.0 - S, 1.0)
-    return np.clip(vals, 0.0, 1.0)
-
-
 @dataclass
 class _Grid:
     """Flattened feasible grid with precomputed tail parameters."""
@@ -182,7 +138,9 @@ class _Grid:
                          r_i=CAPACITY - r_a)
 
 
-def _build_grid(variant, arrival, impairment, options: GridOptions) -> _Grid:
+def _build_grid(martingale: bool, arrival, impairment, options: GridOptions) -> _Grid:
+    """The feasible grid for one arrival tail: the general vb tail, or the
+    martingale tail when martingale is true. Both compositions share it."""
     thetas = options.thetas()
     arr_sr = [arrival.sigma_rho(th) for th in thetas]
     imp_sr = [impairment.sigma_rho(th) for th in thetas]
@@ -190,7 +148,7 @@ def _build_grid(variant, arrival, impairment, options: GridOptions) -> _Grid:
     t1s, t2s, ras, afs, ags = [], [], [], [], []
     for i1, th1 in enumerate(thetas):
         sa = arr_sr[i1]
-        lo = sa.rho + sa.sigma if _needs_martingale(variant) else sa.rho
+        lo = sa.rho + sa.sigma if martingale else sa.rho
         for i2, th2 in enumerate(thetas):
             si = imp_sr[i2]
             hi = CAPACITY - si.rho
@@ -199,7 +157,7 @@ def _build_grid(variant, arrival, impairment, options: GridOptions) -> _Grid:
                 continue
             r_a = lo + width * fracs
             r_i = CAPACITY - r_a
-            if _needs_martingale(variant):
+            if martingale:
                 a_f = np.ones_like(r_a)
             else:
                 # e^{th sigma}/(1 - e^{th (rho - r)}), r > rho guaranteed
@@ -262,13 +220,14 @@ class BacklogBound:
 
 
 def build_bound(variant: str, arrival, impairment: ImpairmentModel,
-                options: GridOptions | None = None,
-                warn_unstable: bool = True) -> BacklogBound:
+                options: GridOptions | None = None) -> BacklogBound:
     """Assemble the per-x optimized bound of one variant.
 
     arrival must expose sigma_rho(theta), average_rate() and, for the
     martingale variants, martingale_ok=True (independent per-slot
     increments; cannot be verified here, it is a documented contract).
+    Warns with VacuousBoundWarning when the mean arrival rate reaches the
+    sustainable rate.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -277,25 +236,14 @@ def build_bound(variant: str, arrival, impairment: ImpairmentModel,
             f"{variant} uses the martingale arrival tail, which needs "
             "independent per-slot increments; this arrival does not declare them")
     options = options or GridOptions()
-    if warn_unstable:
-        a_a = average_rate(arrival)
-        a_i = impairment.average_rate()
-        if a_a >= CAPACITY - a_i:
-            warnings.warn(
-                f"arrival rate {a_a:.4f} >= sustainable rate {CAPACITY - a_i:.4f}; "
-                "bounds will be vacuous", VacuousBoundWarning, stacklevel=2)
-    return BacklogBound(variant, _build_grid(variant, arrival, impairment, options))
-
-
-def compute_bound(variant: str, arrival, impairment: ImpairmentModel, x: int,
-                  options: GridOptions | None = None) -> float:
-    """One-shot tail bound P{B > x} for a single x."""
-    bound = build_bound(variant, arrival, impairment, options)
-    value = bound.evaluate(x)
-    if value >= 1.0:
-        warnings.warn(f"{variant} at x={x} clamps to 1 everywhere on the grid",
-                      VacuousBoundWarning, stacklevel=2)
-    return value
+    a_a = average_rate(arrival)
+    a_i = impairment.average_rate()
+    if a_a >= CAPACITY - a_i:
+        warnings.warn(
+            f"arrival rate {a_a:.4f} >= sustainable rate {CAPACITY - a_i:.4f}; "
+            "bounds will be vacuous", VacuousBoundWarning, stacklevel=2)
+    grid = _build_grid(_needs_martingale(variant), arrival, impairment, options)
+    return BacklogBound(variant, grid)
 
 
 def quantile(bound: BacklogBound, p: float, x_max: int = DEFAULT_X_MAX) -> int:
@@ -324,18 +272,17 @@ def quantile(bound: BacklogBound, p: float, x_max: int = DEFAULT_X_MAX) -> int:
 
 
 def quantile_table(arrival, impairment: ImpairmentModel, p_list,
-                   variants=VARIANTS, options: GridOptions | None = None,
-                   x_max: int = DEFAULT_X_MAX):
+                   variants=VARIANTS, options: GridOptions | None = None):
     """Rows of {p, variant -> quantile} for each p, sharing one optimized
-    bound per variant across all rows."""
-    bounds = {v: build_bound(v, arrival, impairment, options) for v in variants}
-    rows = []
-    for p in p_list:
-        row = {"p": p}
-        for v in variants:
-            row[v] = quantile(bounds[v], p, x_max=x_max)
-        rows.append(row)
-    return rows
+    bound per variant across all rows. Variants with the same arrival tail
+    share one grid, so at most two grids are built."""
+    bounds, grids = {}, {}  # grids: one per arrival tail, martingale or not
+    for v in variants:
+        grid = grids.get(_needs_martingale(v))
+        bounds[v] = (build_bound(v, arrival, impairment, options) if grid is None
+                     else BacklogBound(v, grid))
+        grids[_needs_martingale(v)] = bounds[v]._grid
+    return [{"p": p, **{v: quantile(bounds[v], p) for v in variants}} for p in p_list]
 
 
 @dataclass(frozen=True)
@@ -348,7 +295,6 @@ class StabilityReport:
 
 def rate_to_mbps(rate_pkts_per_slot: float, params) -> float:
     """packets/slot -> Mbps of payload, one slot being L idle slots."""
-    from .dcf import slot_length  # local import to avoid cycle at module load
     L = slot_length(params)
     bits_per_slot_time = params.payload * 8.0
     slot_us = L * params.idle_slot
@@ -362,7 +308,6 @@ def stability_check(arrival_rate: float, params) -> StabilityReport:
     strictly below it the bound machinery applies, at or above it no finite
     bound is derivable this way.
     """
-    from .dcf import solve_fixed_point
     if arrival_rate < 0:
         raise ValueError("arrival rate must be nonnegative")
     fp = solve_fixed_point(params)
@@ -381,8 +326,11 @@ def point_tail_value(spec: BoundSpec, arrival, impairment: ImpairmentModel,
     (sigma, rho) pairs; route="aggregated" first forms the per-window (ta)
     tail at rate rho and then aggregates windows geometrically with
     delta = r - rho. The two assemblies are algebraically identical, which
-    this function exists to demonstrate; it is also the scalar cross-check
-    for the vectorized grid evaluation.
+    this function exists to demonstrate. The composition runs through the
+    same closed-form kernel as the grid evaluation, so agreement with
+    BacklogBound.evaluate checks the assembly of the tails, not a second
+    implementation of the convolution; tests/test_curves.py checks the
+    kernels against scalar oracles.
     """
     if _needs_martingale(spec.variant):
         raise ValueError("route comparison applies to the general-arrival variants")

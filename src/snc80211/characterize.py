@@ -34,7 +34,8 @@ DEFAULT_T_CAP = 10_000
 
 class FitConvergenceError(RuntimeError):
     """A numerical solve did not converge: the envelope slope never settled
-    within the t cap, or the MAC fixed point could not be bracketed."""
+    within the t cap (or the impairment MGF overflowed a float first), or
+    the MAC fixed point could not be bracketed."""
 
 
 @dataclass

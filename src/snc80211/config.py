@@ -7,18 +7,20 @@ Four sections, all optional, every key optional (defaults are the standard
              ack_header, mac_header, sifs, difs, idle_slot, cw_min, cw_max,
              retry_limit, payload, n_nodes
   [traffic]  mode (poisson | saturated), rate (packets per slot)
-  [grid]     theta_points, theta_min, theta_max, r_points
+  [grid]     GridOptions fields: theta_points, theta_min, theta_max, r_points
   [sim]      duration, replications, sample_time, collision_mode, seed
 
-Unknown sections or keys are errors, not silently ignored. The config path
-can also come from the SNC80211_CONFIG environment variable; an explicit
---config flag wins.
+Each value is parsed as the type of the dataclass field it sets. Unknown
+sections or keys are errors, not silently ignored. The config path can also
+come from the SNC80211_CONFIG environment variable; an explicit --config
+flag wins.
 """
 from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from typing import get_type_hints
 
 from .bounds import GridOptions
 from .dcf import Params80211
@@ -45,22 +47,39 @@ class RunConfig:
     collision_mode: str = "same-as-success"
     seed: int = 0
 
-
-_MAC_INT = {"phy_header", "ack_header", "mac_header", "cw_min", "cw_max",
-            "retry_limit", "payload", "n_nodes"}
-_MAC_FLOAT = {"basic_rate", "data_rate", "sifs", "difs", "idle_slot"}
-_GRID_INT = {"theta_points", "r_points"}
-_GRID_FLOAT = {"theta_min", "theta_max"}
-_SIM_KEYS = {"duration", "replications", "sample_time", "collision_mode", "seed"}
-_TRAFFIC_KEYS = {"mode", "rate"}
-_SECTIONS = ("mac", "traffic", "grid", "sim")
+    def __post_init__(self):
+        if self.traffic_mode not in TRAFFIC_MODES:
+            raise ValueError(f"traffic_mode must be one of {TRAFFIC_MODES}")
+        if self.collision_mode not in COLLISION_MODES:
+            raise ValueError(f"collision_mode must be one of {COLLISION_MODES}")
 
 
-def _cast(section, key, raw, typ):
-    try:
-        return typ(raw)
-    except ValueError as e:
-        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from e
+# section -> (RunConfig attribute it replaces, or None for RunConfig itself;
+#             the dataclass whose fields it sets; INI key -> field name, or
+#             None when every field is a key under its own name)
+_SECTIONS = {
+    "mac": ("params", Params80211, None),
+    "grid": ("grid", GridOptions, None),
+    "traffic": (None, RunConfig, {"mode": "traffic_mode", "rate": "rate"}),
+    "sim": (None, RunConfig, {k: k for k in ("duration", "replications", "sample_time",
+                                             "collision_mode", "seed")}),
+}
+
+
+def _overrides(cp, section: str, cls, keys: dict | None) -> dict:
+    """The section's values, each parsed as the type of its field in cls."""
+    types = get_type_hints(cls)
+    keys = keys or {f.name: f.name for f in fields(cls)}
+    out = {}
+    for key, raw in cp.items(section):
+        name = keys.get(key)
+        if name is None:
+            raise ConfigError(f"unknown [{section}] key {key!r}")
+        try:
+            out[name] = types[name](raw)
+        except ValueError as e:
+            raise ConfigError(f"[{section}] {key}: cannot parse {raw!r}") from e
+    return out
 
 
 def load_run_config(path: str | None = None) -> RunConfig:
@@ -83,56 +102,13 @@ def load_run_config(path: str | None = None) -> RunConfig:
         raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
 
     out = RunConfig()
-    if cp.has_section("mac"):
-        overrides = {}
-        for key, raw in cp.items("mac"):
-            if key in _MAC_INT:
-                overrides[key] = _cast("mac", key, raw, int)
-            elif key in _MAC_FLOAT:
-                overrides[key] = _cast("mac", key, raw, float)
-            else:
-                raise ConfigError(f"unknown [mac] key {key!r}")
+    for section in cp.sections():
+        attr, cls, keys = _SECTIONS[section]
+        values = _overrides(cp, section, cls, keys)
         try:
-            out = replace(out, params=replace(out.params, **overrides))
+            if attr is not None:
+                values = {attr: replace(getattr(out, attr), **values)}
+            out = replace(out, **values)
         except ValueError as e:
-            raise ConfigError(f"invalid [mac] values: {e}") from e
-
-    if cp.has_section("grid"):
-        overrides = {}
-        for key, raw in cp.items("grid"):
-            if key in _GRID_INT:
-                overrides[key] = _cast("grid", key, raw, int)
-            elif key in _GRID_FLOAT:
-                overrides[key] = _cast("grid", key, raw, float)
-            else:
-                raise ConfigError(f"unknown [grid] key {key!r}")
-        out = replace(out, grid=replace(out.grid, **overrides))
-
-    if cp.has_section("traffic"):
-        for key, raw in cp.items("traffic"):
-            if key == "mode":
-                if raw not in TRAFFIC_MODES:
-                    raise ConfigError(f"[traffic] mode must be one of {TRAFFIC_MODES}")
-                out = replace(out, traffic_mode=raw)
-            elif key == "rate":
-                out = replace(out, rate=_cast("traffic", key, raw, float))
-            else:
-                raise ConfigError(f"unknown [traffic] key {key!r}")
-
-    if cp.has_section("sim"):
-        for key, raw in cp.items("sim"):
-            if key == "duration":
-                out = replace(out, duration=_cast("sim", key, raw, float))
-            elif key == "replications":
-                out = replace(out, replications=_cast("sim", key, raw, int))
-            elif key == "sample_time":
-                out = replace(out, sample_time=_cast("sim", key, raw, float))
-            elif key == "collision_mode":
-                if raw not in COLLISION_MODES:
-                    raise ConfigError(f"[sim] collision_mode must be one of {COLLISION_MODES}")
-                out = replace(out, collision_mode=raw)
-            elif key == "seed":
-                out = replace(out, seed=_cast("sim", key, raw, int))
-            else:
-                raise ConfigError(f"unknown [sim] key {key!r}")
+            raise ConfigError(f"invalid [{section}] values: {e}") from e
     return out

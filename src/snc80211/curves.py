@@ -7,13 +7,16 @@ convolution for the general case and a complemented Stieltjes convolution
 when the two processes are independent.
 
 Bounding functions clamp to [0, 1] on evaluation but keep their raw
-exponential parameters so the convolutions can use closed forms.
+exponential parameters so the convolutions can use closed forms. Each rule
+has one closed-form kernel that takes scalars or whole parameter grids; the
+scalar convolutions and the bound optimizer in ``bounds`` both call it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+
+import numpy as np
 
 __all__ = [
     "SigmaRho",
@@ -25,7 +28,6 @@ __all__ = [
     "ta_to_vb",
     "minplus_convolve",
     "independent_tail_convolve",
-    "independent_tail_sum_uncomplemented",
 ]
 
 CURVE_KINDS = ("ta-arrival", "vb-arrival", "ws-service")
@@ -55,7 +57,7 @@ class SigmaRho:
 
 @dataclass(frozen=True)
 class BoundingFunction:
-    """A nonincreasing tail bound, exponential ``a * exp(-theta x)`` or tabulated.
+    """An exponential tail bound ``prefactor * exp(-decay * x)``.
 
     ``evaluate`` clamps to [0, 1]; ``raw`` returns the unclamped value that
     the convolution algebra works with.
@@ -63,42 +65,22 @@ class BoundingFunction:
 
     prefactor: float = 1.0
     decay: float = 1.0
-    table: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self):
-        if self.table is None:
-            if self.prefactor < 0:
-                raise ValueError("prefactor must be nonnegative")
-            if not self.decay > 0:
-                raise ValueError("decay must be positive")
-        else:
-            vals = tuple(float(v) for v in self.table)
-            if not vals:
-                raise ValueError("empty table")
-            if any(b > a + 1e-12 for a, b in zip(vals, vals[1:])):
-                raise ValueError("tabulated bound must be nonincreasing")
-            object.__setattr__(self, "table", vals)
+        if self.prefactor < 0:
+            raise ValueError("prefactor must be nonnegative")
+        if not self.decay > 0:
+            raise ValueError("decay must be positive")
 
     @classmethod
     def exponential(cls, prefactor: float, decay: float) -> "BoundingFunction":
         return cls(prefactor=prefactor, decay=decay)
 
-    @classmethod
-    def tabulated(cls, values) -> "BoundingFunction":
-        return cls(table=tuple(values))
-
-    @property
-    def is_exponential(self) -> bool:
-        return self.table is None
-
     def raw(self, x) -> float:
-        """Unclamped value at x >= 0 (tabulated bounds extend with their last value)."""
+        """Unclamped value at x >= 0."""
         if x < 0:
             raise ValueError("x must be nonnegative")
-        if self.table is None:
-            return self.prefactor * math.exp(-self.decay * x)
-        i = int(x)
-        return self.table[min(i, len(self.table) - 1)]
+        return self.prefactor * math.exp(-self.decay * x)
 
     def evaluate(self, x) -> float:
         """Value at x clamped to [0, 1], a usable tail probability."""
@@ -175,8 +157,6 @@ def ta_to_vb(curve: CurveWithBound, delta: float) -> CurveWithBound:
     """
     if curve.kind != "ta-arrival":
         raise ValueError("ta_to_vb expects a ta-arrival curve")
-    if not curve.bound.is_exponential:
-        raise ValueError("ta_to_vb needs an exponential bounding function")
     if delta <= 0:
         raise ValueError("delta must be positive")
     theta = curve.bound.decay
@@ -185,38 +165,18 @@ def ta_to_vb(curve: CurveWithBound, delta: float) -> CurveWithBound:
 
 
 def minplus_convolve(f: BoundingFunction, g: BoundingFunction, x: int) -> float:
-    """Min-plus convolution min over 0<=y<=x of f(y) + g(x-y), clamped to [0,1].
-
-    For two exponentials the minimum over real y is taken analytically: both
-    endpoints plus the interior stationary point where the two derivatives
-    cancel. Tabulated bounds fall back to integer-grid minimization.
-    """
+    """Min-plus convolution min over real 0<=y<=x of f(y) + g(x-y), clamped
+    to [0, 1], through the same closed form the bound grid uses."""
     if x < 0:
         raise ValueError("x must be nonnegative")
-    if f.is_exponential and g.is_exponential:
-        val = _minplus_exponential(f.prefactor, f.decay, g.prefactor, g.decay, x)
-    else:
-        val = min(f.raw(y) + g.raw(x - y) for y in range(int(x) + 1))
-    return min(1.0, max(0.0, val))
-
-
-def _minplus_exponential(a1, t1, a2, t2, x) -> float:
-    if a1 == 0.0:
-        return a2 * math.exp(-t2 * x)
-    if a2 == 0.0:
-        return a1 * math.exp(-t1 * x)
-    ends = min(a1 + a2 * math.exp(-t2 * x), a1 * math.exp(-t1 * x) + a2)
-    # stationary point of a1 e^{-t1 y} + a2 e^{-t2 (x-y)} in y
-    ystar = (math.log((t1 * a1) / (t2 * a2)) + t2 * x) / (t1 + t2)
-    if 0.0 < ystar < x:
-        ends = min(ends, a1 * math.exp(-t1 * ystar) * (1.0 + t1 / t2))
-    return ends
+    return float(_minplus_vec(f.prefactor, f.decay, g.prefactor, g.decay, float(x)))
 
 
 def independent_tail_convolve(f: BoundingFunction, g: BoundingFunction, x: int) -> float:
-    """Tail bound for the sum of two independent quantities bounded by f and g.
+    """Tail bound at integer x for the sum of two independent quantities
+    bounded by f and g, through the same closed form the bound grid uses.
 
-    Uses the complemented Stieltjes form
+    The bound is the complemented Stieltjes form
         1 - sum_{k=0..x} (Gbar(k) - Gbar(k-1)) * Fbar(x-k)
     with Fbar(m) = max(0, 1 - f(m)), Gbar likewise and Gbar(-1) = 0. This
     equals the classical independent-sum bound
@@ -225,31 +185,59 @@ def independent_tail_convolve(f: BoundingFunction, g: BoundingFunction, x: int) 
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
-    s = 0.0
-    gbar_prev = 0.0
-    for k in range(int(x) + 1):
-        gbar_k = max(0.0, 1.0 - g.raw(k))
-        dg = gbar_k - gbar_prev
-        if dg != 0.0:
-            fbar = max(0.0, 1.0 - f.raw(x - k))
-            s += dg * fbar
-        gbar_prev = gbar_k
-    return min(1.0, max(0.0, 1.0 - s))
+    return float(_indep_vec(f.prefactor, f.decay, g.prefactor, g.decay, float(x)))
 
 
-def independent_tail_sum_uncomplemented(f: BoundingFunction, g: BoundingFunction, x: int) -> float:
-    """Diagnostic only: the uncomplemented sum sum_k (Gbar(k)-Gbar(k-1)) Fbar(x-k).
+def _minplus_vec(a, t1, b, t2, x):
+    # min over the split point y of a e^{-t1 y} + b e^{-t2 (x-y)}: endpoints
+    # plus the interior stationary point when it lands inside (0, x). A zero
+    # prefactor sends the stationary point to +-inf (or nan for two zeros),
+    # which the mask drops, so those lanes may go non-finite quietly.
+    a = np.asarray(a, dtype=float)
+    h0 = a + b * np.exp(-t2 * x)
+    hx = a * np.exp(-t1 * x) + b
+    vals = np.minimum(h0, hx)
+    if x > 0:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            ystar = (np.log(t1 * a / (t2 * b)) + t2 * x) / (t1 + t2)
+            hin = a * np.exp(-t1 * ystar) * (1.0 + t1 / t2)
+        ok = (ystar > 0.0) & (ystar < x)
+        vals = np.where(ok, np.minimum(vals, hin), vals)
+    return np.clip(vals, 0.0, 1.0)
 
-    This quantity is nondecreasing in x and tends to one, so it is not a
-    valid tail bound; it is kept solely so the two accumulations can be
-    compared side by side. Do not use it as a bound.
-    """
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    s = 0.0
-    gbar_prev = 0.0
-    for k in range(int(x) + 1):
-        gbar_k = max(0.0, 1.0 - g.raw(k))
-        s += (gbar_k - gbar_prev) * max(0.0, 1.0 - f.raw(x - k))
-        gbar_prev = gbar_k
-    return s
+
+def _dead_zone(a, t):
+    # first integer m with a e^{-t m} < 1; zero when the prefactor is <= 1
+    kf = np.floor(np.log(np.maximum(a, 1e-300)) / t + 1e-12) + 1.0
+    return np.where(a <= 1.0, 0.0, kf)
+
+
+def _indep_vec(a, t1, b, t2, x):
+    """Complemented independent-case convolution of a e^{-t1 x} and
+    b e^{-t2 x} in closed form: 1 - sum_k (gbar(k)-gbar(k-1)) fbar(x-k) with
+    fbar = max(0, 1-f). Prefactors above 1 zero out fbar/gbar below a cutoff,
+    which splits the geometric sum at integer offsets kf, kg."""
+    a = np.asarray(a, dtype=float)
+    kf = _dead_zone(a, t1)
+    kg = _dead_zone(b, t2)
+    K = x - kf  # last k with fbar(x-k) > 0
+    cnt = K - kg
+    d_kg = 1.0 - b * np.exp(-t2 * kg)
+    g = t1 - t2
+    # sum_{k=kg+1}^{K} e^{g k}, folded with e^{-t1 x} so exponents stay small;
+    # empty-range lanes (K < kg) can carry huge exponents, so clamp before
+    # exp -- they are masked out of the result below
+    e1 = np.minimum(g * (K + 1.0) - t1 * x, 50.0)
+    e0 = np.minimum(g * (kg + 1.0) - t1 * x, 50.0)
+    gcnt = g * cnt
+    em1g = np.expm1(g)
+    safe_em1g = np.where(em1g == 0.0, 1.0, em1g)
+    small = np.exp(e0) * np.expm1(np.minimum(gcnt, 50.0)) / safe_em1g
+    big = (np.exp(e1) - np.exp(e0)) / safe_em1g
+    geom_e = np.where(np.abs(g) < 1e-15, cnt * np.exp(e0),
+                      np.where(gcnt > 30.0, big, small))
+    geom_e = np.where(cnt > 0, geom_e, 0.0)
+    T = a * (d_kg * np.exp(np.minimum(t1 * (kg - x), 50.0)) + b * np.expm1(t2) * geom_e)
+    S = (1.0 - b * np.exp(np.minimum(-t2 * K, 50.0))) - T
+    vals = np.where(K >= kg, 1.0 - S, 1.0)
+    return np.clip(vals, 0.0, 1.0)

@@ -29,8 +29,6 @@ __all__ = [
     "impairment_mgf",
     "oracle_impairment_mgf",
     "impairment_sigma_rho",
-    "impairment_average_rate",
-    "service_curve",
     "ImpairmentModel",
 ]
 
@@ -183,11 +181,6 @@ def stable_rate_threshold(fp: DcfFixedPoint) -> float:
     return fp.p_s * fp.L / (fp.p_nt + fp.p_t * fp.L)
 
 
-def impairment_average_rate(params: Params80211) -> float:
-    """Long-run impairment rate a_I = 1 - sustainable service rate."""
-    return 1.0 - stable_rate_threshold(solve_fixed_point(params))
-
-
 def impairment_mgf(fp: DcfFixedPoint, theta: float, t: int,
                    t_cap: int = DEFAULT_MGF_T_CAP) -> float:
     """E exp(theta * I(0, t)) where I is the impairment (time not spent
@@ -208,7 +201,7 @@ def impairment_mgf(fp: DcfFixedPoint, theta: float, t: int,
     if theta <= 0:
         raise ValueError("theta must be positive")
     if t == 1:
-        return math.exp(theta)
+        return _exp_or_diverge(theta, theta, t)
     L = fp.L
     p_t, p_nt, ps_c = fp.p_t, fp.p_nt, fp.p_s_cond
     log_pt = math.log(p_t) if p_t > 0 else -math.inf
@@ -242,7 +235,16 @@ def impairment_mgf(fp: DcfFixedPoint, theta: float, t: int,
            + i2 * log_w + theta * t)
     terms.append(lt2.ravel())
 
-    return float(math.exp(logsumexp(np.concatenate(terms))))
+    return _exp_or_diverge(float(logsumexp(np.concatenate(terms))), theta, t)
+
+
+def _exp_or_diverge(log_m: float, theta: float, t: int) -> float:
+    # an MGF past the float range cannot feed a fit: report a non-convergence
+    try:
+        return math.exp(log_m)
+    except OverflowError as e:
+        raise FitConvergenceError(
+            f"impairment MGF overflows a float at theta={theta}, t={t}") from e
 
 
 def _xlogy(count, log_p):
@@ -291,36 +293,16 @@ def oracle_impairment_mgf(fp: DcfFixedPoint, theta: float, t: int) -> float:
     return math.exp(theta * t) * rest(L)
 
 
-def impairment_mgf_envelope(fp: DcfFixedPoint, theta: float,
-                            t_cap: int = DEFAULT_MGF_T_CAP) -> MgfEnvelope:
+def impairment_mgf_envelope(fp: DcfFixedPoint, theta: float) -> MgfEnvelope:
     """The impairment's log-MGF envelope y(t) = (1/theta) log M_I(t)."""
     return MgfEnvelope(theta=theta,
-                       fn=lambda t: math.log(impairment_mgf(fp, theta, t, t_cap)) / theta)
+                       fn=lambda t: math.log(impairment_mgf(fp, theta, t)) / theta)
 
 
 def impairment_sigma_rho(params: Params80211, theta: float,
                          epsilon: float = DEFAULT_EPSILON) -> SigmaRho:
     """(sigma_I, rho_I) of the impairment at this theta, by envelope fitting."""
-    fp = solve_fixed_point(params)
-    return fit_sigma_rho(impairment_mgf_envelope(fp, theta), epsilon=epsilon)
-
-
-def service_curve(params: Params80211, theta: float, r_i: float,
-                  epsilon: float = DEFAULT_EPSILON) -> CurveWithBound:
-    """Leftover service curve (1 - r_i) * t with the impairment's vb bound.
-
-    r_i must exceed rho_I(theta) strictly and stay below the capacity of
-    one packet per slot.
-    """
-    sr = impairment_sigma_rho(params, theta, epsilon=epsilon)
-    return _service_from_sigma_rho(sr, r_i)
-
-
-def _service_from_sigma_rho(sr: SigmaRho, r_i: float) -> CurveWithBound:
-    if r_i >= 1.0:
-        raise ValueError("r_i must stay below the capacity of 1 packet per slot")
-    vb = vb_curve_from_sigma_rho(sr, r_i)  # enforces r_i > rho strictly
-    return CurveWithBound(rate=1.0 - r_i, bound=vb.bound, kind="ws-service")
+    return ImpairmentModel(params, epsilon).sigma_rho(theta)
 
 
 class ImpairmentModel:
@@ -343,7 +325,16 @@ class ImpairmentModel:
         return sr
 
     def average_rate(self) -> float:
+        """Long-run impairment rate a_I = 1 - sustainable service rate."""
         return 1.0 - stable_rate_threshold(self.fixed_point)
 
     def service_curve(self, theta: float, r_i: float) -> CurveWithBound:
-        return _service_from_sigma_rho(self.sigma_rho(theta), r_i)
+        """Leftover service curve (1 - r_i) * t with the impairment's vb bound.
+
+        r_i must exceed rho_I(theta) strictly and stay below the capacity of
+        one packet per slot.
+        """
+        if r_i >= 1.0:
+            raise ValueError("r_i must stay below the capacity of 1 packet per slot")
+        vb = vb_curve_from_sigma_rho(self.sigma_rho(theta), r_i)  # enforces r_i > rho strictly
+        return CurveWithBound(rate=1.0 - r_i, bound=vb.bound, kind="ws-service")

@@ -32,7 +32,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "run",
-    "empirical_tail",
 ]
 
 TRAFFIC_MODES = ("poisson", "saturated")
@@ -71,8 +70,16 @@ class SimConfig:
             raise ValueError("replications must be at least 1")
         if self.duration <= 0:
             raise ValueError("duration must be positive")
+        if _horizon_slots(self) < 1:
+            raise ValueError(f"duration {self.duration} s is shorter than half an "
+                             f"idle slot ({self.params.idle_slot} us)")
         if not 0 <= self.sample_time <= self.duration:
             raise ValueError("need 0 <= sample_time <= duration")
+
+
+def _horizon_slots(config: SimConfig) -> int:
+    # the simulated horizon in whole idle slots
+    return int(round(config.duration * (1e6 / config.params.idle_slot)))
 
 
 @dataclass(eq=False)
@@ -102,10 +109,6 @@ class SimResult:
         return float(np.mean(self.backlogs > x))
 
 
-def empirical_tail(result: SimResult, x: int) -> float:
-    return result.empirical_tail(x)
-
-
 @dataclass
 class _RepStats:
     sample: int
@@ -126,9 +129,8 @@ def _run_one(config: SimConfig, rng: np.random.Generator) -> _RepStats:
         busy_collision = busy_success
     else:
         busy_collision = data_slots(p)
-    slots_per_sec = 1e6 / p.idle_slot
-    t_end = int(round(config.duration * slots_per_sec))
-    s_slot = config.sample_time * slots_per_sec
+    t_end = _horizon_slots(config)
+    s_slot = config.sample_time * (1e6 / p.idle_slot)
     saturated = config.traffic == "saturated"
     q0 = _SATURATED_QUEUE if saturated else 0
     cw_min, cw_max, retry_limit = p.cw_min, p.cw_max, p.retry_limit
@@ -298,8 +300,7 @@ def run(config: SimConfig) -> SimResult:
     """
     p = config.params
     L = slot_length(p)
-    slots_per_sec = 1e6 / p.idle_slot
-    t_end = int(round(config.duration * slots_per_sec))
+    t_end = _horizon_slots(config)
     children = np.random.SeedSequence(config.seed).spawn(config.replications)
     reps = [_run_one(config, np.random.default_rng(s)) for s in children]
 

@@ -11,7 +11,6 @@ from snc80211.bounds import (
     InfeasibleBoundError,
     VacuousBoundWarning,
     build_bound,
-    compute_bound,
     point_tail_value,
     quantile,
     quantile_table,
@@ -140,7 +139,7 @@ def test_quantile_table_poisson_007(impairment):
 def test_light_load_bound_is_tiny(impairment):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no vacuity warning expected
-        val = compute_bound("bound1", PoissonTraffic(0.01), impairment, 200)
+        val = build_bound("bound1", PoissonTraffic(0.01), impairment).evaluate(200)
     assert 0.0 <= val < 1e-6
 
 

@@ -222,6 +222,8 @@ def test_config_grid_section(tmp_path, capsys):
     "[mac]\ncw_min = many\n",             # unparsable value
     "[mac]\ncw_min = 24\n",               # violates the power-of-two ladder
     "[traffic]\nmode = bursty\n",         # unknown traffic mode
+    "[grid]\ntheta_points = 0\n",        # empty theta grid
+    "[grid]\nr_points = 0\n",            # empty rate split
 ])
 def test_config_rejected(tmp_path, capsys, body):
     cfgfile = _write(tmp_path, "bad.ini", body)
@@ -229,6 +231,24 @@ def test_config_rejected(tmp_path, capsys, body):
         load_run_config(cfgfile)
     assert main(["fixed-point", "--config", cfgfile]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_simulate_duration_below_one_slot_is_a_usage_error(capsys):
+    # 1 us rounds to zero 20 us idle slots: nothing can be simulated
+    assert main(["simulate", "--rate", "0.04", "--duration", "0.000001",
+                 "--sample-time", "0", "--replications", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: duration")
+    assert "Traceback" not in err
+
+
+def test_characterize_mgf_overflow_is_nonconvergence(capsys):
+    # at theta=5 the slope settles to 1e-9 only after theta*t passes the
+    # float range of exp, so the fit cannot converge
+    assert main(["characterize", "--thetas", "5", "--epsilon", "1e-9"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("did not converge: impairment MGF overflows")
+    assert "theta=5.0, t=" in err
 
 
 def test_config_missing_file(tmp_path, capsys):

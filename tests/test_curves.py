@@ -1,4 +1,8 @@
-"""Curve algebra: constructions, conversions, and the two convolutions."""
+"""Curve algebra: constructions, conversions, and the two convolutions.
+
+The convolutions have one closed-form implementation each in
+snc80211.curves; the scalar minimiser and the O(x) loop below are the
+independent reference oracles they are checked against."""
 import math
 
 import numpy as np
@@ -8,14 +12,45 @@ from snc80211.curves import (
     BoundingFunction,
     CurveWithBound,
     SigmaRho,
+    _indep_vec,
+    _minplus_vec,
     independent_tail_convolve,
-    independent_tail_sum_uncomplemented,
     minplus_convolve,
     ta_curve_from_sigma_rho,
     ta_to_vb,
     vb_curve_from_sigma_rho,
     vb_curve_martingale,
 )
+
+
+def _minplus_oracle(a1, t1, a2, t2, x) -> float:
+    """min over real 0 <= y <= x of a1 e^{-t1 y} + a2 e^{-t2 (x-y)}, clamped
+    to [0, 1]: both endpoints plus the stationary point where the two
+    derivatives cancel, with zero prefactors taken apart."""
+    if a1 == 0.0:
+        val = a2 * math.exp(-t2 * x)
+    elif a2 == 0.0:
+        val = a1 * math.exp(-t1 * x)
+    else:
+        val = min(a1 + a2 * math.exp(-t2 * x), a1 * math.exp(-t1 * x) + a2)
+        ystar = (math.log((t1 * a1) / (t2 * a2)) + t2 * x) / (t1 + t2)
+        if 0.0 < ystar < x:
+            val = min(val, a1 * math.exp(-t1 * ystar) * (1.0 + t1 / t2))
+    return min(1.0, max(0.0, val))
+
+
+def _independent_oracle(f: BoundingFunction, g: BoundingFunction, x: int) -> float:
+    """1 - sum_{k=0..x} (Gbar(k) - Gbar(k-1)) Fbar(x-k) term by term, with
+    Fbar = max(0, 1 - f), Gbar likewise and Gbar(-1) = 0."""
+    s = 0.0
+    gbar_prev = 0.0
+    for k in range(x + 1):
+        gbar_k = max(0.0, 1.0 - g.raw(k))
+        dg = gbar_k - gbar_prev
+        if dg != 0.0:
+            s += dg * max(0.0, 1.0 - f.raw(x - k))
+        gbar_prev = gbar_k
+    return min(1.0, max(0.0, 1.0 - s))
 
 
 def test_sigma_rho_validation():
@@ -30,7 +65,6 @@ def test_sigma_rho_validation():
 
 def test_bounding_function_exponential_eval():
     f = BoundingFunction.exponential(2.0, 0.5)
-    assert f.is_exponential
     assert f.raw(0) == 2.0
     assert f.evaluate(0) == 1.0  # clamped
     assert f.evaluate(10) == pytest.approx(2.0 * math.exp(-5.0))
@@ -51,17 +85,6 @@ def test_bounding_function_eval_in_unit_interval_and_nonincreasing():
             assert 0.0 <= v <= 1.0
             assert v <= prev + 1e-15
             prev = v
-
-
-def test_bounding_function_tabulated():
-    g = BoundingFunction.tabulated([1.0, 0.5, 0.25])
-    assert not g.is_exponential
-    assert g.raw(1) == 0.5
-    assert g.raw(10) == 0.25  # extends with the last value
-    with pytest.raises(ValueError):
-        BoundingFunction.tabulated([0.1, 0.5])
-    with pytest.raises(ValueError):
-        BoundingFunction.tabulated([])
 
 
 def test_curve_with_bound_validation():
@@ -203,14 +226,6 @@ def test_minplus_is_symmetric():
             assert abs(minplus_convolve(f, g, x) - minplus_convolve(g, f, x)) <= 1e-12
 
 
-def test_minplus_tabulated_fallback():
-    f = BoundingFunction.exponential(1.0, 0.5)
-    g = BoundingFunction.tabulated([1.0, 0.4, 0.1, 0.02])
-    x = 3
-    expect = min(f.raw(y) + g.raw(x - y) for y in range(x + 1))
-    assert minplus_convolve(f, g, x) == pytest.approx(min(1.0, expect))
-
-
 def test_minplus_rejects_negative_x():
     f = BoundingFunction.exponential(1.0, 1.0)
     with pytest.raises(ValueError):
@@ -247,11 +262,29 @@ def test_independent_nonincreasing_in_x():
     assert all(0.0 <= v <= 1.0 for v in vals)
 
 
-def test_uncomplemented_sum_is_not_a_tail_bound():
-    # the diagnostic accumulation grows toward one, which is why the
-    # complemented form is the one used for bounds
-    f = BoundingFunction.exponential(1.0, 0.5)
-    g = BoundingFunction.exponential(1.0, 0.8)
-    vals = [independent_tail_sum_uncomplemented(f, g, x) for x in range(40)]
-    assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-    assert vals[-1] > 0.9
+def test_kernels_match_scalar_oracles():
+    # prefactors 0, in (0, 1), exactly 1 and above 1 (dead zones), equal
+    # decays among the draws; both kernels run over all cases at once, the
+    # way the bound grid calls them, and once per case through the scalar
+    # convolutions
+    rng = np.random.default_rng(2024)
+    pool = [0.0, 1.0] + list(rng.uniform(0.0, 1.0, 4)) + list(np.exp(rng.uniform(0.0, 7.0, 6)))
+    cases = []
+    for _ in range(48):
+        a, b = (float(rng.choice(pool)) for _ in range(2))
+        t1 = float(np.exp(rng.uniform(np.log(0.01), np.log(3.0))))
+        t2 = t1 if rng.random() < 0.25 else float(np.exp(rng.uniform(np.log(0.01), np.log(3.0))))
+        cases.append((a, t1, b, t2))
+    a, t1, b, t2 = (np.array(col) for col in zip(*cases))
+    fs = [BoundingFunction.exponential(c[0], c[1]) for c in cases]
+    gs = [BoundingFunction.exponential(c[2], c[3]) for c in cases]
+    for x in range(201):
+        mp = _minplus_vec(a, t1, b, t2, float(x))
+        ind = _indep_vec(a, t1, b, t2, float(x))
+        for j, (f, g) in enumerate(zip(fs, gs)):
+            want_mp = _minplus_oracle(*cases[j], x)
+            want_ind = _independent_oracle(f, g, x)
+            for got, want in ((mp[j], want_mp), (ind[j], want_ind),
+                              (minplus_convolve(f, g, x), want_mp),
+                              (independent_tail_convolve(f, g, x), want_ind)):
+                assert abs(got - want) <= 1e-12 + 1e-9 * abs(want), (cases[j], x, got, want)

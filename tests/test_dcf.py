@@ -11,11 +11,9 @@ from snc80211.dcf import (
     ack_slots,
     data_slots,
     difs_sifs_slots,
-    impairment_average_rate,
     impairment_mgf,
     impairment_sigma_rho,
     oracle_impairment_mgf,
-    service_curve,
     slot_length,
     solve_fixed_point,
     stable_rate_threshold,
@@ -93,7 +91,7 @@ def test_fixed_point_monotone_in_n(params):
 def test_stable_rate_threshold(params, fixed_point):
     thr = stable_rate_threshold(fixed_point)
     assert thr == pytest.approx(0.079295209692, abs=1e-9)
-    assert impairment_average_rate(params) == pytest.approx(1.0 - thr, rel=1e-12)
+    assert ImpairmentModel(params).average_rate() == pytest.approx(1.0 - thr, rel=1e-12)
 
 
 def test_threshold_formula_edges():
@@ -187,7 +185,7 @@ def test_impairment_sigma_rho_sweep(params):
 
 
 def test_impairment_rho_approaches_average_rate(params):
-    a_i = impairment_average_rate(params)
+    a_i = ImpairmentModel(params).average_rate()
     assert abs(impairment_sigma_rho(params, 0.01).rho - a_i) < 0.01
 
 
@@ -198,9 +196,9 @@ def test_impairment_envelope_trends(params):
     assert all(b.sigma < a.sigma for a, b in zip(srs, srs[1:]))
 
 
-def test_service_curve_construction(params):
-    sr = impairment_sigma_rho(params, 0.1)
-    sc = service_curve(params, 0.1, 0.95)
+def test_service_curve_construction(impairment):
+    sr = impairment.sigma_rho(0.1)
+    sc = impairment.service_curve(0.1, 0.95)
     assert sc.kind == "ws-service"
     assert sc.rate == pytest.approx(0.05, rel=1e-12)
     expect = math.exp(0.1 * sr.sigma) / -math.expm1(0.1 * (sr.rho - 0.95))
@@ -208,12 +206,12 @@ def test_service_curve_construction(params):
     assert sc.bound.decay == 0.1
 
 
-def test_service_curve_rejects_bad_rates(params):
-    sr = impairment_sigma_rho(params, 0.1)
+def test_service_curve_rejects_bad_rates(impairment):
+    sr = impairment.sigma_rho(0.1)
     with pytest.raises(ValueError):
-        service_curve(params, 0.1, sr.rho)  # not strictly above rho
+        impairment.service_curve(0.1, sr.rho)  # not strictly above rho
     with pytest.raises(ValueError):
-        service_curve(params, 0.1, 1.0)
+        impairment.service_curve(0.1, 1.0)
 
 
 def test_impairment_model_caches(params):
