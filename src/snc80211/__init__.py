@@ -4,107 +4,19 @@ with a slot-level discrete-event simulator for validation.
 Typical flow: solve the MAC fixed point, characterize the channel
 impairment as a (sigma, rho) MGF envelope, assemble one of four backlog
 tail bounds, query quantiles, and cross-check against simulation.
+
+The package re-exports each module's ``__all__``; a public name is declared
+once, in its module.
 """
-from .bounds import (
-    VARIANTS,
-    BacklogBound,
-    BoundSpec,
-    GridOptions,
-    InfeasibleBoundError,
-    StabilityReport,
-    VacuousBoundWarning,
-    build_bound,
-    point_tail_value,
-    quantile,
-    quantile_table,
-    rate_to_mbps,
-    stability_check,
-)
-from .characterize import (
-    DEFAULT_EPSILON,
-    FitConvergenceError,
-    MgfEnvelope,
-    PoissonTraffic,
-    TraceData,
-    TraceTraffic,
-    average_rate,
-    fit_sigma_rho,
-    poisson_sigma_rho,
-    trace_mgf_envelope,
-)
-from .config import ConfigError, RunConfig, load_run_config
-from .curves import (
-    BoundingFunction,
-    CurveWithBound,
-    SigmaRho,
-    independent_tail_convolve,
-    minplus_convolve,
-    ta_curve_from_sigma_rho,
-    ta_to_vb,
-    vb_curve_from_sigma_rho,
-    vb_curve_martingale,
-)
-from .dcf import (
-    DcfFixedPoint,
-    ImpairmentModel,
-    Params80211,
-    impairment_mgf,
-    impairment_sigma_rho,
-    oracle_impairment_mgf,
-    slot_length,
-    solve_fixed_point,
-    stable_rate_threshold,
-)
-from .sim import SimConfig, SimResult, run
+from . import bounds, characterize, config, curves, dcf, sim
+from .bounds import *  # noqa: F401,F403
+from .characterize import *  # noqa: F401,F403
+from .config import *  # noqa: F401,F403
+from .curves import *  # noqa: F401,F403
+from .dcf import *  # noqa: F401,F403
+from .sim import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "VARIANTS",
-    "BacklogBound",
-    "BoundSpec",
-    "GridOptions",
-    "InfeasibleBoundError",
-    "StabilityReport",
-    "VacuousBoundWarning",
-    "build_bound",
-    "point_tail_value",
-    "quantile",
-    "quantile_table",
-    "rate_to_mbps",
-    "stability_check",
-    "DEFAULT_EPSILON",
-    "FitConvergenceError",
-    "MgfEnvelope",
-    "PoissonTraffic",
-    "TraceData",
-    "TraceTraffic",
-    "average_rate",
-    "fit_sigma_rho",
-    "poisson_sigma_rho",
-    "trace_mgf_envelope",
-    "ConfigError",
-    "RunConfig",
-    "load_run_config",
-    "BoundingFunction",
-    "CurveWithBound",
-    "SigmaRho",
-    "independent_tail_convolve",
-    "minplus_convolve",
-    "ta_curve_from_sigma_rho",
-    "ta_to_vb",
-    "vb_curve_from_sigma_rho",
-    "vb_curve_martingale",
-    "DcfFixedPoint",
-    "ImpairmentModel",
-    "Params80211",
-    "impairment_mgf",
-    "impairment_sigma_rho",
-    "oracle_impairment_mgf",
-    "slot_length",
-    "solve_fixed_point",
-    "stable_rate_threshold",
-    "SimConfig",
-    "SimResult",
-    "run",
-]
+__all__ = [name for module in (bounds, characterize, config, curves, dcf, sim)
+           for name in module.__all__]

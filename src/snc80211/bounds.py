@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characterize import average_rate
 from .curves import (
     _indep_vec,
     _minplus_vec,
@@ -55,7 +54,7 @@ __all__ = [
 ]
 
 VARIANTS = ("bound1", "bound2", "bound3", "bound4")
-DEFAULT_X_MAX = 10 ** 6
+X_MAX = 10 ** 6  # quantile search cap
 CAPACITY = 1.0  # packets per slot; r_a + r_i must split this
 
 
@@ -84,8 +83,8 @@ class GridOptions:
     def __post_init__(self):
         if self.theta_points < 1 or self.r_points < 1:
             raise ValueError("theta_points and r_points must be at least 1")
-        if not (self.theta_min > 0 and self.theta_max > 0):
-            raise ValueError("theta_min and theta_max must be positive")
+        if not (0 < self.theta_min < math.inf and 0 < self.theta_max < math.inf):
+            raise ValueError("theta_min and theta_max must be positive and finite")
 
     def thetas(self) -> np.ndarray:
         return np.geomspace(self.theta_min, self.theta_max, self.theta_points)
@@ -236,7 +235,7 @@ def build_bound(variant: str, arrival, impairment: ImpairmentModel,
             f"{variant} uses the martingale arrival tail, which needs "
             "independent per-slot increments; this arrival does not declare them")
     options = options or GridOptions()
-    a_a = average_rate(arrival)
+    a_a = arrival.average_rate()
     a_i = impairment.average_rate()
     if a_a >= CAPACITY - a_i:
         warnings.warn(
@@ -246,11 +245,11 @@ def build_bound(variant: str, arrival, impairment: ImpairmentModel,
     return BacklogBound(variant, grid)
 
 
-def quantile(bound: BacklogBound, p: float, x_max: int = DEFAULT_X_MAX) -> int:
+def quantile(bound: BacklogBound, p: float) -> int:
     """Smallest integer x with bound.evaluate(x) <= p.
 
     Doubles x until the bound crosses p, then bisects. Raises
-    InfeasibleBoundError if the bound stays above p up to x_max.
+    InfeasibleBoundError if the bound stays above p up to X_MAX.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
@@ -258,10 +257,10 @@ def quantile(bound: BacklogBound, p: float, x_max: int = DEFAULT_X_MAX) -> int:
         return 0
     lo, hi = 0, 1
     while bound.evaluate(hi) > p:
-        if hi >= x_max:
+        if hi >= X_MAX:
             raise InfeasibleBoundError(
-                f"bound stays above {p} for all x up to {x_max}")
-        lo, hi = hi, min(hi * 2, x_max)
+                f"bound stays above {p} for all x up to {X_MAX}")
+        lo, hi = hi, min(hi * 2, X_MAX)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if bound.evaluate(mid) <= p:
@@ -308,8 +307,8 @@ def stability_check(arrival_rate: float, params) -> StabilityReport:
     strictly below it the bound machinery applies, at or above it no finite
     bound is derivable this way.
     """
-    if arrival_rate < 0:
-        raise ValueError("arrival rate must be nonnegative")
+    if not 0 <= arrival_rate < math.inf:
+        raise ValueError(f"arrival rate must be finite and nonnegative, got {arrival_rate}")
     fp = solve_fixed_point(params)
     threshold = stable_rate_threshold(fp)
     verdict = "stable-bound-derivable" if arrival_rate < threshold else "not-derivable"

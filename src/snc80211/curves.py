@@ -72,10 +72,6 @@ class BoundingFunction:
         if not self.decay > 0:
             raise ValueError("decay must be positive")
 
-    @classmethod
-    def exponential(cls, prefactor: float, decay: float) -> "BoundingFunction":
-        return cls(prefactor=prefactor, decay=decay)
-
     def raw(self, x) -> float:
         """Unclamped value at x >= 0."""
         if x < 0:
@@ -117,7 +113,7 @@ def ta_curve_from_sigma_rho(sr: SigmaRho, r: float) -> CurveWithBound:
     if r < sr.rho:
         raise ValueError(f"ta curve needs rate r >= rho, got r={r} < rho={sr.rho}")
     a = math.exp(sr.theta * sr.sigma)
-    return CurveWithBound(rate=r, bound=BoundingFunction.exponential(a, sr.theta), kind="ta-arrival")
+    return CurveWithBound(rate=r, bound=BoundingFunction(a, sr.theta), kind="ta-arrival")
 
 
 def vb_curve_from_sigma_rho(sr: SigmaRho, r: float) -> CurveWithBound:
@@ -131,7 +127,7 @@ def vb_curve_from_sigma_rho(sr: SigmaRho, r: float) -> CurveWithBound:
     # 1 - e^{theta(rho-r)} via expm1 for accuracy when r is close to rho
     denom = -math.expm1(sr.theta * (sr.rho - r))
     a = math.exp(sr.theta * sr.sigma) / denom
-    return CurveWithBound(rate=r, bound=BoundingFunction.exponential(a, sr.theta), kind="vb-arrival")
+    return CurveWithBound(rate=r, bound=BoundingFunction(a, sr.theta), kind="vb-arrival")
 
 
 def vb_curve_martingale(sr: SigmaRho, r: float) -> CurveWithBound:
@@ -145,7 +141,7 @@ def vb_curve_martingale(sr: SigmaRho, r: float) -> CurveWithBound:
         raise ValueError(
             f"martingale vb curve needs r >= rho + sigma, got r={r} < {sr.rho + sr.sigma}"
         )
-    return CurveWithBound(rate=r, bound=BoundingFunction.exponential(1.0, sr.theta), kind="vb-arrival")
+    return CurveWithBound(rate=r, bound=BoundingFunction(1.0, sr.theta), kind="vb-arrival")
 
 
 def ta_to_vb(curve: CurveWithBound, delta: float) -> CurveWithBound:
@@ -161,7 +157,7 @@ def ta_to_vb(curve: CurveWithBound, delta: float) -> CurveWithBound:
         raise ValueError("delta must be positive")
     theta = curve.bound.decay
     a = curve.bound.prefactor / (-math.expm1(-theta * delta))
-    return CurveWithBound(rate=curve.rate + delta, bound=BoundingFunction.exponential(a, theta), kind="vb-arrival")
+    return CurveWithBound(rate=curve.rate + delta, bound=BoundingFunction(a, theta), kind="vb-arrival")
 
 
 def minplus_convolve(f: BoundingFunction, g: BoundingFunction, x: int) -> float:

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .characterize import DEFAULT_EPSILON, FitConvergenceError, MgfEnvelope, fit_sigma_rho
+from .characterize import DEFAULT_EPSILON, DEFAULT_T_CAP, FitConvergenceError, fit_sigma_rho
 from .curves import CurveWithBound, SigmaRho, vb_curve_from_sigma_rho
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "ImpairmentModel",
 ]
 
-DEFAULT_MGF_T_CAP = 10_000
 ORACLE_SLOT_CAP = 64
 
 
@@ -181,8 +180,7 @@ def stable_rate_threshold(fp: DcfFixedPoint) -> float:
     return fp.p_s * fp.L / (fp.p_nt + fp.p_t * fp.L)
 
 
-def impairment_mgf(fp: DcfFixedPoint, theta: float, t: int,
-                   t_cap: int = DEFAULT_MGF_T_CAP) -> float:
+def impairment_mgf(fp: DcfFixedPoint, theta: float, t: int) -> float:
     """E exp(theta * I(0, t)) where I is the impairment (time not spent
     serving this node) over t network-calculus slots, with the first slot
     conservatively taken as another node's transmission.
@@ -196,10 +194,10 @@ def impairment_mgf(fp: DcfFixedPoint, theta: float, t: int,
     """
     if t < 1:
         raise ValueError("t must be at least 1")
-    if t > t_cap:
-        raise ValueError(f"t={t} beyond cap {t_cap}")
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    if t > DEFAULT_T_CAP:
+        raise ValueError(f"t={t} beyond cap {DEFAULT_T_CAP}")
+    if not 0.0 < theta < math.inf:
+        raise ValueError(f"theta must be positive and finite, got {theta}")
     if t == 1:
         return _exp_or_diverge(theta, theta, t)
     L = fp.L
@@ -293,12 +291,6 @@ def oracle_impairment_mgf(fp: DcfFixedPoint, theta: float, t: int) -> float:
     return math.exp(theta * t) * rest(L)
 
 
-def impairment_mgf_envelope(fp: DcfFixedPoint, theta: float) -> MgfEnvelope:
-    """The impairment's log-MGF envelope y(t) = (1/theta) log M_I(t)."""
-    return MgfEnvelope(theta=theta,
-                       fn=lambda t: math.log(impairment_mgf(fp, theta, t)) / theta)
-
-
 def impairment_sigma_rho(params: Params80211, theta: float,
                          epsilon: float = DEFAULT_EPSILON) -> SigmaRho:
     """(sigma_I, rho_I) of the impairment at this theta, by envelope fitting."""
@@ -319,8 +311,11 @@ class ImpairmentModel:
     def sigma_rho(self, theta: float) -> SigmaRho:
         sr = self._cache.get(theta)
         if sr is None:
-            sr = fit_sigma_rho(impairment_mgf_envelope(self.fixed_point, theta),
-                               epsilon=self.epsilon)
+            # envelope y(t) = (1/theta) log M_I(t)
+            fp = self.fixed_point
+            sr = fit_sigma_rho(
+                theta, lambda t: math.log(impairment_mgf(fp, theta, t)) / theta,
+                epsilon=self.epsilon)
             self._cache[theta] = sr
         return sr
 

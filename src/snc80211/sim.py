@@ -64,12 +64,12 @@ class SimConfig:
             raise ValueError(f"traffic must be one of {TRAFFIC_MODES}")
         if self.collision_duration_mode not in COLLISION_MODES:
             raise ValueError(f"collision_duration_mode must be one of {COLLISION_MODES}")
-        if self.traffic == "poisson" and self.rate < 0:
-            raise ValueError("poisson rate must be nonnegative")
+        if self.traffic == "poisson" and not 0 <= self.rate < math.inf:
+            raise ValueError(f"poisson rate must be finite and nonnegative, got {self.rate}")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration < math.inf:
+            raise ValueError(f"duration must be positive and finite, got {self.duration}")
         if _horizon_slots(self) < 1:
             raise ValueError(f"duration {self.duration} s is shorter than half an "
                              f"idle slot ({self.params.idle_slot} us)")

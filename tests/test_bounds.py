@@ -107,7 +107,7 @@ def test_quantile_p_validation():
 
 def test_quantile_never_crosses():
     with pytest.raises(InfeasibleBoundError):
-        quantile(_Fake(lambda x: 0.5), 0.1, x_max=64)
+        quantile(_Fake(lambda x: 0.5), 0.1)
 
 
 def test_quantile_table_poisson_004(arr04, impairment):

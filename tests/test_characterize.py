@@ -1,19 +1,13 @@
-"""Envelope sources and the slope-stabilization fitter."""
+"""Poisson envelopes and the slope-stabilization fitter."""
 import math
 
-import numpy as np
 import pytest
 
 from snc80211.characterize import (
     FitConvergenceError,
-    MgfEnvelope,
     PoissonTraffic,
-    TraceData,
-    TraceTraffic,
-    average_rate,
     fit_sigma_rho,
     poisson_sigma_rho,
-    trace_mgf_envelope,
 )
 
 
@@ -34,25 +28,23 @@ def test_poisson_sigma_rho_edge_cases():
         poisson_sigma_rho(0.1, 0.0)
 
 
-def test_mgf_envelope_zero_at_origin_and_memoized():
+def test_fit_reads_each_envelope_point_once():
+    # y(0) = 0 is taken by definition, and every y(t) is kept once read, so
+    # an expensive envelope needs no memo of its own
     calls = []
 
-    def fn(t):
+    def y(t):  # slopes 1, 2, 1, 0, 0: stable first at t = 5
         calls.append(t)
-        return float(t)
+        return (0.0, 1.0, 3.0)[t] if t < 3 else 4.0
 
-    env = MgfEnvelope(theta=1.0, fn=fn)
-    assert env.y(0) == 0.0
-    assert env.y(3) == 3.0
-    assert env.y(3) == 3.0
-    assert calls == [3]
-    with pytest.raises(ValueError):
-        env.y(-1)
+    sr = fit_sigma_rho(1.0, y)
+    assert calls == [1, 2, 3, 4, 5]
+    assert sr.rho == 0.0
+    assert sr.sigma == 4.0
 
 
 def test_fit_linear_envelope():
-    env = MgfEnvelope(theta=0.5, fn=lambda t: 0.37 * t)
-    sr = fit_sigma_rho(env)
+    sr = fit_sigma_rho(0.5, lambda t: 0.37 * t)
     assert sr.rho == pytest.approx(0.37, rel=1e-12)
     assert sr.sigma == pytest.approx(0.0, abs=1e-12)
     assert sr.theta == 0.5
@@ -61,102 +53,40 @@ def test_fit_linear_envelope():
 def test_fit_stops_at_first_stable_slope():
     # a piecewise envelope that flattens later still fits the early slope,
     # because the walk stops at the first t whose slope matches the previous
-    env = MgfEnvelope(theta=1.0, fn=lambda t: float(min(5, t)))
-    sr = fit_sigma_rho(env)
+    sr = fit_sigma_rho(1.0, lambda t: float(min(5, t)))
     assert sr.rho == pytest.approx(1.0)
     assert sr.sigma == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fit_result_dominates_envelope():
-    env = MgfEnvelope(theta=1.0, fn=lambda t: 0.2 * t + 0.6 * (1.0 - 0.5 ** t))
-    sr = fit_sigma_rho(env, epsilon=1e-4)
+    def y(t):  # y(0) = 0, as the fitter assumes
+        return 0.2 * t + 0.6 * (1.0 - 0.5 ** t)
+
+    sr = fit_sigma_rho(1.0, y, epsilon=1e-4)
     for t in range(0, 40):
-        assert env.y(t) <= sr.rho * t + sr.sigma + 1e-9
+        assert y(t) <= sr.rho * t + sr.sigma + 1e-9
 
 
 def test_fit_poisson_envelope_recovers_parameters():
     rho = 0.04 * (math.e - 1.0)
-    env = MgfEnvelope(theta=1.0, fn=lambda t: rho * t)
-    sr = fit_sigma_rho(env)
+    sr = fit_sigma_rho(1.0, lambda t: rho * t)
     assert sr.rho == pytest.approx(rho, rel=1e-5)
     assert sr.sigma == pytest.approx(0.0, abs=1e-6)
 
 
 def test_fit_nonconvergence_raises():
-    # sqrt slopes shrink too slowly for the relative band within the cap
-    env = MgfEnvelope(theta=1.0, fn=lambda t: math.sqrt(t))
+    # sqrt slopes shrink too slowly for the relative band within the cap:
+    # s(t)/s(t-1) ~ 1 - 1/(2t) enters a 1e-6 band only past t = 5e5
     with pytest.raises(FitConvergenceError):
-        fit_sigma_rho(env, epsilon=1e-6, t_cap=2000)
+        fit_sigma_rho(1.0, math.sqrt, epsilon=1e-6)
     with pytest.raises(ValueError):
-        fit_sigma_rho(env, epsilon=0.0)
-
-
-def test_trace_data_validation(tmp_path):
-    with pytest.raises(ValueError):
-        TraceData(increments=())
-    with pytest.raises(ValueError):
-        TraceData(increments=(1, -2))
-    path = tmp_path / "trace.txt"
-    path.write_text("0\n\n2\n1\n\n")
-    tr = TraceData.from_file(path)
-    assert tr.increments == (0, 2, 1)
-    assert tr.slot_unit == "slot"
-
-
-def test_trace_envelope_constant_trace():
-    tr = TraceData(increments=(1,) * 50)
-    env = trace_mgf_envelope(tr, theta=0.7, max_t=10)
-    for t in (1, 4, 10):
-        assert env.y(t) == pytest.approx(float(t), rel=1e-12)
-    with pytest.raises(ValueError):
-        env.y(11)
-
-
-def test_trace_envelope_zero_trace():
-    tr = TraceData(increments=(0,) * 30)
-    env = trace_mgf_envelope(tr, theta=1.0, max_t=5)
-    assert env.y(3) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_trace_envelope_alternating_trace():
-    tr = TraceData(increments=(0, 2) * 50)
-    env = trace_mgf_envelope(tr, theta=1.0, max_t=3)
-    expect = math.log((1.0 + math.exp(2.0)) / 2.0)
-    assert env.y(1) == pytest.approx(expect, rel=1e-12)
-
-
-def test_trace_envelope_bad_max_t():
-    tr = TraceData(increments=(1, 2, 3))
-    with pytest.raises(ValueError):
-        trace_mgf_envelope(tr, theta=1.0, max_t=3)
-    with pytest.raises(ValueError):
-        trace_mgf_envelope(tr, theta=0.0, max_t=2)
-
-
-def test_average_rate_dispatch(impairment):
-    assert average_rate(PoissonTraffic(0.07)) == 0.07
-    assert average_rate(TraceData(increments=(1,) * 20)) == 1.0
-    assert average_rate(impairment) == pytest.approx(0.920704790308, abs=1e-9)
-    with pytest.raises(TypeError):
-        average_rate(object())
+        fit_sigma_rho(1.0, math.sqrt, epsilon=0.0)
 
 
 def test_poisson_traffic_model():
     tr = PoissonTraffic(0.04)
     assert tr.martingale_ok
+    assert PoissonTraffic(0.07).average_rate() == 0.07
     assert tr.sigma_rho(1.0).rho == pytest.approx(0.04 * (math.e - 1.0))
     with pytest.raises(ValueError):
         PoissonTraffic(-1.0)
-
-
-def test_trace_traffic_model():
-    rng = np.random.default_rng(42)
-    # empirical slopes wobble, so the stabilization band must be loose here
-    tr = TraceTraffic(TraceData(increments=tuple(rng.poisson(0.5, 5000))),
-                      max_t=100, epsilon=0.05)
-    assert not tr.martingale_ok
-    assert tr.average_rate() == pytest.approx(0.5, abs=0.05)
-    sr = tr.sigma_rho(0.5)
-    assert sr.sigma >= 0.0
-    # the envelope rate sits above the mean rate but below its analytic cap
-    assert tr.average_rate() < sr.rho < math.expm1(0.5) / 0.5 * 0.55

@@ -2,9 +2,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import snc80211
 from snc80211.cli import main
 from snc80211.config import ENV_CONFIG, ConfigError, load_run_config
 
@@ -249,6 +254,39 @@ def test_characterize_mgf_overflow_is_nonconvergence(capsys):
     err = capsys.readouterr().err
     assert err.startswith("did not converge: impairment MGF overflows")
     assert "theta=5.0, t=" in err
+
+
+SIM_1S = ["--duration", "1", "--replications", "1", "--sample-time", "1"]
+
+
+@pytest.mark.parametrize("argv, grid", [
+    (["characterize", "--thetas", "inf"], None),
+    (["characterize", "--thetas", "nan"], None),
+    (["characterize", "--thetas", "0.1", "--epsilon", "nan"], None),
+    (["bounds", "--p-list", "0.5"], "theta_max = inf"),
+    (["bounds", "--p-list", "0.5"], "theta_min = nan"),
+    (["bounds", "--rate", "nan", "--p-list", "0.5"], None),
+    (["bounds", "--rate", "inf", "--p-list", "0.5"], None),
+    (["stability", "--rate", "nan"], None),
+    (["stability", "--rate", "inf"], None),
+    (["simulate", "--rate", "inf", *SIM_1S], None),
+    (["simulate", "--rate", "nan", *SIM_1S], None),
+    (["simulate", "--rate", "0.04", "--duration", "inf",
+      "--replications", "1", "--sample-time", "1"], None),
+])
+def test_non_finite_input_is_a_usage_error(tmp_path, argv, grid):
+    # several of these used to hang, so each runs in its own process under
+    # a timeout: a regression fails here instead of stalling the suite
+    if grid is not None:
+        argv = [*argv, "--config", _write(tmp_path, "grid.ini", f"[grid]\n{grid}\n")]
+    env = {k: v for k, v in os.environ.items() if k != ENV_CONFIG}
+    src = str(Path(snc80211.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "snc80211.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_config_missing_file(tmp_path, capsys):

@@ -64,21 +64,21 @@ def test_sigma_rho_validation():
 
 
 def test_bounding_function_exponential_eval():
-    f = BoundingFunction.exponential(2.0, 0.5)
+    f = BoundingFunction(2.0, 0.5)
     assert f.raw(0) == 2.0
     assert f.evaluate(0) == 1.0  # clamped
     assert f.evaluate(10) == pytest.approx(2.0 * math.exp(-5.0))
     with pytest.raises(ValueError):
         f.raw(-1)
     with pytest.raises(ValueError):
-        BoundingFunction.exponential(-1.0, 1.0)
+        BoundingFunction(-1.0, 1.0)
     with pytest.raises(ValueError):
-        BoundingFunction.exponential(1.0, 0.0)
+        BoundingFunction(1.0, 0.0)
 
 
 def test_bounding_function_eval_in_unit_interval_and_nonincreasing():
     for a, th in [(0.5, 0.1), (1.0, 1.0), (7.3, 0.03), (120.0, 2.0)]:
-        f = BoundingFunction.exponential(a, th)
+        f = BoundingFunction(a, th)
         prev = 1.0
         for x in range(0, 400):
             v = f.evaluate(x)
@@ -88,7 +88,7 @@ def test_bounding_function_eval_in_unit_interval_and_nonincreasing():
 
 
 def test_curve_with_bound_validation():
-    b = BoundingFunction.exponential(1.0, 1.0)
+    b = BoundingFunction(1.0, 1.0)
     c = CurveWithBound(rate=0.5, bound=b, kind="ta-arrival")
     assert c.curve(4) == 2.0
     with pytest.raises(ValueError):
@@ -196,21 +196,21 @@ def test_ta_to_vb_input_validation():
 
 
 def test_minplus_symmetric_exponentials():
-    f = BoundingFunction.exponential(1.0, 1.0)
+    f = BoundingFunction(1.0, 1.0)
     for x in (2, 4, 8):
         assert minplus_convolve(f, f, x) == pytest.approx(2.0 * math.exp(-x / 2.0))
 
 
 def test_minplus_with_zero_bound_returns_other():
-    f = BoundingFunction.exponential(0.7, 0.3)
-    zero = BoundingFunction.exponential(0.0, 1.0)
+    f = BoundingFunction(0.7, 0.3)
+    zero = BoundingFunction(0.0, 1.0)
     for x in (0, 1, 5, 20):
         assert minplus_convolve(f, zero, x) == pytest.approx(f.evaluate(x))
 
 
 def test_minplus_against_dense_grid():
-    f = BoundingFunction.exponential(2.0, 1.0)
-    g = BoundingFunction.exponential(3.0, 2.0)
+    f = BoundingFunction(2.0, 1.0)
+    g = BoundingFunction(3.0, 2.0)
     x = 4
     ys = np.arange(0.0, x + 1e-9, 1e-4)
     dense = float(np.min(2.0 * np.exp(-ys) + 3.0 * np.exp(-2.0 * (x - ys))))
@@ -220,21 +220,21 @@ def test_minplus_against_dense_grid():
 def test_minplus_is_symmetric():
     rng = np.random.default_rng(11)
     for _ in range(40):
-        f = BoundingFunction.exponential(float(rng.uniform(0, 5)), float(rng.uniform(0.05, 3)))
-        g = BoundingFunction.exponential(float(rng.uniform(0, 5)), float(rng.uniform(0.05, 3)))
+        f = BoundingFunction(float(rng.uniform(0, 5)), float(rng.uniform(0.05, 3)))
+        g = BoundingFunction(float(rng.uniform(0, 5)), float(rng.uniform(0.05, 3)))
         for x in (0, 1, 3, 17):
             assert abs(minplus_convolve(f, g, x) - minplus_convolve(g, f, x)) <= 1e-12
 
 
 def test_minplus_rejects_negative_x():
-    f = BoundingFunction.exponential(1.0, 1.0)
+    f = BoundingFunction(1.0, 1.0)
     with pytest.raises(ValueError):
         minplus_convolve(f, f, -1)
 
 
 def test_independent_with_perfect_service_reduces_to_arrival():
-    f = BoundingFunction.exponential(0.8, 0.7)
-    zero = BoundingFunction.exponential(0.0, 1.0)
+    f = BoundingFunction(0.8, 0.7)
+    zero = BoundingFunction(0.0, 1.0)
     for x in (0, 2, 6):
         assert independent_tail_convolve(f, zero, x) == pytest.approx(f.evaluate(x))
         assert independent_tail_convolve(zero, f, x) == pytest.approx(f.evaluate(x))
@@ -244,8 +244,8 @@ def test_independent_with_perfect_service_reduces_to_arrival():
 def test_independent_beats_minplus_deep_in_the_tail():
     # the rate-composition bound degrades the decay to t1*t2/(t1+t2) while
     # the independence-based bound keeps the slower of the two rates
-    f = BoundingFunction.exponential(1.0, 1.0)
-    g = BoundingFunction.exponential(1.0, 0.3)
+    f = BoundingFunction(1.0, 1.0)
+    g = BoundingFunction(1.0, 0.3)
     for x in (20.0, 30.0, 50.0):
         assert independent_tail_convolve(f, g, x) < minplus_convolve(f, g, x)
     mp = [minplus_convolve(f, g, x) for x in (30.0, 50.0)]
@@ -255,8 +255,8 @@ def test_independent_beats_minplus_deep_in_the_tail():
 
 
 def test_independent_nonincreasing_in_x():
-    f = BoundingFunction.exponential(3.0, 0.4)
-    g = BoundingFunction.exponential(1.5, 0.9)
+    f = BoundingFunction(3.0, 0.4)
+    g = BoundingFunction(1.5, 0.9)
     vals = [independent_tail_convolve(f, g, x) for x in range(60)]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
     assert all(0.0 <= v <= 1.0 for v in vals)
@@ -276,8 +276,8 @@ def test_kernels_match_scalar_oracles():
         t2 = t1 if rng.random() < 0.25 else float(np.exp(rng.uniform(np.log(0.01), np.log(3.0))))
         cases.append((a, t1, b, t2))
     a, t1, b, t2 = (np.array(col) for col in zip(*cases))
-    fs = [BoundingFunction.exponential(c[0], c[1]) for c in cases]
-    gs = [BoundingFunction.exponential(c[2], c[3]) for c in cases]
+    fs = [BoundingFunction(c[0], c[1]) for c in cases]
+    gs = [BoundingFunction(c[2], c[3]) for c in cases]
     for x in range(201):
         mp = _minplus_vec(a, t1, b, t2, float(x))
         ind = _indep_vec(a, t1, b, t2, float(x))

@@ -125,7 +125,7 @@ def test_impairment_mgf_argument_validation(fixed_point):
     with pytest.raises(ValueError):
         impairment_mgf(fixed_point, 0.0, 2)
     with pytest.raises(ValueError):
-        impairment_mgf(fixed_point, 0.1, 11, t_cap=10)
+        impairment_mgf(fixed_point, 0.1, 10_001)
 
 
 def test_impairment_mgf_monotone_in_theta(fixed_point):
