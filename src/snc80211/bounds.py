@@ -1,4 +1,4 @@
-"""Backlog tail bounds for one 802.11 node: four bound variants, exhaustive
+"""Backlog tail bounds for one 802.11 node: four bound variants, exact
 grid optimization of the free parameters, quantile queries, and the stability
 test.
 
@@ -56,6 +56,11 @@ __all__ = [
 VARIANTS = ("bound1", "bound2", "bound3", "bound4")
 X_MAX = 10 ** 6  # quantile search cap
 CAPACITY = 1.0  # packets per slot; r_a + r_i must split this
+# evaluate keeps a grid point while its lower bound lb <= ub (1 + _REL_SLACK)
+# + _ABS_SLACK. The independence kernel ends in 1 - S, which can round up to
+# half an ulp of 1 (5.6e-17) below lb, so a relative margin alone would prune
+# winners whose computed value is 0 or near it.
+_REL_SLACK, _ABS_SLACK = 1e-9, 1e-15
 
 
 class InfeasibleBoundError(RuntimeError):
@@ -103,9 +108,11 @@ class BoundSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.theta1 <= 0 or self.theta2 <= 0:
-            raise ValueError("theta1 and theta2 must be positive")
-        if abs(self.r_a + self.r_i - CAPACITY) > 1e-9:
+        if not (0 < self.theta1 < math.inf and 0 < self.theta2 < math.inf):
+            raise ValueError("theta1 and theta2 must be positive and finite")
+        if not math.isfinite(self.r_a):
+            raise ValueError("r_a must be finite")
+        if not abs(self.r_a + self.r_i - CAPACITY) <= 1e-9:
             raise ValueError("r_a + r_i must equal the capacity of 1 packet/slot")
 
 
@@ -179,9 +186,16 @@ def _build_grid(martingale: bool, arrival, impairment, options: GridOptions) -> 
 class BacklogBound:
     """Per-x optimized tail bound P{B > x} <= evaluate(x).
 
-    evaluate minimizes the variant's closed-form tail expression over the
-    whole feasible grid independently at each x; results and the winning
-    grid point are memoized in meta["best"].
+    evaluate(x) is the minimum of the variant's closed-form tail over the
+    whole feasible grid, at the first grid point attaining it, as a full
+    kernel pass with argmin gives it; the value, the winning index "i" and
+    its spec are memoized in meta["best"]. The kernel runs only on points
+    that can still win: each point's value is at least min(1, lb), with
+    lb = max(f(x), g(x)) the larger of its two tails, and the memoized
+    winner of the nearest x evaluated below 1, run at x, bounds the minimum
+    by ub (1 when there is none). A point with lb > ub (1 + _REL_SLACK) +
+    _ABS_SLACK cannot attain the minimum. If no other point falls below 1,
+    every value is 1 and the full pass's argmin is index 0.
     """
 
     def __init__(self, variant: str, grid: _Grid):
@@ -190,22 +204,29 @@ class BacklogBound:
         self.meta = {"variant": variant, "grid_points": len(grid),
                      "best": {}}
 
-    def _values(self, x: int) -> np.ndarray:
-        g = self._grid
-        if _independent(self.variant):
-            return _indep_vec(g.a_f, g.theta1, g.a_g, g.theta2, float(x))
-        return _minplus_vec(g.a_f, g.theta1, g.a_g, g.theta2, float(x))
-
     def evaluate(self, x: int) -> float:
         if x < 0:
             raise ValueError("x must be nonnegative")
-        hit = self.meta["best"].get(x)
+        best = self.meta["best"]
+        hit = best.get(x)
         if hit is not None:
             return hit["value"]
-        vals = self._values(x)
-        i = int(np.argmin(vals))
-        value = float(vals[i])
-        self.meta["best"][x] = {"value": value, "spec": self._grid.spec(i, self.variant)}
+        g, xf = self._grid, float(x)
+        kernel = _indep_vec if _independent(self.variant) else _minplus_vec
+        ub = 1.0
+        seeds = [y for y, b in best.items() if b["value"] < 1.0]
+        if seeds:
+            j = best[min(seeds, key=lambda y: abs(y - x))]["i"]
+            ub = float(kernel(g.a_f[j], g.theta1[j], g.a_g[j], g.theta2[j], xf))
+        lb = np.maximum(g.a_f * np.exp(-g.theta1 * xf), g.a_g * np.exp(-g.theta2 * xf))
+        keep = np.flatnonzero(lb <= ub * (1.0 + _REL_SLACK) + _ABS_SLACK)
+        i, value = 0, 1.0
+        if keep.size:
+            vals = kernel(g.a_f[keep], g.theta1[keep], g.a_g[keep], g.theta2[keep], xf)
+            j = int(np.argmin(vals))
+            if vals[j] < 1.0:
+                i, value = int(keep[j]), float(vals[j])
+        best[x] = {"value": value, "i": i, "spec": g.spec(i, self.variant)}
         return value
 
     def spec_at(self, x: int) -> BoundSpec:

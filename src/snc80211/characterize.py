@@ -39,8 +39,8 @@ def _check_rate(rate: float) -> None:
 def poisson_sigma_rho(lam: float, theta: float) -> SigmaRho:
     """Closed-form envelope of Poisson traffic: sigma = 0, rho = lam*(e^theta - 1)/theta."""
     _check_rate(lam)
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    if not 0.0 < theta < math.inf:
+        raise ValueError("theta must be positive and finite")
     rho = lam * math.expm1(theta) / theta
     return SigmaRho(theta=theta, sigma=0.0, rho=rho)
 

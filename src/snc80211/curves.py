@@ -47,12 +47,12 @@ class SigmaRho:
     rho: float
 
     def __post_init__(self):
-        if not self.theta > 0:
-            raise ValueError("theta must be positive")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
+        if not 0 < self.theta < math.inf:
+            raise ValueError("theta must be positive and finite")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and nonnegative")
+        if not 0 <= self.rho < math.inf:
+            raise ValueError("rho must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,10 @@ class BoundingFunction:
     decay: float = 1.0
 
     def __post_init__(self):
-        if self.prefactor < 0:
-            raise ValueError("prefactor must be nonnegative")
-        if not self.decay > 0:
-            raise ValueError("decay must be positive")
+        if not 0 <= self.prefactor < math.inf:
+            raise ValueError("prefactor must be finite and nonnegative")
+        if not 0 < self.decay < math.inf:
+            raise ValueError("decay must be positive and finite")
 
     def raw(self, x) -> float:
         """Unclamped value at x >= 0."""

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from snc80211.bounds import (
+    BacklogBound,
     BoundSpec,
     GridOptions,
     InfeasibleBoundError,
     VacuousBoundWarning,
+    _Grid,
     build_bound,
     point_tail_value,
     quantile,
@@ -18,6 +20,7 @@ from snc80211.bounds import (
     stability_check,
 )
 from snc80211.characterize import PoissonTraffic
+from snc80211.curves import _indep_vec, _minplus_vec
 
 P_LIST = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05)
 
@@ -74,6 +77,52 @@ def test_spec_at_and_meta(bounds04):
     assert abs(spec.r_a + spec.r_i - 1.0) <= 1e-9
     assert b.meta["best"][10]["value"] == val
     assert b.meta["grid_points"] > 1000
+
+
+def _full_pass(bound, x):
+    """The exhaustive evaluation that BacklogBound.evaluate prunes: the
+    kernel over the whole grid, and the first index of the minimum."""
+    g = bound._grid
+    kernel = _indep_vec if bound.variant in ("bound3", "bound4") else _minplus_vec
+    vals = kernel(g.a_f, g.theta1, g.a_g, g.theta2, float(x))
+    i = int(np.argmin(vals))
+    return float(vals[i]), g.spec(i, bound.variant)
+
+
+@pytest.mark.parametrize("rate", [0.02, 0.04, 0.07, 0.075])
+def test_pruned_evaluate_matches_full_pass(rate, impairment):
+    # quantile searches first, so evaluate sees the order the CLI gives it,
+    # then every x up to the 1e-6 quantile; each memoized x, the search's
+    # overshoot included, must give the full pass's value bits and point
+    arrival = PoissonTraffic(rate)
+    for v in ("bound1", "bound2", "bound3", "bound4"):
+        b = build_bound(v, arrival, impairment)
+        q = [quantile(b, p) for p in P_LIST + (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)]
+        for x in range(q[-1] + 1):
+            b.evaluate(x)
+        for x, hit in b.meta["best"].items():
+            value, spec = _full_pass(b, x)
+            assert (hit["value"], b.spec_at(x)) == (value, spec), (rate, v, x)
+            assert hit["spec"] == b._grid.spec(hit["i"], v)
+
+
+def test_pruning_keeps_the_lowest_index_among_ties():
+    # rows 1, 3 and 4 are one point, better than rows 0 and 2 at every
+    # x > 0, and with no service tail its value is its lower bound f(x), so
+    # any overstated lower bound prunes it; row 5 never beats 1
+    a_f = np.array([3.0, 2.0, 3.0, 2.0, 2.0, 1.0])
+    a_g = np.array([3.0, 0.0, 3.0, 0.0, 0.0, 0.5])
+    th = np.array([0.2, 0.3, 0.2, 0.3, 0.3, 1e-3])
+    grid = _Grid(theta1=th, theta2=th, r_a=np.full(6, 0.5), a_f=a_f, a_g=a_g)
+    for v in ("bound1", "bound3"):
+        b = BacklogBound(v, grid)
+        # every value is 1 at x = 0 and the full pass's argmin is 0, although
+        # only row 5 (lower bound exactly 1) reaches the kernel
+        assert b.evaluate(0) == 1.0 and b.meta["best"][0]["i"] == 0
+        for x in (60, 20, 40, 30, 25, 12):
+            value, spec = _full_pass(b, x)
+            assert b.evaluate(x) == value < 1.0, (v, x)
+            assert b.meta["best"][x]["i"] == 1 and b.spec_at(x) == spec
 
 
 def test_grid_specs_are_feasible(bounds04, impairment):

@@ -8,6 +8,8 @@ import math
 import numpy as np
 import pytest
 
+from snc80211.bounds import _ABS_SLACK, _REL_SLACK, BoundSpec
+from snc80211.characterize import poisson_sigma_rho
 from snc80211.curves import (
     BoundingFunction,
     CurveWithBound,
@@ -61,6 +63,31 @@ def test_sigma_rho_validation():
         SigmaRho(theta=1.0, sigma=-0.1, rho=0.5)
     with pytest.raises(ValueError):
         SigmaRho(theta=1.0, sigma=0.0, rho=-0.5)
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("make, args", [
+    (SigmaRho, (1.0, NAN, NAN)),
+    (SigmaRho, (1.0, INF, 0.5)),
+    (SigmaRho, (1.0, 0.0, INF)),
+    (SigmaRho, (INF, 0.0, 0.5)),
+    (SigmaRho, (NAN, 0.0, 0.5)),
+    (BoundingFunction, (NAN, 1.0)),
+    (BoundingFunction, (INF, 1.0)),
+    (BoundingFunction, (1.0, INF)),
+    (BoundingFunction, (1.0, NAN)),
+    (BoundSpec, ("bound1", NAN, 1.0, 0.5, 0.5)),
+    (BoundSpec, ("bound1", 1.0, INF, 0.5, 0.5)),
+    (BoundSpec, ("bound1", 1.0, 1.0, NAN, 0.5)),
+    (BoundSpec, ("bound1", 1.0, 1.0, 0.5, NAN)),
+    (poisson_sigma_rho, (0.04, INF)),
+    (poisson_sigma_rho, (0.04, NAN)),
+], ids=lambda v: v.__name__ if callable(v) else ",".join(map(str, v)))
+def test_value_types_reject_non_finite(make, args):
+    with pytest.raises(ValueError):
+        make(*args)
 
 
 def test_bounding_function_exponential_eval():
@@ -262,11 +289,9 @@ def test_independent_nonincreasing_in_x():
     assert all(0.0 <= v <= 1.0 for v in vals)
 
 
-def test_kernels_match_scalar_oracles():
-    # prefactors 0, in (0, 1), exactly 1 and above 1 (dead zones), equal
-    # decays among the draws; both kernels run over all cases at once, the
-    # way the bound grid calls them, and once per case through the scalar
-    # convolutions
+def _kernel_cases():
+    """48 (a, t1, b, t2) cases: prefactors 0, in (0, 1), exactly 1 and above
+    1 (dead zones), with equal decays among the draws."""
     rng = np.random.default_rng(2024)
     pool = [0.0, 1.0] + list(rng.uniform(0.0, 1.0, 4)) + list(np.exp(rng.uniform(0.0, 7.0, 6)))
     cases = []
@@ -275,6 +300,13 @@ def test_kernels_match_scalar_oracles():
         t1 = float(np.exp(rng.uniform(np.log(0.01), np.log(3.0))))
         t2 = t1 if rng.random() < 0.25 else float(np.exp(rng.uniform(np.log(0.01), np.log(3.0))))
         cases.append((a, t1, b, t2))
+    return cases
+
+
+def test_kernels_match_scalar_oracles():
+    # both kernels run over all cases at once, the way the bound grid calls
+    # them, and once per case through the scalar convolutions
+    cases = _kernel_cases()
     a, t1, b, t2 = (np.array(col) for col in zip(*cases))
     fs = [BoundingFunction(c[0], c[1]) for c in cases]
     gs = [BoundingFunction(c[2], c[3]) for c in cases]
@@ -288,3 +320,15 @@ def test_kernels_match_scalar_oracles():
                               (minplus_convolve(f, g, x), want_mp),
                               (independent_tail_convolve(f, g, x), want_ind)):
                 assert abs(got - want) <= 1e-12 + 1e-9 * abs(want), (cases[j], x, got, want)
+
+
+def test_kernels_respect_the_pruning_lower_bound():
+    # BacklogBound.evaluate skips every grid point whose max(f(x), g(x))
+    # exceeds an attained value by more than its slack, so each kernel must
+    # stay at or above min(1, max(f(x), g(x))) up to that slack
+    a, t1, b, t2 = (np.array(col) for col in zip(*_kernel_cases()))
+    for x in range(201):
+        lb = np.minimum(1.0, np.maximum(a * np.exp(-t1 * x), b * np.exp(-t2 * x)))
+        for kernel in (_minplus_vec, _indep_vec):
+            vals = kernel(a, t1, b, t2, float(x))
+            assert np.all(lb <= vals * (1.0 + _REL_SLACK) + _ABS_SLACK), (kernel, x)
