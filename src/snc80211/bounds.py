@@ -29,6 +29,7 @@ import numpy as np
 from .curves import (
     _indep_vec,
     _minplus_vec,
+    _vb_prefactor,
     independent_tail_convolve,
     minplus_convolve,
     ta_curve_from_sigma_rho,
@@ -146,41 +147,29 @@ class _Grid:
 
 def _build_grid(martingale: bool, arrival, impairment, options: GridOptions) -> _Grid:
     """The feasible grid for one arrival tail: the general vb tail, or the
-    martingale tail when martingale is true. Both compositions share it."""
+    martingale tail when martingale is true. Both compositions share it.
+
+    Points run in row-major (theta1, theta2) order with r_a innermost."""
     thetas = options.thetas()
-    arr_sr = [arrival.sigma_rho(th) for th in thetas]
-    imp_sr = [impairment.sigma_rho(th) for th in thetas]
-    fracs = np.arange(1, options.r_points + 1) / (options.r_points + 1)
-    t1s, t2s, ras, afs, ags = [], [], [], [], []
-    for i1, th1 in enumerate(thetas):
-        sa = arr_sr[i1]
-        lo = sa.rho + sa.sigma if martingale else sa.rho
-        for i2, th2 in enumerate(thetas):
-            si = imp_sr[i2]
-            hi = CAPACITY - si.rho
-            width = hi - lo
-            if width <= 0:
-                continue
-            r_a = lo + width * fracs
-            r_i = CAPACITY - r_a
-            if martingale:
-                a_f = np.ones_like(r_a)
-            else:
-                # e^{th sigma}/(1 - e^{th (rho - r)}), r > rho guaranteed
-                a_f = math.exp(th1 * sa.sigma) / -np.expm1(th1 * (sa.rho - r_a))
-            a_g = math.exp(th2 * si.sigma) / -np.expm1(th2 * (si.rho - r_i))
-            t1s.append(np.full_like(r_a, th1))
-            t2s.append(np.full_like(r_a, th2))
-            ras.append(r_a)
-            afs.append(a_f)
-            ags.append(a_g)
-    if not ras:
+    sig_a, rho_a = np.array([(s.sigma, s.rho) for s in map(arrival.sigma_rho, thetas)]).T
+    sig_i, rho_i = np.array([(s.sigma, s.rho) for s in map(impairment.sigma_rho, thetas)]).T
+    # the martingale tail needs r_a >= rho + sigma, the general one r_a > rho
+    lo = rho_a + sig_a if martingale else rho_a
+    width = (CAPACITY - rho_i)[None, :] - lo[:, None]
+    i1, i2 = np.nonzero(width > 0)
+    if not i1.size:
         raise InfeasibleBoundError(
             "no feasible (theta1, theta2, r_a) grid point: the arrival rate "
             "is too close to capacity for every theta")
-    return _Grid(theta1=np.concatenate(t1s), theta2=np.concatenate(t2s),
-                 r_a=np.concatenate(ras), a_f=np.concatenate(afs),
-                 a_g=np.concatenate(ags))
+    fracs = np.arange(1, options.r_points + 1) / (options.r_points + 1)
+    j1, j2 = i1[:, None], i2[:, None]  # one row of r_a per (theta1, theta2)
+    r_a = lo[j1] + width[j1, j2] * fracs
+    a_f = (np.ones_like(r_a) if martingale
+           else _vb_prefactor(thetas[j1], sig_a[j1], rho_a[j1], r_a))
+    a_g = _vb_prefactor(thetas[j2], sig_i[j2], rho_i[j2], CAPACITY - r_a)
+    return _Grid(theta1=np.repeat(thetas[i1], options.r_points),
+                 theta2=np.repeat(thetas[i2], options.r_points),
+                 r_a=r_a.ravel(), a_f=a_f.ravel(), a_g=a_g.ravel())
 
 
 class BacklogBound:

@@ -54,7 +54,7 @@ def fit_sigma_rho(theta: float, y: Callable[[int], float],
     s(t) = y(t) - y(t-1) lies within the relative band
     (1 - epsilon) s(t-1) <= s(t) <= (1 + epsilon) s(t-1). Then rho = s(t*)
     and sigma lifts the line rho*t through the largest gap over t <= t*,
-    so y(t) <= rho*t + sigma on the whole fitted range (asserted). Each
+    so y(t) <= rho*t + sigma on the whole fitted range (checked). Each
     y(t) is called once.
 
     Raises FitConvergenceError if no t* is found up to DEFAULT_T_CAP.
@@ -71,8 +71,8 @@ def fit_sigma_rho(theta: float, y: Callable[[int], float],
             # sigma = max gap between y and the rate line, never below zero
             sigma = max(ys[i] - rho * i for i in range(t + 1))
             sigma = max(0.0, sigma)
-            for i in range(t + 1):
-                assert ys[i] <= rho * i + sigma + 1e-9, "fitted envelope violated"
+            if any(ys[i] > rho * i + sigma + 1e-9 for i in range(t + 1)):
+                raise RuntimeError("fitted envelope violated")
             return SigmaRho(theta=theta, sigma=sigma, rho=rho)
         prev_s = s
     raise FitConvergenceError(f"slope did not stabilize within t_cap={DEFAULT_T_CAP}")

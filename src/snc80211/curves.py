@@ -24,13 +24,12 @@ __all__ = [
     "CurveWithBound",
     "ta_curve_from_sigma_rho",
     "vb_curve_from_sigma_rho",
-    "vb_curve_martingale",
     "ta_to_vb",
     "minplus_convolve",
     "independent_tail_convolve",
 ]
 
-CURVE_KINDS = ("ta-arrival", "vb-arrival", "ws-service")
+CURVE_KINDS = ("ta-arrival", "vb-arrival")
 
 
 @dataclass(frozen=True)
@@ -87,8 +86,8 @@ class BoundingFunction:
 class CurveWithBound:
     """A linear curve ``rate * t`` with its tail-bound function.
 
-    kind is one of 'ta-arrival' (traffic-amount bound), 'vb-arrival'
-    (virtual-backlog bound) or 'ws-service' (weak stochastic service).
+    kind is 'ta-arrival' (traffic-amount bound) or 'vb-arrival'
+    (virtual-backlog bound).
     """
 
     rate: float
@@ -100,9 +99,6 @@ class CurveWithBound:
             raise ValueError(f"kind must be one of {CURVE_KINDS}")
         if not (math.isfinite(self.rate) and self.rate >= 0):
             raise ValueError("rate must be finite and nonnegative")
-
-    def curve(self, t) -> float:
-        return self.rate * t
 
 
 def ta_curve_from_sigma_rho(sr: SigmaRho, r: float) -> CurveWithBound:
@@ -124,24 +120,8 @@ def vb_curve_from_sigma_rho(sr: SigmaRho, r: float) -> CurveWithBound:
     """
     if r <= sr.rho:
         raise ValueError(f"vb curve needs rate r > rho strictly, got r={r}, rho={sr.rho}")
-    # 1 - e^{theta(rho-r)} via expm1 for accuracy when r is close to rho
-    denom = -math.expm1(sr.theta * (sr.rho - r))
-    a = math.exp(sr.theta * sr.sigma) / denom
+    a = float(_vb_prefactor(sr.theta, sr.sigma, sr.rho, r))
     return CurveWithBound(rate=r, bound=BoundingFunction(a, sr.theta), kind="vb-arrival")
-
-
-def vb_curve_martingale(sr: SigmaRho, r: float) -> CurveWithBound:
-    """Virtual-backlog curve with prefactor exactly 1, bound exp(-theta*x).
-
-    Valid for processes with independent per-slot increments (a supermartingale
-    argument removes the geometric prefactor); the caller asserts that
-    property, it cannot be checked here. Requires r >= rho + sigma.
-    """
-    if r < sr.rho + sr.sigma:
-        raise ValueError(
-            f"martingale vb curve needs r >= rho + sigma, got r={r} < {sr.rho + sr.sigma}"
-        )
-    return CurveWithBound(rate=r, bound=BoundingFunction(1.0, sr.theta), kind="vb-arrival")
 
 
 def ta_to_vb(curve: CurveWithBound, delta: float) -> CurveWithBound:
@@ -182,6 +162,12 @@ def independent_tail_convolve(f: BoundingFunction, g: BoundingFunction, x: int) 
     if x < 0:
         raise ValueError("x must be nonnegative")
     return float(_indep_vec(f.prefactor, f.decay, g.prefactor, g.decay, float(x)))
+
+
+def _vb_prefactor(theta, sigma, rho, r):
+    # e^{theta sigma} / (1 - e^{theta (rho - r)}) for r > rho, elementwise;
+    # expm1 keeps the denominator accurate when r is close to rho
+    return np.exp(theta * sigma) / -np.expm1(theta * (rho - r))
 
 
 def _minplus_vec(a, t1, b, t2, x):

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .characterize import DEFAULT_EPSILON, DEFAULT_T_CAP, FitConvergenceError, fit_sigma_rho
-from .curves import CurveWithBound, SigmaRho, vb_curve_from_sigma_rho
+from .curves import SigmaRho
 
 __all__ = [
     "Params80211",
@@ -298,9 +298,9 @@ def impairment_sigma_rho(params: Params80211, theta: float,
 
 
 class ImpairmentModel:
-    """Impairment view of one node: fixed point, per-theta (sigma, rho) cache,
-    average rate and service curves. The envelope fit is the expensive step,
-    so sigma_rho results are cached per theta."""
+    """Impairment view of one node: fixed point, per-theta (sigma, rho) cache
+    and average rate. The envelope fit is the expensive step, so sigma_rho
+    results are cached per theta."""
 
     def __init__(self, params: Params80211, epsilon: float = DEFAULT_EPSILON):
         self.params = params
@@ -316,20 +316,16 @@ class ImpairmentModel:
             sr = fit_sigma_rho(
                 theta, lambda t: math.log(impairment_mgf(fp, theta, t)) / theta,
                 epsilon=self.epsilon)
+            # rho(theta) of a valid envelope is at least the mean rate; a fit
+            # below it (y(t) rounded away at tiny theta) fails for large t
+            mean = self.average_rate()
+            if sr.rho < mean:
+                raise FitConvergenceError(
+                    f"fitted rho={sr.rho} at theta={theta} is below the "
+                    f"impairment's mean rate {mean}")
             self._cache[theta] = sr
         return sr
 
     def average_rate(self) -> float:
         """Long-run impairment rate a_I = 1 - sustainable service rate."""
         return 1.0 - stable_rate_threshold(self.fixed_point)
-
-    def service_curve(self, theta: float, r_i: float) -> CurveWithBound:
-        """Leftover service curve (1 - r_i) * t with the impairment's vb bound.
-
-        r_i must exceed rho_I(theta) strictly and stay below the capacity of
-        one packet per slot.
-        """
-        if r_i >= 1.0:
-            raise ValueError("r_i must stay below the capacity of 1 packet per slot")
-        vb = vb_curve_from_sigma_rho(self.sigma_rho(theta), r_i)  # enforces r_i > rho strictly
-        return CurveWithBound(rate=1.0 - r_i, bound=vb.bound, kind="ws-service")

@@ -20,7 +20,7 @@ from snc80211.bounds import (
     stability_check,
 )
 from snc80211.characterize import PoissonTraffic
-from snc80211.curves import _indep_vec, _minplus_vec
+from snc80211.curves import SigmaRho, _indep_vec, _minplus_vec, vb_curve_from_sigma_rho
 
 P_LIST = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05)
 
@@ -125,11 +125,50 @@ def test_pruning_keeps_the_lowest_index_among_ties():
             assert b.meta["best"][x]["i"] == 1 and b.spec_at(x) == spec
 
 
-def test_grid_specs_are_feasible(bounds04, impairment):
-    specs = bounds04["bound2"].grid_specs()
-    assert len(specs) == bounds04["bound2"].meta["grid_points"]
-    for spec in specs[:50] + specs[-50:]:
-        assert spec.r_i > impairment.sigma_rho(spec.theta2).rho
+def _reference_grid(martingale, arrival, impairment, opts):
+    """The grid as a plain row-major loop over the curve constructors, with
+    rho_a + sigma_a of each point."""
+    ref = {k: [] for k in ("theta1", "theta2", "r_a", "a_f", "a_g", "floor")}
+    for th1 in opts.thetas():
+        sa = arrival.sigma_rho(th1)
+        lo = sa.rho + sa.sigma if martingale else sa.rho
+        for th2 in opts.thetas():
+            si = impairment.sigma_rho(th2)
+            width = 1.0 - si.rho - lo
+            if width <= 0:
+                continue
+            for j in range(1, opts.r_points + 1):
+                r_a = lo + width * (j / (opts.r_points + 1))
+                a_f = 1.0 if martingale else vb_curve_from_sigma_rho(sa, r_a).bound.prefactor
+                a_g = vb_curve_from_sigma_rho(si, 1.0 - r_a).bound.prefactor
+                for k, v in zip(ref, (th1, th2, r_a, a_f, a_g, sa.rho + sa.sigma)):
+                    ref[k].append(v)
+    return ref
+
+
+class _BurstyPoisson(PoissonTraffic):
+    """Poisson envelope plus a burst term, so that the martingale tail's
+    floor rho + sigma lies above rho."""
+
+    def sigma_rho(self, theta):
+        return SigmaRho(theta, 0.01, super().sigma_rho(theta).rho)
+
+
+def test_grid_specs_are_feasible(impairment):
+    # bound2 has the martingale tail: r_a >= rho + sigma, no arrival prefactor
+    for arrival in (PoissonTraffic(0.04), PoissonTraffic(0.075), _BurstyPoisson(0.04)):
+        for variant in ("bound1", "bound2"):
+            bound = build_bound(variant, arrival, impairment)
+            grid, martingale = bound._grid, variant == "bound2"
+            ref = _reference_grid(martingale, arrival, impairment, GridOptions())
+            for k in ("theta1", "theta2", "r_a", "a_f", "a_g"):
+                assert np.array_equal(getattr(grid, k), ref[k]), (arrival, variant, k)
+            if martingale:
+                assert np.all(grid.r_a >= ref["floor"]) and np.all(grid.a_f == 1.0)
+            specs = bound.grid_specs()
+            assert len(specs) == bound.meta["grid_points"]
+            for spec in specs[:50] + specs[-50:]:
+                assert spec.r_i > impairment.sigma_rho(spec.theta2).rho
 
 
 class _Fake:

@@ -256,6 +256,17 @@ def test_characterize_mgf_overflow_is_nonconvergence(capsys):
     assert "theta=5.0, t=" in err
 
 
+@pytest.mark.parametrize("theta", ["1e-12", "1e-300"])
+def test_characterize_rho_below_mean_rate_is_nonconvergence(capsys, theta):
+    # at tiny theta log M_I(t) rounds away and the fit lands below the
+    # impairment's mean rate 0.9207, which no valid envelope can
+    assert main(["characterize", "--thetas", theta]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("did not converge: fitted rho=")
+    assert f"at theta={float(theta)} is below the impairment's mean rate 0.92070" in captured.err
+
+
 SIM_1S = ["--duration", "1", "--replications", "1", "--sample-time", "1"]
 
 

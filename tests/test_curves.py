@@ -21,7 +21,6 @@ from snc80211.curves import (
     ta_curve_from_sigma_rho,
     ta_to_vb,
     vb_curve_from_sigma_rho,
-    vb_curve_martingale,
 )
 
 
@@ -116,10 +115,10 @@ def test_bounding_function_eval_in_unit_interval_and_nonincreasing():
 
 def test_curve_with_bound_validation():
     b = BoundingFunction(1.0, 1.0)
-    c = CurveWithBound(rate=0.5, bound=b, kind="ta-arrival")
-    assert c.curve(4) == 2.0
-    with pytest.raises(ValueError):
-        CurveWithBound(rate=0.5, bound=b, kind="nonsense")
+    CurveWithBound(rate=0.5, bound=b, kind="ta-arrival")
+    for kind in ("nonsense", "ws-service"):
+        with pytest.raises(ValueError):
+            CurveWithBound(rate=0.5, bound=b, kind=kind)
     with pytest.raises(ValueError):
         CurveWithBound(rate=-1.0, bound=b, kind="ta-arrival")
 
@@ -160,27 +159,6 @@ def test_vb_curve_prefactor_limit_is_one():
 def test_vb_curve_requires_strict_rate():
     with pytest.raises(ValueError):
         vb_curve_from_sigma_rho(SigmaRho(0.1, 0.0, 0.5), 0.5)
-
-
-def test_martingale_curve_is_prefactor_free():
-    # Poisson-style envelope: sigma 0, rho = 0.04 (e - 1)
-    rho = 0.04 * (math.e - 1.0)
-    c = vb_curve_martingale(SigmaRho(1.0, 0.0, rho), rho)
-    assert c.bound.prefactor == 1.0
-    assert c.bound.decay == 1.0
-    assert c.bound.evaluate(3) == pytest.approx(math.exp(-3.0))
-
-
-def test_martingale_curve_boundary_and_rejection():
-    sr = SigmaRho(1.0, 0.2, 0.3)
-    c = vb_curve_martingale(sr, 0.5)  # r = rho + sigma exactly
-    assert c.rate == 0.5
-    with pytest.raises(ValueError):
-        vb_curve_martingale(sr, 0.49)
-    # a source with rho + sigma above capacity still constructs fine; the
-    # caller is the one who cannot build a service curve from it
-    big = vb_curve_martingale(SigmaRho(1.0, 0.3, 0.8), 1.2)
-    assert big.bound.prefactor == 1.0
 
 
 def test_ta_to_vb_closed_form():

@@ -196,32 +196,12 @@ def test_impairment_envelope_trends(params):
     assert all(b.sigma < a.sigma for a, b in zip(srs, srs[1:]))
 
 
-def test_service_curve_construction(impairment):
-    sr = impairment.sigma_rho(0.1)
-    sc = impairment.service_curve(0.1, 0.95)
-    assert sc.kind == "ws-service"
-    assert sc.rate == pytest.approx(0.05, rel=1e-12)
-    expect = math.exp(0.1 * sr.sigma) / -math.expm1(0.1 * (sr.rho - 0.95))
-    assert sc.bound.prefactor == pytest.approx(expect, rel=1e-9)
-    assert sc.bound.decay == 0.1
-
-
-def test_service_curve_rejects_bad_rates(impairment):
-    sr = impairment.sigma_rho(0.1)
-    with pytest.raises(ValueError):
-        impairment.service_curve(0.1, sr.rho)  # not strictly above rho
-    with pytest.raises(ValueError):
-        impairment.service_curve(0.1, 1.0)
-
-
 def test_impairment_model_caches(params):
     model = ImpairmentModel(params)
     a = model.sigma_rho(0.1)
     b = model.sigma_rho(0.1)
     assert a is b
     assert model.average_rate() == pytest.approx(0.920704790308, abs=1e-9)
-    sc = model.service_curve(0.1, 0.95)
-    assert sc.rate == pytest.approx(0.05)
 
 
 def test_model_and_direct_sigma_rho_agree(params, impairment):
