@@ -21,21 +21,11 @@ the per-x minimum over the grid is itself a valid bound.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (
-    _indep_vec,
-    _minplus_vec,
-    _vb_prefactor,
-    independent_tail_convolve,
-    minplus_convolve,
-    ta_curve_from_sigma_rho,
-    ta_to_vb,
-    vb_curve_from_sigma_rho,
-)
+from .curves import _indep_vec, _minplus_vec, _vb_prefactor
 from .dcf import ImpairmentModel, slot_length, solve_fixed_point, stable_rate_threshold
 
 __all__ = [
@@ -44,7 +34,6 @@ __all__ = [
     "BoundSpec",
     "BacklogBound",
     "InfeasibleBoundError",
-    "VacuousBoundWarning",
     "StabilityReport",
     "build_bound",
     "quantile",
@@ -57,19 +46,13 @@ __all__ = [
 VARIANTS = ("bound1", "bound2", "bound3", "bound4")
 X_MAX = 10 ** 6  # quantile search cap
 CAPACITY = 1.0  # packets per slot; r_a + r_i must split this
-# evaluate keeps a grid point while its lower bound lb <= ub (1 + _REL_SLACK)
-# + _ABS_SLACK. The independence kernel ends in 1 - S, which can round up to
-# half an ulp of 1 (5.6e-17) below lb, so a relative margin alone would prune
-# winners whose computed value is 0 or near it.
-_REL_SLACK, _ABS_SLACK = 1e-9, 1e-15
+# evaluate keeps a grid point while its lower bound lb <= ub (1 + _REL_SLACK),
+# a margin for the rounding of the kernels' exp and sums
+_REL_SLACK = 1e-9
 
 
 class InfeasibleBoundError(RuntimeError):
     """No feasible parameter choice exists (or the quantile cap was hit)."""
-
-
-class VacuousBoundWarning(UserWarning):
-    """The requested bound cannot be informative (clamps to 1)."""
 
 
 @dataclass(frozen=True)
@@ -182,8 +165,8 @@ class BacklogBound:
     that can still win: each point's value is at least min(1, lb), with
     lb = max(f(x), g(x)) the larger of its two tails, and the memoized
     winner of the nearest x evaluated below 1, run at x, bounds the minimum
-    by ub (1 when there is none). A point with lb > ub (1 + _REL_SLACK) +
-    _ABS_SLACK cannot attain the minimum. If no other point falls below 1,
+    by ub (1 when there is none). A point with lb > ub (1 + _REL_SLACK)
+    cannot attain the minimum. If no other point falls below 1,
     every value is 1 and the full pass's argmin is index 0.
     """
 
@@ -208,7 +191,7 @@ class BacklogBound:
             j = best[min(seeds, key=lambda y: abs(y - x))]["i"]
             ub = float(kernel(g.a_f[j], g.theta1[j], g.a_g[j], g.theta2[j], xf))
         lb = np.maximum(g.a_f * np.exp(-g.theta1 * xf), g.a_g * np.exp(-g.theta2 * xf))
-        keep = np.flatnonzero(lb <= ub * (1.0 + _REL_SLACK) + _ABS_SLACK)
+        keep = np.flatnonzero(lb <= ub * (1.0 + _REL_SLACK))
         i, value = 0, 1.0
         if keep.size:
             vals = kernel(g.a_f[keep], g.theta1[keep], g.a_g[keep], g.theta2[keep], xf)
@@ -235,8 +218,9 @@ def build_bound(variant: str, arrival, impairment: ImpairmentModel,
     arrival must expose sigma_rho(theta), average_rate() and, for the
     martingale variants, martingale_ok=True (independent per-slot
     increments; cannot be verified here, it is a documented contract).
-    Warns with VacuousBoundWarning when the mean arrival rate reaches the
-    sustainable rate.
+    Raises InfeasibleBoundError when the mean arrival rate reaches the
+    sustainable rate: every envelope rate is at least its mean rate, so no
+    grid point could be feasible.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
@@ -248,9 +232,9 @@ def build_bound(variant: str, arrival, impairment: ImpairmentModel,
     a_a = arrival.average_rate()
     a_i = impairment.average_rate()
     if a_a >= CAPACITY - a_i:
-        warnings.warn(
+        raise InfeasibleBoundError(
             f"arrival rate {a_a:.4f} >= sustainable rate {CAPACITY - a_i:.4f}; "
-            "bounds will be vacuous", VacuousBoundWarning, stacklevel=2)
+            "no finite bound exists")
     grid = _build_grid(_needs_martingale(variant), arrival, impairment, options)
     return BacklogBound(variant, grid)
 
@@ -329,32 +313,36 @@ def stability_check(arrival_rate: float, params) -> StabilityReport:
 
 def point_tail_value(spec: BoundSpec, arrival, impairment: ImpairmentModel,
                      x: int, route: str = "direct") -> float:
-    """Tail value of a single grid point, assembled through curve objects.
+    """Tail value of a single grid point, assembled from the (sigma, rho)
+    pairs at its thetas.
 
-    route="direct" builds both sup-window (vb) tails straight from the
-    (sigma, rho) pairs; route="aggregated" first forms the per-window (ta)
-    tail at rate rho and then aggregates windows geometrically with
-    delta = r - rho. The two assemblies are algebraically identical, which
-    this function exists to demonstrate. The composition runs through the
-    same closed-form kernel as the grid evaluation, so agreement with
+    route="direct" takes both sup-window (vb) prefactors
+    e^{th*sigma}/(1-e^{th(rho-r)}) as the grid does; route="aggregated"
+    takes the per-window (ta) tail e^{th*sigma} at rate rho and sums it over
+    windows with slack delta = r - rho, giving e^{th*sigma}/(1-e^{-th*delta}).
+    The two assemblies are algebraically identical, which this function
+    exists to demonstrate. The composition runs through the same
+    closed-form kernel as the grid evaluation, so agreement with
     BacklogBound.evaluate checks the assembly of the tails, not a second
     implementation of the convolution; tests/test_curves.py checks the
     kernels against scalar oracles.
     """
     if _needs_martingale(spec.variant):
         raise ValueError("route comparison applies to the general-arrival variants")
-    sr_a = arrival.sigma_rho(spec.theta1)
-    sr_i = impairment.sigma_rho(spec.theta2)
-    if route == "direct":
-        f = vb_curve_from_sigma_rho(sr_a, spec.r_a).bound
-        g = vb_curve_from_sigma_rho(sr_i, spec.r_i).bound
-    elif route == "aggregated":
-        f = ta_to_vb(ta_curve_from_sigma_rho(sr_a, sr_a.rho),
-                     spec.r_a - sr_a.rho).bound
-        g = ta_to_vb(ta_curve_from_sigma_rho(sr_i, sr_i.rho),
-                     spec.r_i - sr_i.rho).bound
-    else:
+    if route not in ("direct", "aggregated"):
         raise ValueError(f"unknown route {route!r}")
-    if _independent(spec.variant):
-        return independent_tail_convolve(f, g, x)
-    return minplus_convolve(f, g, x)
+    if x < 0:
+        raise ValueError("x must be nonnegative")
+    prefactors = []
+    for sr, r in ((arrival.sigma_rho(spec.theta1), spec.r_a),
+                  (impairment.sigma_rho(spec.theta2), spec.r_i)):
+        if not r > sr.rho:
+            raise ValueError(f"a vb tail needs rate r > rho, got r={r}, rho={sr.rho}")
+        if route == "direct":
+            prefactors.append(float(_vb_prefactor(sr.theta, sr.sigma, sr.rho, r)))
+        else:
+            delta = r - sr.rho
+            prefactors.append(math.exp(sr.theta * sr.sigma) / -math.expm1(-sr.theta * delta))
+    a_f, a_g = prefactors
+    kernel = _indep_vec if _independent(spec.variant) else _minplus_vec
+    return float(kernel(a_f, spec.theta1, a_g, spec.theta2, float(x)))

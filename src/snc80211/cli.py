@@ -152,6 +152,10 @@ def cmd_bounds(args, cfg) -> int:
     p_list = _parse_float_list(args.p_list)
     _check_p_list(p_list)
     variants = tuple(v.strip() for v in args.variants.split(",") if v.strip())
+    if not variants:
+        raise ValueError("empty variant list")
+    if len(set(variants)) < len(variants):
+        raise ValueError(f"repeated variant in {args.variants!r}")
     for v in variants:
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r}; choose from {VARIANTS}")

@@ -1,15 +1,13 @@
-"""Curve and bounding-function algebra for stochastic tail bounds.
+"""Envelope triples and the closed-form tail kernels behind every bound.
 
-Traffic and service processes are summarized by a linear envelope ``r * t``
-paired with a decreasing tail-bound function ("bounding function"). Two
-composition rules combine an arrival bound with a service bound: a min-plus
-convolution for the general case and a complemented Stieltjes convolution
-when the two processes are independent.
-
-Bounding functions clamp to [0, 1] on evaluation but keep their raw
-exponential parameters so the convolutions can use closed forms. Each rule
-has one closed-form kernel that takes scalars or whole parameter grids; the
-scalar convolutions and the bound optimizer in ``bounds`` both call it.
+A process is summarized at each theta by a (sigma, rho) envelope,
+``SigmaRho``. A bound turns the arrival and the impairment envelope into
+two exponential tails a e^{-theta x}, each with the virtual-backlog
+prefactor of ``_vb_prefactor``, and combines them by one of two rules: a
+min-plus convolution in general (``_minplus_vec``) and the independent-sum
+convolution when the two processes are independent (``_indep_vec``). Each
+kernel takes scalars or whole parameter grids; the bound optimizer and
+``bounds.point_tail_value`` both call it.
 """
 from __future__ import annotations
 
@@ -18,18 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "SigmaRho",
-    "BoundingFunction",
-    "CurveWithBound",
-    "ta_curve_from_sigma_rho",
-    "vb_curve_from_sigma_rho",
-    "ta_to_vb",
-    "minplus_convolve",
-    "independent_tail_convolve",
-]
-
-CURVE_KINDS = ("ta-arrival", "vb-arrival")
+__all__ = ["SigmaRho"]
 
 
 @dataclass(frozen=True)
@@ -52,116 +39,6 @@ class SigmaRho:
             raise ValueError("sigma must be finite and nonnegative")
         if not 0 <= self.rho < math.inf:
             raise ValueError("rho must be finite and nonnegative")
-
-
-@dataclass(frozen=True)
-class BoundingFunction:
-    """An exponential tail bound ``prefactor * exp(-decay * x)``.
-
-    ``evaluate`` clamps to [0, 1]; ``raw`` returns the unclamped value that
-    the convolution algebra works with.
-    """
-
-    prefactor: float = 1.0
-    decay: float = 1.0
-
-    def __post_init__(self):
-        if not 0 <= self.prefactor < math.inf:
-            raise ValueError("prefactor must be finite and nonnegative")
-        if not 0 < self.decay < math.inf:
-            raise ValueError("decay must be positive and finite")
-
-    def raw(self, x) -> float:
-        """Unclamped value at x >= 0."""
-        if x < 0:
-            raise ValueError("x must be nonnegative")
-        return self.prefactor * math.exp(-self.decay * x)
-
-    def evaluate(self, x) -> float:
-        """Value at x clamped to [0, 1], a usable tail probability."""
-        return min(1.0, max(0.0, self.raw(x)))
-
-
-@dataclass(frozen=True)
-class CurveWithBound:
-    """A linear curve ``rate * t`` with its tail-bound function.
-
-    kind is 'ta-arrival' (traffic-amount bound) or 'vb-arrival'
-    (virtual-backlog bound).
-    """
-
-    rate: float
-    bound: BoundingFunction
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in CURVE_KINDS:
-            raise ValueError(f"kind must be one of {CURVE_KINDS}")
-        if not (math.isfinite(self.rate) and self.rate >= 0):
-            raise ValueError("rate must be finite and nonnegative")
-
-
-def ta_curve_from_sigma_rho(sr: SigmaRho, r: float) -> CurveWithBound:
-    """Traffic-amount arrival curve r*t with bound exp(theta*sigma) * exp(-theta*x).
-
-    Requires r >= rho; below the envelope rate the bound does not hold.
-    """
-    if r < sr.rho:
-        raise ValueError(f"ta curve needs rate r >= rho, got r={r} < rho={sr.rho}")
-    a = math.exp(sr.theta * sr.sigma)
-    return CurveWithBound(rate=r, bound=BoundingFunction(a, sr.theta), kind="ta-arrival")
-
-
-def vb_curve_from_sigma_rho(sr: SigmaRho, r: float) -> CurveWithBound:
-    """Virtual-backlog arrival curve with the geometric-sum prefactor.
-
-    bound(x) = exp(theta*sigma) / (1 - exp(theta*(rho - r))) * exp(-theta*x),
-    valid only for r strictly above rho (the prefactor diverges at r = rho).
-    """
-    if r <= sr.rho:
-        raise ValueError(f"vb curve needs rate r > rho strictly, got r={r}, rho={sr.rho}")
-    a = float(_vb_prefactor(sr.theta, sr.sigma, sr.rho, r))
-    return CurveWithBound(rate=r, bound=BoundingFunction(a, sr.theta), kind="vb-arrival")
-
-
-def ta_to_vb(curve: CurveWithBound, delta: float) -> CurveWithBound:
-    """Convert a ta arrival curve to a vb one by relaxing the rate by delta.
-
-    The vb bounding function is the tail sum f(x) + f(x+delta) + ... whose
-    geometric closed form is a / (1 - exp(-theta*delta)); the rate becomes
-    r + delta.
-    """
-    if curve.kind != "ta-arrival":
-        raise ValueError("ta_to_vb expects a ta-arrival curve")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    theta = curve.bound.decay
-    a = curve.bound.prefactor / (-math.expm1(-theta * delta))
-    return CurveWithBound(rate=curve.rate + delta, bound=BoundingFunction(a, theta), kind="vb-arrival")
-
-
-def minplus_convolve(f: BoundingFunction, g: BoundingFunction, x: int) -> float:
-    """Min-plus convolution min over real 0<=y<=x of f(y) + g(x-y), clamped
-    to [0, 1], through the same closed form the bound grid uses."""
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    return float(_minplus_vec(f.prefactor, f.decay, g.prefactor, g.decay, float(x)))
-
-
-def independent_tail_convolve(f: BoundingFunction, g: BoundingFunction, x: int) -> float:
-    """Tail bound at integer x for the sum of two independent quantities
-    bounded by f and g, through the same closed form the bound grid uses.
-
-    The bound is the complemented Stieltjes form
-        1 - sum_{k=0..x} (Gbar(k) - Gbar(k-1)) * Fbar(x-k)
-    with Fbar(m) = max(0, 1 - f(m)), Gbar likewise and Gbar(-1) = 0. This
-    equals the classical independent-sum bound
-        g(x) + sum_k (g(k-1) - g(k)) * f(x-k)
-    written with clamped f, g, and is nonincreasing in x.
-    """
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    return float(_indep_vec(f.prefactor, f.decay, g.prefactor, g.decay, float(x)))
 
 
 def _vb_prefactor(theta, sigma, rho, r):
@@ -195,10 +72,13 @@ def _dead_zone(a, t):
 
 
 def _indep_vec(a, t1, b, t2, x):
-    """Complemented independent-case convolution of a e^{-t1 x} and
-    b e^{-t2 x} in closed form: 1 - sum_k (gbar(k)-gbar(k-1)) fbar(x-k) with
-    fbar = max(0, 1-f). Prefactors above 1 zero out fbar/gbar below a cutoff,
-    which splits the geometric sum at integer offsets kf, kg."""
+    """Independent-sum tail of f = a e^{-t1 x} and g = b e^{-t2 x} in closed
+    form: 1 - sum_k (gbar(k)-gbar(k-1)) fbar(x-k) with fbar = max(0, 1-f),
+    which equals g(K) + T for the last k = K with fbar(x-k) > 0 and T the
+    f-weighted sum of g's steps. Summing those nonnegative terms keeps the
+    tail's relative precision far below 1. Prefactors above 1 zero out
+    fbar/gbar below a cutoff, which splits the geometric sum at integer
+    offsets kf, kg."""
     a = np.asarray(a, dtype=float)
     kf = _dead_zone(a, t1)
     kg = _dead_zone(b, t2)
@@ -220,6 +100,5 @@ def _indep_vec(a, t1, b, t2, x):
                       np.where(gcnt > 30.0, big, small))
     geom_e = np.where(cnt > 0, geom_e, 0.0)
     T = a * (d_kg * np.exp(np.minimum(t1 * (kg - x), 50.0)) + b * np.expm1(t2) * geom_e)
-    S = (1.0 - b * np.exp(np.minimum(-t2 * K, 50.0))) - T
-    vals = np.where(K >= kg, 1.0 - S, 1.0)
+    vals = np.where(K >= kg, b * np.exp(np.minimum(-t2 * K, 50.0)) + T, 1.0)
     return np.clip(vals, 0.0, 1.0)

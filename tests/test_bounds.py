@@ -10,7 +10,6 @@ from snc80211.bounds import (
     BoundSpec,
     GridOptions,
     InfeasibleBoundError,
-    VacuousBoundWarning,
     _Grid,
     build_bound,
     point_tail_value,
@@ -20,7 +19,7 @@ from snc80211.bounds import (
     stability_check,
 )
 from snc80211.characterize import PoissonTraffic
-from snc80211.curves import SigmaRho, _indep_vec, _minplus_vec, vb_curve_from_sigma_rho
+from snc80211.curves import SigmaRho, _indep_vec, _minplus_vec, _vb_prefactor
 
 P_LIST = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05)
 
@@ -126,7 +125,7 @@ def test_pruning_keeps_the_lowest_index_among_ties():
 
 
 def _reference_grid(martingale, arrival, impairment, opts):
-    """The grid as a plain row-major loop over the curve constructors, with
+    """The grid as a plain row-major loop over the scalar prefactor, with
     rho_a + sigma_a of each point."""
     ref = {k: [] for k in ("theta1", "theta2", "r_a", "a_f", "a_g", "floor")}
     for th1 in opts.thetas():
@@ -139,8 +138,8 @@ def _reference_grid(martingale, arrival, impairment, opts):
                 continue
             for j in range(1, opts.r_points + 1):
                 r_a = lo + width * (j / (opts.r_points + 1))
-                a_f = 1.0 if martingale else vb_curve_from_sigma_rho(sa, r_a).bound.prefactor
-                a_g = vb_curve_from_sigma_rho(si, 1.0 - r_a).bound.prefactor
+                a_f = 1.0 if martingale else float(_vb_prefactor(th1, sa.sigma, sa.rho, r_a))
+                a_g = float(_vb_prefactor(th2, si.sigma, si.rho, 1.0 - r_a))
                 for k, v in zip(ref, (th1, th2, r_a, a_f, a_g, sa.rho + sa.sigma)):
                     ref[k].append(v)
     return ref
@@ -226,25 +225,24 @@ def test_quantile_table_poisson_007(impairment):
 
 def test_light_load_bound_is_tiny(impairment):
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no vacuity warning expected
+        warnings.simplefilter("error")  # the bound path warns nowhere
         val = build_bound("bound1", PoissonTraffic(0.01), impairment).evaluate(200)
     assert 0.0 <= val < 1e-6
 
 
 def test_unsustainable_rate_warns_and_fails(impairment):
-    with pytest.warns(VacuousBoundWarning):
-        with pytest.raises(InfeasibleBoundError):
-            build_bound("bound1", PoissonTraffic(0.09), impairment)
+    # every envelope rate is at least the mean rate, so no grid point can be
+    # feasible: build_bound says so before it builds a grid
+    with pytest.raises(InfeasibleBoundError,
+                       match=r"^arrival rate 0\.0900 >= sustainable rate 0\.0793;"):
+        build_bound("bound1", PoissonTraffic(0.09), impairment)
 
 
 def test_near_threshold_rate_fails_without_warning(impairment):
     # 0.0785 sits below the mean-rate threshold but above every exponential
     # rate the impairment envelope can certify, so the grid is empty
-    with warnings.catch_warnings(record=True) as rec:
-        warnings.simplefilter("always")
-        with pytest.raises(InfeasibleBoundError):
-            build_bound("bound1", PoissonTraffic(0.0785), impairment)
-    assert not any(issubclass(w.category, VacuousBoundWarning) for w in rec)
+    with pytest.raises(InfeasibleBoundError, match="no feasible"):
+        build_bound("bound1", PoissonTraffic(0.0785), impairment)
 
 
 def test_martingale_variants_need_declared_independence(impairment):
@@ -278,6 +276,13 @@ def test_point_tail_value_validation(bounds04, arr04, impairment):
     mart = BoundSpec(variant="bound2", theta1=0.1, theta2=0.1, r_a=0.5, r_i=0.5)
     with pytest.raises(ValueError):
         point_tail_value(mart, arr04, impairment, 5)
+    # r_a = 0.04 lies below rho_a(0.1) = 0.0421: neither tail holds there
+    slow = BoundSpec(variant="bound1", theta1=0.1, theta2=0.1, r_a=0.04, r_i=0.96)
+    for route in ("direct", "aggregated"):
+        with pytest.raises(ValueError, match="r > rho"):
+            point_tail_value(slow, arr04, impairment, 5, route=route)
+    with pytest.raises(ValueError, match="nonnegative"):
+        point_tail_value(spec, arr04, impairment, -1)
 
 
 def test_stability_check(params):

@@ -23,6 +23,16 @@ def _json_out(capsys):
     return json.loads(capsys.readouterr().out)
 
 
+def _run_cli(argv):
+    """Run the CLI in a fresh interpreter, without a config from the
+    environment, under a timeout."""
+    env = {k: v for k, v in os.environ.items() if k != ENV_CONFIG}
+    src = str(Path(snc80211.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "snc80211.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+
+
 def test_fixed_point_table(capsys):
     assert main(["fixed-point"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -91,9 +101,37 @@ def test_bounds_rejects_bad_p(capsys):
     assert main(["bounds", "--rate", "0.04", "--p-list", "2.0"]) == 2
 
 
-def test_bounds_unstable_rate_is_infeasible(capsys, recwarn):
+@pytest.mark.parametrize("variants", [",", "bound1,bound1"])
+def test_bounds_rejects_empty_or_repeated_variants(capsys, variants):
+    assert main(["bounds", "--rate", "0.04", "--variants", variants]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_bounds_unstable_rate_is_infeasible(capsys):
     assert main(["bounds", "--rate", "0.09", "--p-list", "0.05"]) == 3
     assert "infeasible" in capsys.readouterr().err
+
+
+def test_bounds_unsustainable_rate_is_one_stderr_line():
+    # a process of its own, so any warnings-module output would show too
+    proc = _run_cli(["bounds", "--rate", "0.2"])
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == ("infeasible: arrival rate 0.2000 >= sustainable rate "
+                           "0.0793; no finite bound exists\n")
+
+
+def test_bounds_independent_tails_keep_falling_at_deep_p(capsys):
+    # the independence tail is summed, not taken as 1 minus its complement,
+    # so quantiles keep rising where the complement would be rounding noise
+    assert main(["bounds", "--rate", "0.04", "--p-list", "1e-14,1e-16,1e-18",
+                 "--variants", "bound3,bound4", "--format", "json"]) == 0
+    rows = _json_out(capsys)["rows"]
+    for v in ("bound3", "bound4"):
+        q = [r[v] for r in rows]
+        assert q[0] < q[1] < q[2], (v, q)
 
 
 def test_stability_verdicts(capsys):
@@ -290,11 +328,7 @@ def test_non_finite_input_is_a_usage_error(tmp_path, argv, grid):
     # a timeout: a regression fails here instead of stalling the suite
     if grid is not None:
         argv = [*argv, "--config", _write(tmp_path, "grid.ini", f"[grid]\n{grid}\n")]
-    env = {k: v for k, v in os.environ.items() if k != ENV_CONFIG}
-    src = str(Path(snc80211.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "snc80211.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=30)
+    proc = _run_cli(argv)
     assert proc.returncode == 2, proc.stderr
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr

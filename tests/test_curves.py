@@ -1,27 +1,18 @@
-"""Curve algebra: constructions, conversions, and the two convolutions.
+"""Envelope triples, the vb prefactor of both assembly routes, and the two
+composition kernels.
 
-The convolutions have one closed-form implementation each in
-snc80211.curves; the scalar minimiser and the O(x) loop below are the
-independent reference oracles they are checked against."""
+Each composition rule has one closed-form kernel in snc80211.curves; the
+scalar minimiser and the O(x) sums below are the independent reference
+oracles it is checked against."""
 import math
 
 import numpy as np
 import pytest
 
-from snc80211.bounds import _ABS_SLACK, _REL_SLACK, BoundSpec
+import snc80211.bounds as bounds
+from snc80211.bounds import _REL_SLACK, BoundSpec, point_tail_value
 from snc80211.characterize import poisson_sigma_rho
-from snc80211.curves import (
-    BoundingFunction,
-    CurveWithBound,
-    SigmaRho,
-    _indep_vec,
-    _minplus_vec,
-    independent_tail_convolve,
-    minplus_convolve,
-    ta_curve_from_sigma_rho,
-    ta_to_vb,
-    vb_curve_from_sigma_rho,
-)
+from snc80211.curves import SigmaRho, _indep_vec, _minplus_vec, _vb_prefactor
 
 
 def _minplus_oracle(a1, t1, a2, t2, x) -> float:
@@ -40,18 +31,33 @@ def _minplus_oracle(a1, t1, a2, t2, x) -> float:
     return min(1.0, max(0.0, val))
 
 
-def _independent_oracle(f: BoundingFunction, g: BoundingFunction, x: int) -> float:
+def _clamped(a, t):
+    """The tail a e^{-t m} clamped to [0, 1], as a function of m."""
+    return lambda m: min(1.0, a * math.exp(-t * m))
+
+
+def _independent_oracle(a1, t1, a2, t2, x: int) -> float:
     """1 - sum_{k=0..x} (Gbar(k) - Gbar(k-1)) Fbar(x-k) term by term, with
-    Fbar = max(0, 1 - f), Gbar likewise and Gbar(-1) = 0."""
+    Fbar = 1 - f, Gbar = 1 - g for the clamped tails and Gbar(-1) = 0."""
+    f, g = _clamped(a1, t1), _clamped(a2, t2)
     s = 0.0
     gbar_prev = 0.0
     for k in range(x + 1):
-        gbar_k = max(0.0, 1.0 - g.raw(k))
+        gbar_k = 1.0 - g(k)
         dg = gbar_k - gbar_prev
         if dg != 0.0:
-            s += dg * max(0.0, 1.0 - f.raw(x - k))
+            s += dg * (1.0 - f(x - k))
         gbar_prev = gbar_k
     return min(1.0, max(0.0, 1.0 - s))
+
+
+def _direct_sum_oracle(a1, t1, a2, t2, x: int) -> float:
+    """The same tail as the sum of its nonnegative terms,
+    g(x) + sum_{k=0..x} (g(k-1) - g(k)) f(x-k) for the clamped tails with
+    g(-1) = 1, so it keeps its relative precision far below 1."""
+    f, g = _clamped(a1, t1), _clamped(a2, t2)
+    steps = [1.0 - g(0)] + [g(k - 1) - g(k) for k in range(1, x + 1)]
+    return g(x) + sum(step * f(x - k) for k, step in enumerate(steps))
 
 
 def test_sigma_rho_validation():
@@ -73,10 +79,6 @@ NAN, INF = math.nan, math.inf
     (SigmaRho, (1.0, 0.0, INF)),
     (SigmaRho, (INF, 0.0, 0.5)),
     (SigmaRho, (NAN, 0.0, 0.5)),
-    (BoundingFunction, (NAN, 1.0)),
-    (BoundingFunction, (INF, 1.0)),
-    (BoundingFunction, (1.0, INF)),
-    (BoundingFunction, (1.0, NAN)),
     (BoundSpec, ("bound1", NAN, 1.0, 0.5, 0.5)),
     (BoundSpec, ("bound1", 1.0, INF, 0.5, 0.5)),
     (BoundSpec, ("bound1", 1.0, 1.0, NAN, 0.5)),
@@ -89,180 +91,160 @@ def test_value_types_reject_non_finite(make, args):
         make(*args)
 
 
-def test_bounding_function_exponential_eval():
-    f = BoundingFunction(2.0, 0.5)
-    assert f.raw(0) == 2.0
-    assert f.evaluate(0) == 1.0  # clamped
-    assert f.evaluate(10) == pytest.approx(2.0 * math.exp(-5.0))
-    with pytest.raises(ValueError):
-        f.raw(-1)
-    with pytest.raises(ValueError):
-        BoundingFunction(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        BoundingFunction(1.0, 0.0)
+class _Fixed:
+    """A process with one (sigma, rho) envelope at every theta."""
+
+    def __init__(self, sigma, rho):
+        self.sigma, self.rho = sigma, rho
+
+    def sigma_rho(self, theta):
+        return SigmaRho(theta, self.sigma, self.rho)
 
 
-def test_bounding_function_eval_in_unit_interval_and_nonincreasing():
-    for a, th in [(0.5, 0.1), (1.0, 1.0), (7.3, 0.03), (120.0, 2.0)]:
-        f = BoundingFunction(a, th)
-        prev = 1.0
-        for x in range(0, 400):
-            v = f.evaluate(x)
-            assert 0.0 <= v <= 1.0
-            assert v <= prev + 1e-15
-            prev = v
+def _route_prefactors(monkeypatch, route, theta, sigma, rho, delta):
+    """The arrival and impairment prefactors that point_tail_value hands to
+    the min-plus kernel for the arrival envelope (theta, sigma, rho) at rate
+    rho + delta and the envelope (theta, 0, 0) at the rest of the capacity."""
+    seen = []
+    monkeypatch.setattr(bounds, "_minplus_vec", lambda *args: seen.append(args) or 0.0)
+    spec = BoundSpec("bound1", theta, theta, rho + delta, 1.0 - rho - delta)
+    point_tail_value(spec, _Fixed(sigma, rho), _Fixed(0.0, 0.0), 5, route=route)
+    return seen[0][0], seen[0][2]
 
 
-def test_curve_with_bound_validation():
-    b = BoundingFunction(1.0, 1.0)
-    CurveWithBound(rate=0.5, bound=b, kind="ta-arrival")
-    for kind in ("nonsense", "ws-service"):
-        with pytest.raises(ValueError):
-            CurveWithBound(rate=0.5, bound=b, kind=kind)
-    with pytest.raises(ValueError):
-        CurveWithBound(rate=-1.0, bound=b, kind="ta-arrival")
+def _geometric(theta, delta):
+    """The factor 1 / (1 - e^{-theta delta}) that sums per-window tails."""
+    return 1.0 / (1.0 - math.exp(-theta * delta))
 
 
-def test_ta_curve_zero_sigma_gives_unit_prefactor():
-    c = ta_curve_from_sigma_rho(SigmaRho(0.1, 0.0, 0.5), 0.5)
-    assert c.kind == "ta-arrival"
-    assert c.rate == 0.5
-    assert c.bound.prefactor == pytest.approx(1.0)
-    assert c.bound.decay == 0.1
+def test_ta_curve_zero_sigma_gives_unit_prefactor(monkeypatch):
+    # sigma = 0 makes the per-window (ta) tail prefactor 1, so the
+    # aggregated prefactor is the geometric window sum alone
+    a_f, _ = _route_prefactors(monkeypatch, "aggregated", 0.1, 0.0, 0.5, 0.2)
+    assert a_f == pytest.approx(_geometric(0.1, 0.2), rel=1e-12)
 
 
-def test_ta_curve_prefactor_from_burst():
-    c = ta_curve_from_sigma_rho(SigmaRho(0.1, 0.077, 0.924), 0.924)
-    assert c.bound.prefactor == pytest.approx(math.exp(0.0077))
-    assert c.bound.prefactor == pytest.approx(1.00773, abs=1e-5)
+def test_ta_curve_prefactor_from_burst(monkeypatch):
+    a_f, _ = _route_prefactors(monkeypatch, "aggregated", 0.1, 0.077, 0.5, 0.3)
+    assert a_f / _geometric(0.1, 0.3) == pytest.approx(math.exp(0.0077), rel=1e-12)
+    assert a_f / _geometric(0.1, 0.3) == pytest.approx(1.00773, abs=1e-5)
 
 
 def test_ta_curve_rejects_rate_below_rho():
-    with pytest.raises(ValueError):
-        ta_curve_from_sigma_rho(SigmaRho(1.0, 2.0, 1.0), 0.5)
+    spec = BoundSpec("bound1", 1.0, 1.0, 0.5, 0.5)
+    for route in ("direct", "aggregated"):
+        with pytest.raises(ValueError, match="r > rho"):
+            point_tail_value(spec, _Fixed(0.0, 0.2), _Fixed(0.0, 0.6), 5, route=route)
 
 
-def test_vb_curve_prefactor_formula():
-    sr = SigmaRho(0.1, 0.077, 0.924)
-    c = vb_curve_from_sigma_rho(sr, 0.95)
+def test_vb_curve_prefactor_formula(monkeypatch):
     expect = math.exp(0.0077) / (1.0 - math.exp(0.1 * (0.924 - 0.95)))
-    assert c.kind == "vb-arrival"
-    assert c.bound.prefactor == pytest.approx(expect, rel=1e-12)
-    assert c.bound.decay == 0.1
+    assert _vb_prefactor(0.1, 0.077, 0.924, 0.95) == pytest.approx(expect, rel=1e-12)
+    a_f, a_g = _route_prefactors(monkeypatch, "direct", 0.1, 0.077, 0.924, 0.026)
+    assert a_f == pytest.approx(expect, rel=1e-12)
+    assert a_g == pytest.approx(_geometric(0.1, 0.05), rel=1e-12)
 
 
 def test_vb_curve_prefactor_limit_is_one():
-    c = vb_curve_from_sigma_rho(SigmaRho(1.0, 0.0, 0.0), 1e6)
-    assert c.bound.prefactor == pytest.approx(1.0, rel=1e-9)
+    assert _vb_prefactor(1.0, 0.0, 0.0, 1e6) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_vb_curve_requires_strict_rate():
-    with pytest.raises(ValueError):
-        vb_curve_from_sigma_rho(SigmaRho(0.1, 0.0, 0.5), 0.5)
+    # the vb prefactor diverges at r = rho, on either side of the split
+    for sr_a, sr_i in (((0.0, 0.5), (0.0, 0.2)), ((0.0, 0.2), (0.0, 0.5))):
+        with pytest.raises(ValueError, match="r > rho"):
+            point_tail_value(BoundSpec("bound1", 1.0, 1.0, 0.5, 0.5),
+                             _Fixed(*sr_a), _Fixed(*sr_i), 5)
 
 
-def test_ta_to_vb_closed_form():
-    ta = ta_curve_from_sigma_rho(SigmaRho(0.5, 0.2, 0.3), 0.3)
-    vb = ta_to_vb(ta, 0.1)
-    assert vb.kind == "vb-arrival"
-    assert vb.rate == pytest.approx(0.4)
+def test_ta_to_vb_closed_form(monkeypatch):
+    a_f, _ = _route_prefactors(monkeypatch, "aggregated", 0.5, 0.2, 0.3, 0.1)
     expect = math.exp(0.5 * 0.2) / (1.0 - math.exp(-0.5 * 0.1))
-    assert vb.bound.prefactor == pytest.approx(expect, rel=1e-12)
+    assert a_f == pytest.approx(expect, rel=1e-12)
 
 
-def test_ta_to_vb_matches_direct_vb_construction():
+def test_ta_to_vb_matches_direct_vb_construction(monkeypatch):
     # aggregating per-window tails at rate rho with slack delta must equal
     # the direct vb construction at rate rho + delta
     rng = np.random.default_rng(3)
     for _ in range(50):
         th = float(rng.uniform(0.02, 4.0))
         sigma = float(rng.uniform(0.0, 1.0))
-        rho = float(rng.uniform(0.01, 0.9))
+        rho = float(rng.uniform(0.01, 0.45))
         delta = float(rng.uniform(1e-4, 0.5))
-        direct = vb_curve_from_sigma_rho(SigmaRho(th, sigma, rho), rho + delta)
-        agg = ta_to_vb(ta_curve_from_sigma_rho(SigmaRho(th, sigma, rho), rho), delta)
-        assert agg.rate == pytest.approx(direct.rate, rel=1e-12)
-        assert agg.bound.prefactor == pytest.approx(direct.bound.prefactor, rel=1e-12)
+        direct = _route_prefactors(monkeypatch, "direct", th, sigma, rho, delta)
+        agg = _route_prefactors(monkeypatch, "aggregated", th, sigma, rho, delta)
+        assert agg == pytest.approx(direct, rel=1e-12)
 
 
-def test_ta_to_vb_large_delta_recovers_prefactor():
-    ta = ta_curve_from_sigma_rho(SigmaRho(1.0, 0.4, 0.2), 0.2)
-    vb = ta_to_vb(ta, 50.0)
-    assert vb.bound.prefactor == pytest.approx(ta.bound.prefactor, rel=1e-12)
+def test_ta_to_vb_large_delta_recovers_prefactor(monkeypatch):
+    # once e^{-theta delta} is negligible the window sum adds nothing
+    assert _vb_prefactor(1.0, 0.4, 0.2, 50.2) == pytest.approx(math.exp(0.4), rel=1e-12)
+    a_f, _ = _route_prefactors(monkeypatch, "aggregated", 50.0, 0.4, 0.1, 0.8)
+    assert a_f == pytest.approx(math.exp(50.0 * 0.4), rel=1e-12)
 
 
 def test_ta_to_vb_input_validation():
-    ta = ta_curve_from_sigma_rho(SigmaRho(1.0, 0.0, 0.2), 0.2)
-    with pytest.raises(ValueError):
-        ta_to_vb(ta, 0.0)
-    vb = vb_curve_from_sigma_rho(SigmaRho(1.0, 0.0, 0.2), 0.3)
-    with pytest.raises(ValueError):
-        ta_to_vb(vb, 0.1)
+    # delta = r - rho = 0 would divide by zero in the window sum
+    spec = BoundSpec("bound3", 1.0, 1.0, 0.5, 0.5)
+    with pytest.raises(ValueError, match="r > rho"):
+        point_tail_value(spec, _Fixed(0.0, 0.2), _Fixed(0.0, 0.5), 5, route="aggregated")
 
 
 def test_minplus_symmetric_exponentials():
-    f = BoundingFunction(1.0, 1.0)
     for x in (2, 4, 8):
-        assert minplus_convolve(f, f, x) == pytest.approx(2.0 * math.exp(-x / 2.0))
+        assert _minplus_vec(1.0, 1.0, 1.0, 1.0, float(x)) == pytest.approx(2.0 * math.exp(-x / 2.0))
 
 
 def test_minplus_with_zero_bound_returns_other():
-    f = BoundingFunction(0.7, 0.3)
-    zero = BoundingFunction(0.0, 1.0)
     for x in (0, 1, 5, 20):
-        assert minplus_convolve(f, zero, x) == pytest.approx(f.evaluate(x))
+        assert _minplus_vec(0.7, 0.3, 0.0, 1.0, float(x)) == pytest.approx(0.7 * math.exp(-0.3 * x))
 
 
 def test_minplus_against_dense_grid():
-    f = BoundingFunction(2.0, 1.0)
-    g = BoundingFunction(3.0, 2.0)
     x = 4
     ys = np.arange(0.0, x + 1e-9, 1e-4)
     dense = float(np.min(2.0 * np.exp(-ys) + 3.0 * np.exp(-2.0 * (x - ys))))
-    assert minplus_convolve(f, g, x) == pytest.approx(min(1.0, dense), abs=1e-6)
+    assert _minplus_vec(2.0, 1.0, 3.0, 2.0, float(x)) == pytest.approx(min(1.0, dense), abs=1e-6)
 
 
 def test_minplus_is_symmetric():
     rng = np.random.default_rng(11)
     for _ in range(40):
-        f = BoundingFunction(float(rng.uniform(0, 5)), float(rng.uniform(0.05, 3)))
-        g = BoundingFunction(float(rng.uniform(0, 5)), float(rng.uniform(0.05, 3)))
-        for x in (0, 1, 3, 17):
-            assert abs(minplus_convolve(f, g, x) - minplus_convolve(g, f, x)) <= 1e-12
+        a, b = (float(v) for v in rng.uniform(0, 5, 2))
+        t1, t2 = (float(v) for v in rng.uniform(0.05, 3, 2))
+        for x in (0.0, 1.0, 3.0, 17.0):
+            assert abs(_minplus_vec(a, t1, b, t2, x) - _minplus_vec(b, t2, a, t1, x)) <= 1e-12
 
 
 def test_minplus_rejects_negative_x():
-    f = BoundingFunction(1.0, 1.0)
-    with pytest.raises(ValueError):
-        minplus_convolve(f, f, -1)
+    spec = BoundSpec("bound1", 1.0, 1.0, 0.5, 0.5)
+    with pytest.raises(ValueError, match="nonnegative"):
+        point_tail_value(spec, _Fixed(0.0, 0.2), _Fixed(0.0, 0.2), -1)
 
 
 def test_independent_with_perfect_service_reduces_to_arrival():
-    f = BoundingFunction(0.8, 0.7)
-    zero = BoundingFunction(0.0, 1.0)
     for x in (0, 2, 6):
-        assert independent_tail_convolve(f, zero, x) == pytest.approx(f.evaluate(x))
-        assert independent_tail_convolve(zero, f, x) == pytest.approx(f.evaluate(x))
-    assert independent_tail_convolve(zero, zero, 5) == 0.0
+        f = 0.8 * math.exp(-0.7 * x)
+        assert _indep_vec(0.8, 0.7, 0.0, 1.0, float(x)) == pytest.approx(f)
+        assert _indep_vec(0.0, 1.0, 0.8, 0.7, float(x)) == pytest.approx(f)
+    assert _indep_vec(0.0, 1.0, 0.0, 1.0, 5.0) == 0.0
 
 
 def test_independent_beats_minplus_deep_in_the_tail():
     # the rate-composition bound degrades the decay to t1*t2/(t1+t2) while
     # the independence-based bound keeps the slower of the two rates
-    f = BoundingFunction(1.0, 1.0)
-    g = BoundingFunction(1.0, 0.3)
+    args = (1.0, 1.0, 1.0, 0.3)
     for x in (20.0, 30.0, 50.0):
-        assert independent_tail_convolve(f, g, x) < minplus_convolve(f, g, x)
-    mp = [minplus_convolve(f, g, x) for x in (30.0, 50.0)]
-    ind = [independent_tail_convolve(f, g, x) for x in (30.0, 50.0)]
+        assert _indep_vec(*args, x) < _minplus_vec(*args, x)
+    mp = [float(_minplus_vec(*args, x)) for x in (30.0, 50.0)]
+    ind = [float(_indep_vec(*args, x)) for x in (30.0, 50.0)]
     assert (math.log(mp[1]) - math.log(mp[0])) / 20.0 == pytest.approx(-0.3 / 1.3, abs=1e-9)
     assert (math.log(ind[1]) - math.log(ind[0])) / 20.0 == pytest.approx(-0.3, abs=1e-3)
 
 
 def test_independent_nonincreasing_in_x():
-    f = BoundingFunction(3.0, 0.4)
-    g = BoundingFunction(1.5, 0.9)
-    vals = [independent_tail_convolve(f, g, x) for x in range(60)]
+    vals = [float(_indep_vec(3.0, 0.4, 1.5, 0.9, float(x))) for x in range(60)]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
     assert all(0.0 <= v <= 1.0 for v in vals)
 
@@ -283,21 +265,25 @@ def _kernel_cases():
 
 def test_kernels_match_scalar_oracles():
     # both kernels run over all cases at once, the way the bound grid calls
-    # them, and once per case through the scalar convolutions
+    # them, and once per case with scalars, the way point_tail_value calls
+    # them; the independence tail must also keep its relative precision
+    # against the direct sum down to where it turns subnormal
     cases = _kernel_cases()
     a, t1, b, t2 = (np.array(col) for col in zip(*cases))
-    fs = [BoundingFunction(c[0], c[1]) for c in cases]
-    gs = [BoundingFunction(c[2], c[3]) for c in cases]
-    for x in range(201):
+    for x in [*range(201), 400, 800, 1200]:
         mp = _minplus_vec(a, t1, b, t2, float(x))
         ind = _indep_vec(a, t1, b, t2, float(x))
-        for j, (f, g) in enumerate(zip(fs, gs)):
-            want_mp = _minplus_oracle(*cases[j], x)
-            want_ind = _independent_oracle(f, g, x)
+        for j, case in enumerate(cases):
+            want_mp = _minplus_oracle(*case, x)
+            want_ind = _independent_oracle(*case, x)
             for got, want in ((mp[j], want_mp), (ind[j], want_ind),
-                              (minplus_convolve(f, g, x), want_mp),
-                              (independent_tail_convolve(f, g, x), want_ind)):
-                assert abs(got - want) <= 1e-12 + 1e-9 * abs(want), (cases[j], x, got, want)
+                              (_minplus_vec(*case, float(x)), want_mp),
+                              (_indep_vec(*case, float(x)), want_ind)):
+                assert abs(got - want) <= 1e-12 + 1e-9 * abs(want), (case, x, got, want)
+            tail = _direct_sum_oracle(*case, x)
+            if tail >= 1e-300:
+                for got in (ind[j], _indep_vec(*case, float(x))):
+                    assert abs(got - tail) <= 1e-9 * tail, (case, x, got, tail)
 
 
 def test_kernels_respect_the_pruning_lower_bound():
@@ -309,4 +295,4 @@ def test_kernels_respect_the_pruning_lower_bound():
         lb = np.minimum(1.0, np.maximum(a * np.exp(-t1 * x), b * np.exp(-t2 * x)))
         for kernel in (_minplus_vec, _indep_vec):
             vals = kernel(a, t1, b, t2, float(x))
-            assert np.all(lb <= vals * (1.0 + _REL_SLACK) + _ABS_SLACK), (kernel, x)
+            assert np.all(lb <= vals * (1.0 + _REL_SLACK)), (kernel, x)
