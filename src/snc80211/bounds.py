@@ -1,6 +1,5 @@
 """Backlog tail bounds for one 802.11 node: four bound variants, exact
-grid optimization of the free parameters, quantile queries, and the stability
-test.
+grid optimization of the free parameters, and quantile queries.
 
 Variants differ along two axes. The arrival tail is either the general
 sup-window (vb) bound with geometric prefactor e^{th*sigma}/(1-e^{th(rho-r)}),
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import _indep_vec, _minplus_vec, _vb_prefactor
-from .dcf import ImpairmentModel, slot_length, solve_fixed_point, stable_rate_threshold
+from .dcf import ImpairmentModel, slot_length
 
 __all__ = [
     "VARIANTS",
@@ -34,18 +33,16 @@ __all__ = [
     "BoundSpec",
     "BacklogBound",
     "InfeasibleBoundError",
-    "StabilityReport",
     "build_bound",
     "quantile",
     "quantile_table",
-    "stability_check",
     "point_tail_value",
     "rate_to_mbps",
 ]
 
 VARIANTS = ("bound1", "bound2", "bound3", "bound4")
 X_MAX = 10 ** 6  # quantile search cap
-CAPACITY = 1.0  # packets per slot; r_a + r_i must split this
+CAPACITY = 1.0  # packets per slot, split between r_a and r_i
 # evaluate keeps a grid point while its lower bound lb <= ub (1 + _REL_SLACK),
 # a margin for the rounding of the kernels' exp and sums
 _REL_SLACK = 1e-9
@@ -81,13 +78,13 @@ class GridOptions:
 
 @dataclass(frozen=True)
 class BoundSpec:
-    """One fully specified bound: variant plus its free parameters."""
+    """One fully specified bound: variant plus its free parameters. The
+    service share r_i is the rest of the capacity."""
 
     variant: str
     theta1: float
     theta2: float
     r_a: float
-    r_i: float
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -96,8 +93,10 @@ class BoundSpec:
             raise ValueError("theta1 and theta2 must be positive and finite")
         if not math.isfinite(self.r_a):
             raise ValueError("r_a must be finite")
-        if not abs(self.r_a + self.r_i - CAPACITY) <= 1e-9:
-            raise ValueError("r_a + r_i must equal the capacity of 1 packet/slot")
+
+    @property
+    def r_i(self) -> float:
+        return CAPACITY - self.r_a
 
 
 def _needs_martingale(variant: str) -> bool:
@@ -122,10 +121,8 @@ class _Grid:
         return self.theta1.size
 
     def spec(self, i: int, variant: str) -> BoundSpec:
-        r_a = float(self.r_a[i])
         return BoundSpec(variant=variant, theta1=float(self.theta1[i]),
-                         theta2=float(self.theta2[i]), r_a=r_a,
-                         r_i=CAPACITY - r_a)
+                         theta2=float(self.theta2[i]), r_a=float(self.r_a[i]))
 
 
 def _build_grid(martingale: bool, arrival, impairment, options: GridOptions) -> _Grid:
@@ -160,8 +157,8 @@ class BacklogBound:
 
     evaluate(x) is the minimum of the variant's closed-form tail over the
     whole feasible grid, at the first grid point attaining it, as a full
-    kernel pass with argmin gives it; the value, the winning index "i" and
-    its spec are memoized in meta["best"]. The kernel runs only on points
+    kernel pass with argmin gives it; the value and the winning index "i"
+    are memoized in meta["best"]. The kernel runs only on points
     that can still win: each point's value is at least min(1, lb), with
     lb = max(f(x), g(x)) the larger of its two tails, and the memoized
     winner of the nearest x evaluated below 1, run at x, bounds the minimum
@@ -173,8 +170,7 @@ class BacklogBound:
     def __init__(self, variant: str, grid: _Grid):
         self.variant = variant
         self._grid = grid
-        self.meta = {"variant": variant, "grid_points": len(grid),
-                     "best": {}}
+        self.meta = {"grid_points": len(grid), "best": {}}
 
     def evaluate(self, x: int) -> float:
         if x < 0:
@@ -198,13 +194,13 @@ class BacklogBound:
             j = int(np.argmin(vals))
             if vals[j] < 1.0:
                 i, value = int(keep[j]), float(vals[j])
-        best[x] = {"value": value, "i": i, "spec": g.spec(i, self.variant)}
+        best[x] = {"value": value, "i": i}
         return value
 
     def spec_at(self, x: int) -> BoundSpec:
         """The grid point achieving the minimum at x."""
         self.evaluate(x)
-        return self.meta["best"][x]["spec"]
+        return self._grid.spec(self.meta["best"][x]["i"], self.variant)
 
     def grid_specs(self):
         """All feasible grid points, for audits and cross-checks."""
@@ -278,37 +274,12 @@ def quantile_table(arrival, impairment: ImpairmentModel, p_list,
     return [{"p": p, **{v: quantile(bounds[v], p) for v in variants}} for p in p_list]
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    arrival_rate: float
-    threshold: float       # packets per slot
-    threshold_mbps: float
-    verdict: str           # stable-bound-derivable | not-derivable
-
-
 def rate_to_mbps(rate_pkts_per_slot: float, params) -> float:
     """packets/slot -> Mbps of payload, one slot being L idle slots."""
     L = slot_length(params)
     bits_per_slot_time = params.payload * 8.0
     slot_us = L * params.idle_slot
     return rate_pkts_per_slot * bits_per_slot_time / slot_us
-
-
-def stability_check(arrival_rate: float, params) -> StabilityReport:
-    """Can a finite backlog bound be derived at this arrival rate?
-
-    The threshold is the sustainable service rate p_s L / (p_nt + p_t L);
-    strictly below it the bound machinery applies, at or above it no finite
-    bound is derivable this way.
-    """
-    if not 0 <= arrival_rate < math.inf:
-        raise ValueError(f"arrival rate must be finite and nonnegative, got {arrival_rate}")
-    fp = solve_fixed_point(params)
-    threshold = stable_rate_threshold(fp)
-    verdict = "stable-bound-derivable" if arrival_rate < threshold else "not-derivable"
-    return StabilityReport(arrival_rate=arrival_rate, threshold=threshold,
-                           threshold_mbps=rate_to_mbps(threshold, params),
-                           verdict=verdict)
 
 
 def point_tail_value(spec: BoundSpec, arrival, impairment: ImpairmentModel,

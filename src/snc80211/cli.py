@@ -13,21 +13,14 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import replace
 
-import numpy as np
-
-from .bounds import (
-    VARIANTS,
-    InfeasibleBoundError,
-    quantile_table,
-    rate_to_mbps,
-    stability_check,
-)
+from .bounds import VARIANTS, InfeasibleBoundError, quantile_table, rate_to_mbps
 from .characterize import DEFAULT_EPSILON, FitConvergenceError, PoissonTraffic
 from .config import ConfigError, load_run_config
-from .dcf import ImpairmentModel, solve_fixed_point
+from .dcf import ImpairmentModel, solve_fixed_point, stable_rate_threshold
 from .sim import COLLISION_MODES, SimConfig, SimResult, run
 
 EXIT_OK = 0
@@ -41,7 +34,7 @@ DEFAULT_P_LIST = "0.9,0.8,0.7,0.6,0.5,0.4,0.3,0.2,0.1,0.05"
 def _fmt_cell(v) -> str:
     if isinstance(v, float):
         return format(v, ".6g")
-    if isinstance(v, (list, tuple, np.ndarray)):
+    if isinstance(v, list):
         return ",".join(_fmt_cell(x) for x in v)
     return str(v)
 
@@ -65,23 +58,12 @@ def _emit_csv(rows, columns) -> str:
     return buf.getvalue()
 
 
-def _json_default(o):
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    if isinstance(o, np.integer):
-        return int(o)
-    if isinstance(o, np.floating):
-        return float(o)
-    raise TypeError(f"not JSON-serializable: {type(o)}")
-
-
 def _emit(rows, columns, args, summary=None):
     if args.format == "json":
         payload = {"rows": rows}
         if summary is not None:
             payload["summary"] = summary
-        text = json.dumps(payload, indent=2, sort_keys=True,
-                          default=_json_default) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif args.format == "csv":
         text = _emit_csv(rows, columns)
     else:
@@ -122,8 +104,7 @@ def cmd_characterize(args, cfg) -> int:
     else:
         thetas = list(cfg.grid.thetas())
     if not thetas:
-        print("error: empty theta grid", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ValueError("empty theta grid")
     if any(th <= 0 for th in thetas):
         raise ValueError("theta values must be positive")
     model = ImpairmentModel(cfg.params, epsilon=args.epsilon)
@@ -147,34 +128,46 @@ def _check_p_list(p_list):
             raise ValueError(f"p={p} must lie strictly between 0 and 1")
 
 
-def cmd_bounds(args, cfg) -> int:
-    rate = _resolve_rate(args, cfg)
-    p_list = _parse_float_list(args.p_list)
-    _check_p_list(p_list)
-    variants = tuple(v.strip() for v in args.variants.split(",") if v.strip())
+def _parse_variants(text: str):
+    variants = tuple(v.strip() for v in text.split(",") if v.strip())
     if not variants:
         raise ValueError("empty variant list")
     if len(set(variants)) < len(variants):
-        raise ValueError(f"repeated variant in {args.variants!r}")
+        raise ValueError(f"repeated variant in {text!r}")
     for v in variants:
         if v not in VARIANTS:
             raise ValueError(f"unknown variant {v!r}; choose from {VARIANTS}")
-    arrival = PoissonTraffic(rate)
-    model = ImpairmentModel(cfg.params)
-    rows = quantile_table(arrival, model, p_list, variants=variants,
-                          options=cfg.grid)
-    _emit(rows, ["p", *variants], args)
+    return variants
+
+
+def _quantile_rows(args, cfg, variants):
+    """Quantile rows of these variants for Poisson arrivals at the command's
+    rate, one row per entry of --p-list."""
+    rate = _resolve_rate(args, cfg)
+    p_list = _parse_float_list(args.p_list)
+    _check_p_list(p_list)
+    return quantile_table(PoissonTraffic(rate), ImpairmentModel(cfg.params),
+                          p_list, variants=variants, options=cfg.grid)
+
+
+def cmd_bounds(args, cfg) -> int:
+    variants = _parse_variants(args.variants)
+    _emit(_quantile_rows(args, cfg, variants), ["p", *variants], args)
     return EXIT_OK
 
 
 def cmd_stability(args, cfg) -> int:
+    """Can a finite backlog bound be derived at this arrival rate? Only
+    strictly below the sustainable service rate p_s L / (p_nt + p_t L)."""
     rate = _resolve_rate(args, cfg)
-    rep = stability_check(rate, cfg.params)
-    row = {"arrival_rate": rep.arrival_rate,
-           "arrival_mbps": rate_to_mbps(rep.arrival_rate, cfg.params),
-           "threshold": rep.threshold,
-           "threshold_mbps": rep.threshold_mbps,
-           "verdict": rep.verdict}
+    if not 0 <= rate < math.inf:
+        raise ValueError(f"arrival rate must be finite and nonnegative, got {rate}")
+    threshold = stable_rate_threshold(solve_fixed_point(cfg.params))
+    row = {"arrival_rate": rate,
+           "arrival_mbps": rate_to_mbps(rate, cfg.params),
+           "threshold": threshold,
+           "threshold_mbps": rate_to_mbps(threshold, cfg.params),
+           "verdict": "stable-bound-derivable" if rate < threshold else "not-derivable"}
     _emit([row], list(row), args)
     return EXIT_OK
 
@@ -230,13 +223,7 @@ def _empirical_quantile(res: SimResult, p: float) -> int:
 
 
 def cmd_compare(args, cfg) -> int:
-    rate = _resolve_rate(args, cfg)
-    p_list = _parse_float_list(args.p_list)
-    _check_p_list(p_list)
-    arrival = PoissonTraffic(rate)
-    model = ImpairmentModel(cfg.params)
-    rows = quantile_table(arrival, model, p_list, variants=VARIANTS,
-                          options=cfg.grid)
+    rows = _quantile_rows(args, cfg, VARIANTS)
     sc = _sim_config(args, cfg)
     res = run(sc)
     for row in rows:

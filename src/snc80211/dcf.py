@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 ORACLE_SLOT_CAP = 64
+_FIXED_POINT_TOL = 1e-10  # bisection stops once the eta bracket is this narrow
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,7 @@ def _tau_of_eta(eta: float, cw_min: int, stages: int) -> float:
     return num / den
 
 
-def solve_fixed_point(params: Params80211, tol: float = 1e-10) -> DcfFixedPoint:
+def solve_fixed_point(params: Params80211) -> DcfFixedPoint:
     """Solve tau = attempts/backoff-slots jointly with eta = 1-(1-tau)^(n-1).
 
     Bisection on eta: the residual 1-(1-tau(eta))^(n-1) - eta is positive at
@@ -154,7 +155,7 @@ def solve_fixed_point(params: Params80211, tol: float = 1e-10) -> DcfFixedPoint:
     lo, hi = 0.0, 1.0
     if resid(lo) <= 0 or resid(hi) >= 0:
         raise FitConvergenceError("fixed-point residual failed to bracket a root")
-    while hi - lo > tol:
+    while hi - lo > _FIXED_POINT_TOL:
         mid = 0.5 * (lo + hi)
         if resid(mid) > 0:
             lo = mid
@@ -291,10 +292,9 @@ def oracle_impairment_mgf(fp: DcfFixedPoint, theta: float, t: int) -> float:
     return math.exp(theta * t) * rest(L)
 
 
-def impairment_sigma_rho(params: Params80211, theta: float,
-                         epsilon: float = DEFAULT_EPSILON) -> SigmaRho:
+def impairment_sigma_rho(params: Params80211, theta: float) -> SigmaRho:
     """(sigma_I, rho_I) of the impairment at this theta, by envelope fitting."""
-    return ImpairmentModel(params, epsilon).sigma_rho(theta)
+    return ImpairmentModel(params).sigma_rho(theta)
 
 
 class ImpairmentModel:

@@ -86,21 +86,26 @@ def _horizon_slots(config: SimConfig) -> int:
 class SimResult:
     """Aggregated outcome over all replications.
 
-    backlogs holds the tagged node's backlog at sample_time, one entry per
-    replication. throughput_per_node is in packets per network-calculus
-    slot, averaged over replications. tagged_attempt_rate is attempts per
-    backoff-chain slot of the tagged node (countdown decrements plus its own
-    attempt slots), the simulator's estimate of tau.
+    backlogs holds the tagged node's backlog at the config's sample_time,
+    one entry per replication. throughput_per_node is in packets per
+    network-calculus slot, averaged over replications. tagged_attempt_rate
+    is attempts per backoff-chain slot of the tagged node (countdown
+    decrements plus its own attempt slots), the simulator's estimate of tau.
     """
 
     backlogs: np.ndarray
-    mean_backlog: float
     drops: int
     throughput_per_node: np.ndarray
     tagged_attempt_rate: float
     tagged_collision_fraction: float
-    replications: int
-    sample_time: float
+
+    @property
+    def replications(self) -> int:
+        return len(self.backlogs)
+
+    @property
+    def mean_backlog(self) -> float:
+        return float(self.backlogs.mean())
 
     def empirical_tail(self, x: int) -> float:
         """Fraction of replications whose sampled backlog exceeds x."""
@@ -141,9 +146,9 @@ def _run_one(config: SimConfig, rng: np.random.Generator) -> _RepStats:
     # its DIFS wait ends (difs_end) plus its frozen backoff. Every busy period
     # delays all countdowns alike, so expiry[i] is kept net of the summed
     # delay of past busy periods and re-arming is one addition. expiry is
-    # _NEVER for an empty queue; next_tx is the smallest expiry + delay.
+    # _NEVER for an empty queue; next_tx is the smallest expiry + delay. A
+    # node's contention window is cw_min doubled once per retry, up to cw_max.
     queue = [q0] * n
-    cw = [cw_min] * n
     bo = [int(draw(cw_min)) for _ in range(n)]
     retries = [0] * n
     difs_end = [difs_arm] * n
@@ -243,7 +248,6 @@ def _run_one(config: SimConfig, rng: np.random.Generator) -> _RepStats:
                 ticks0 += 1
             queue[i] -= 1
             succ[i] += 1
-            cw[i] = cw_min
             retries[i] = 0
             # mandatory fresh backoff between consecutive transmissions
             bo[i] = b = int(draw(cw_min))
@@ -258,14 +262,8 @@ def _run_one(config: SimConfig, rng: np.random.Generator) -> _RepStats:
                 if retries[i] >= retry_limit:
                     queue[i] -= 1
                     dropped[i] += 1
-                    cw[i] = cw_min
                     retries[i] = 0
-                else:
-                    cw[i] = min(2 * cw[i], cw_max)
-                if cw[i] > cw_max or retries[i] >= retry_limit:
-                    raise RuntimeError(f"node {i}: cw {cw[i]} or retries {retries[i]} out of "
-                                       f"bounds (cw_max {cw_max}, retry_limit {retry_limit})")
-                bo[i] = b = int(draw(cw[i]))
+                bo[i] = b = int(draw(min(cw_min << retries[i], cw_max)))
                 expiry[i] = arm + b - delay if queue[i] else _NEVER
         difs_end = [arm] * n
         next_tx = min(expiry) + delay
@@ -311,11 +309,8 @@ def run(config: SimConfig) -> SimResult:
     colls = sum(r.colls0 for r in reps)
     return SimResult(
         backlogs=backlogs,
-        mean_backlog=float(backlogs.mean()),
         drops=int(sum(sum(r.drops) for r in reps)),
         throughput_per_node=thr.mean(axis=0),
         tagged_attempt_rate=attempts / ticks if ticks else 0.0,
         tagged_collision_fraction=colls / attempts if attempts else 0.0,
-        replications=config.replications,
-        sample_time=config.sample_time,
     )

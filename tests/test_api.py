@@ -3,14 +3,16 @@
 import ast
 import importlib
 import inspect
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import snc80211
-from snc80211.bounds import quantile
+from snc80211.bounds import BoundSpec, quantile
 from snc80211.characterize import fit_sigma_rho
-from snc80211.dcf import ImpairmentModel, impairment_mgf
+from snc80211.dcf import ImpairmentModel, impairment_mgf, impairment_sigma_rho, solve_fixed_point
+from snc80211.sim import SimResult
 
 MODULES = ("bounds", "characterize", "config", "curves", "dcf", "sim")
 
@@ -46,6 +48,8 @@ def test_package_exports_the_union_of_module_exports():
     ("curves", "minplus_convolve"),
     ("curves", "independent_tail_convolve"),
     ("bounds", "VacuousBoundWarning"),
+    ("bounds", "StabilityReport"),
+    ("bounds", "stability_check"),
 ])
 def test_deleted_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(f"snc80211.{module}"), name)
@@ -57,6 +61,16 @@ def test_single_valued_options_are_gone():
     assert "t_cap" not in inspect.signature(fit_sigma_rho).parameters
     assert "t_cap" not in inspect.signature(impairment_mgf).parameters
     assert "x_max" not in inspect.signature(quantile).parameters
+    assert "tol" not in inspect.signature(solve_fixed_point).parameters
+    assert "epsilon" not in inspect.signature(impairment_sigma_rho).parameters
+
+
+def test_derived_values_are_not_stored():
+    # r_i is the rest of the capacity; the mean backlog and the replication
+    # count follow from the backlogs, and the sample time is the config's
+    assert "r_i" not in {f.name for f in fields(BoundSpec)}
+    stored = {f.name for f in fields(SimResult)}
+    assert not stored & {"mean_backlog", "replications", "sample_time"}
 
 
 def test_no_assert_in_the_package():

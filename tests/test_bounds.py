@@ -1,4 +1,4 @@
-"""Backlog bound variants, grid optimization, quantiles, and stability."""
+"""Backlog bound variants, grid optimization and quantiles."""
 import math
 import warnings
 
@@ -16,7 +16,6 @@ from snc80211.bounds import (
     quantile,
     quantile_table,
     rate_to_mbps,
-    stability_check,
 )
 from snc80211.characterize import PoissonTraffic
 from snc80211.curves import SigmaRho, _indep_vec, _minplus_vec, _vb_prefactor
@@ -45,13 +44,11 @@ def test_grid_options_thetas():
 
 
 def test_bound_spec_validation():
-    BoundSpec(variant="bound1", theta1=0.1, theta2=0.2, r_a=0.3, r_i=0.7)
+    assert BoundSpec(variant="bound1", theta1=0.1, theta2=0.2, r_a=0.3).r_i == 0.7
     with pytest.raises(ValueError):
-        BoundSpec(variant="bound9", theta1=0.1, theta2=0.2, r_a=0.3, r_i=0.7)
+        BoundSpec(variant="bound9", theta1=0.1, theta2=0.2, r_a=0.3)
     with pytest.raises(ValueError):
-        BoundSpec(variant="bound1", theta1=-0.1, theta2=0.2, r_a=0.3, r_i=0.7)
-    with pytest.raises(ValueError):
-        BoundSpec(variant="bound1", theta1=0.1, theta2=0.2, r_a=0.3, r_i=0.6)
+        BoundSpec(variant="bound1", theta1=-0.1, theta2=0.2, r_a=0.3)
 
 
 def test_bound_values_shape(bounds04):
@@ -102,7 +99,6 @@ def test_pruned_evaluate_matches_full_pass(rate, impairment):
         for x, hit in b.meta["best"].items():
             value, spec = _full_pass(b, x)
             assert (hit["value"], b.spec_at(x)) == (value, spec), (rate, v, x)
-            assert hit["spec"] == b._grid.spec(hit["i"], v)
 
 
 def test_pruning_keeps_the_lowest_index_among_ties():
@@ -273,29 +269,16 @@ def test_point_tail_value_validation(bounds04, arr04, impairment):
     spec = bounds04["bound1"].spec_at(5)
     with pytest.raises(ValueError):
         point_tail_value(spec, arr04, impairment, 5, route="sideways")
-    mart = BoundSpec(variant="bound2", theta1=0.1, theta2=0.1, r_a=0.5, r_i=0.5)
+    mart = BoundSpec(variant="bound2", theta1=0.1, theta2=0.1, r_a=0.5)
     with pytest.raises(ValueError):
         point_tail_value(mart, arr04, impairment, 5)
     # r_a = 0.04 lies below rho_a(0.1) = 0.0421: neither tail holds there
-    slow = BoundSpec(variant="bound1", theta1=0.1, theta2=0.1, r_a=0.04, r_i=0.96)
+    slow = BoundSpec(variant="bound1", theta1=0.1, theta2=0.1, r_a=0.04)
     for route in ("direct", "aggregated"):
         with pytest.raises(ValueError, match="r > rho"):
             point_tail_value(slow, arr04, impairment, 5, route=route)
     with pytest.raises(ValueError, match="nonnegative"):
         point_tail_value(spec, arr04, impairment, -1)
-
-
-def test_stability_check(params):
-    rep = stability_check(0.04, params)
-    assert rep.verdict == "stable-bound-derivable"
-    assert rep.threshold == pytest.approx(0.079295209692, abs=1e-9)
-    assert rep.threshold_mbps == pytest.approx(0.208200755704, abs=1e-9)
-    assert stability_check(0.081, params).verdict == "not-derivable"
-    assert stability_check(0.0, params).verdict == "stable-bound-derivable"
-    # exactly at the threshold no finite bound exists: strict inequality
-    assert stability_check(rep.threshold, params).verdict == "not-derivable"
-    with pytest.raises(ValueError):
-        stability_check(-0.01, params)
 
 
 def test_rate_to_mbps(params):

@@ -50,6 +50,8 @@ def test_fixed_point_json(capsys):
     assert row["n"] == 10
     assert row["L"] == 39
     assert row["tau"] == pytest.approx(0.037609599546, abs=1e-9)
+    assert main(["fixed-point", "--payload", "512", "--format", "json"]) == 0
+    assert _json_out(capsys)["rows"][0]["L"] == 49
 
 
 def test_fixed_point_csv(capsys):
@@ -98,7 +100,11 @@ def test_bounds_rejects_unknown_variant(capsys):
 
 
 def test_bounds_rejects_bad_p(capsys):
-    assert main(["bounds", "--rate", "0.04", "--p-list", "2.0"]) == 2
+    for p_list, err in (("2.0", "p=2.0 must lie strictly between 0 and 1"),
+                        ("x", "cannot parse float list 'x'"),
+                        (",", "empty p list")):
+        assert main(["bounds", "--rate", "0.04", "--p-list", p_list]) == 2
+        assert capsys.readouterr().err == f"error: {err}\n"
 
 
 @pytest.mark.parametrize("variants", [",", "bound1,bound1"])
@@ -139,9 +145,18 @@ def test_stability_verdicts(capsys):
     row = _json_out(capsys)["rows"][0]
     assert row["verdict"] == "stable-bound-derivable"
     assert row["threshold"] == pytest.approx(0.079295209692, abs=1e-9)
-    assert row["threshold_mbps"] == pytest.approx(0.2082008, abs=1e-6)
+    assert row["threshold_mbps"] == pytest.approx(0.208200755704, abs=1e-9)
+    threshold = row["threshold"]
     assert main(["stability", "--rate", "0.081", "--format", "json"]) == 0
     assert _json_out(capsys)["rows"][0]["verdict"] == "not-derivable"
+    assert main(["stability", "--rate", "0", "--format", "json"]) == 0
+    assert _json_out(capsys)["rows"][0]["verdict"] == "stable-bound-derivable"
+    # exactly at the threshold no finite bound exists: strict inequality
+    assert main(["stability", "--rate", repr(threshold), "--format", "json"]) == 0
+    assert _json_out(capsys)["rows"][0]["verdict"] == "not-derivable"
+    assert main(["stability", "--rate", "-0.01"]) == 2
+    assert capsys.readouterr().err == (
+        "error: arrival rate must be finite and nonnegative, got -0.01\n")
 
 
 def test_simulate_rows_and_summary(capsys):
@@ -267,6 +282,8 @@ def test_config_grid_section(tmp_path, capsys):
     "[traffic]\nmode = bursty\n",         # unknown traffic mode
     "[grid]\ntheta_points = 0\n",        # empty theta grid
     "[grid]\nr_points = 0\n",            # empty rate split
+    "[sim]\ncollision_mode = bogus\n",   # unknown collision mode
+    "n_nodes = 20\n",                    # no section header
 ])
 def test_config_rejected(tmp_path, capsys, body):
     cfgfile = _write(tmp_path, "bad.ini", body)

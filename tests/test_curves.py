@@ -79,10 +79,9 @@ NAN, INF = math.nan, math.inf
     (SigmaRho, (1.0, 0.0, INF)),
     (SigmaRho, (INF, 0.0, 0.5)),
     (SigmaRho, (NAN, 0.0, 0.5)),
-    (BoundSpec, ("bound1", NAN, 1.0, 0.5, 0.5)),
-    (BoundSpec, ("bound1", 1.0, INF, 0.5, 0.5)),
-    (BoundSpec, ("bound1", 1.0, 1.0, NAN, 0.5)),
-    (BoundSpec, ("bound1", 1.0, 1.0, 0.5, NAN)),
+    (BoundSpec, ("bound1", NAN, 1.0, 0.5)),
+    (BoundSpec, ("bound1", 1.0, INF, 0.5)),
+    (BoundSpec, ("bound1", 1.0, 1.0, NAN)),
     (poisson_sigma_rho, (0.04, INF)),
     (poisson_sigma_rho, (0.04, NAN)),
 ], ids=lambda v: v.__name__ if callable(v) else ",".join(map(str, v)))
@@ -107,7 +106,7 @@ def _route_prefactors(monkeypatch, route, theta, sigma, rho, delta):
     rho + delta and the envelope (theta, 0, 0) at the rest of the capacity."""
     seen = []
     monkeypatch.setattr(bounds, "_minplus_vec", lambda *args: seen.append(args) or 0.0)
-    spec = BoundSpec("bound1", theta, theta, rho + delta, 1.0 - rho - delta)
+    spec = BoundSpec("bound1", theta, theta, rho + delta)
     point_tail_value(spec, _Fixed(sigma, rho), _Fixed(0.0, 0.0), 5, route=route)
     return seen[0][0], seen[0][2]
 
@@ -131,7 +130,7 @@ def test_ta_curve_prefactor_from_burst(monkeypatch):
 
 
 def test_ta_curve_rejects_rate_below_rho():
-    spec = BoundSpec("bound1", 1.0, 1.0, 0.5, 0.5)
+    spec = BoundSpec("bound1", 1.0, 1.0, 0.5)
     for route in ("direct", "aggregated"):
         with pytest.raises(ValueError, match="r > rho"):
             point_tail_value(spec, _Fixed(0.0, 0.2), _Fixed(0.0, 0.6), 5, route=route)
@@ -153,7 +152,7 @@ def test_vb_curve_requires_strict_rate():
     # the vb prefactor diverges at r = rho, on either side of the split
     for sr_a, sr_i in (((0.0, 0.5), (0.0, 0.2)), ((0.0, 0.2), (0.0, 0.5))):
         with pytest.raises(ValueError, match="r > rho"):
-            point_tail_value(BoundSpec("bound1", 1.0, 1.0, 0.5, 0.5),
+            point_tail_value(BoundSpec("bound1", 1.0, 1.0, 0.5),
                              _Fixed(*sr_a), _Fixed(*sr_i), 5)
 
 
@@ -186,7 +185,7 @@ def test_ta_to_vb_large_delta_recovers_prefactor(monkeypatch):
 
 def test_ta_to_vb_input_validation():
     # delta = r - rho = 0 would divide by zero in the window sum
-    spec = BoundSpec("bound3", 1.0, 1.0, 0.5, 0.5)
+    spec = BoundSpec("bound3", 1.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="r > rho"):
         point_tail_value(spec, _Fixed(0.0, 0.2), _Fixed(0.0, 0.5), 5, route="aggregated")
 
@@ -218,7 +217,7 @@ def test_minplus_is_symmetric():
 
 
 def test_minplus_rejects_negative_x():
-    spec = BoundSpec("bound1", 1.0, 1.0, 0.5, 0.5)
+    spec = BoundSpec("bound1", 1.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="nonnegative"):
         point_tail_value(spec, _Fixed(0.0, 0.2), _Fixed(0.0, 0.2), -1)
 

@@ -55,10 +55,10 @@ def test_zero_rate_is_silent():
 
 
 def test_empirical_tail():
-    res = SimResult(backlogs=np.array([0, 1, 1, 3]), mean_backlog=1.25,
-                    drops=0, throughput_per_node=np.zeros(1),
-                    tagged_attempt_rate=0.0, tagged_collision_fraction=0.0,
-                    replications=4, sample_time=1.0)
+    res = SimResult(backlogs=np.array([0, 1, 1, 3]), drops=0,
+                    throughput_per_node=np.zeros(1),
+                    tagged_attempt_rate=0.0, tagged_collision_fraction=0.0)
+    assert (res.replications, res.mean_backlog) == (4, 1.25)
     assert res.empirical_tail(0) == 0.75
     assert res.empirical_tail(1) == 0.25
     assert res.empirical_tail(2) == 0.25
