@@ -19,6 +19,7 @@ from snc80211.bounds import (
 )
 from snc80211.characterize import PoissonTraffic
 from snc80211.curves import SigmaRho, _indep_vec, _minplus_vec, _vb_prefactor
+from snc80211.dcf import stable_rate_threshold
 
 P_LIST = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05)
 
@@ -279,6 +280,25 @@ def test_point_tail_value_validation(bounds04, arr04, impairment):
             point_tail_value(slow, arr04, impairment, 5, route=route)
     with pytest.raises(ValueError, match="nonnegative"):
         point_tail_value(spec, arr04, impairment, -1)
+
+
+def test_stability_check(params, fixed_point, impairment):
+    # the stability verdict is rate < stable_rate_threshold; build_bound
+    # must agree with it: a bound is derivable exactly below the threshold
+    threshold = stable_rate_threshold(fixed_point)
+    assert threshold == pytest.approx(0.079295209692, abs=1e-9)
+    assert rate_to_mbps(threshold, params) == pytest.approx(0.208200755704, abs=1e-9)
+    for rate in (0.04, 0.0):
+        assert rate < threshold
+        build_bound("bound1", PoissonTraffic(rate), impairment)
+    assert not 0.081 < threshold
+    with pytest.raises(InfeasibleBoundError):
+        build_bound("bound1", PoissonTraffic(0.081), impairment)
+    # exactly at the threshold no finite bound exists: strict inequality
+    with pytest.raises(InfeasibleBoundError, match="no finite bound"):
+        build_bound("bound1", PoissonTraffic(threshold), impairment)
+    with pytest.raises(ValueError):
+        PoissonTraffic(-0.01)
 
 
 def test_rate_to_mbps(params):
