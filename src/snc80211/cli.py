@@ -13,13 +13,12 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import replace
 
 from .bounds import VARIANTS, InfeasibleBoundError, quantile_table, rate_to_mbps
-from .characterize import DEFAULT_EPSILON, FitConvergenceError, PoissonTraffic
-from .config import ConfigError, load_run_config
+from .characterize import DEFAULT_EPSILON, FitConvergenceError, PoissonTraffic, _check_rate
+from .config import ConfigError, _replace_sim, load_run_config
 from .dcf import ImpairmentModel, solve_fixed_point, stable_rate_threshold
 from .sim import COLLISION_MODES, SimConfig, SimResult, run
 
@@ -71,8 +70,11 @@ def _emit(rows, columns, args, summary=None):
         if summary is not None:
             text += "".join(f"{k}: {_fmt_cell(v)}\n" for k, v in summary.items())
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ValueError(f"cannot write {args.out!r}: {e.strerror}") from e
     else:
         sys.stdout.write(text)
 
@@ -85,7 +87,7 @@ def _parse_float_list(text: str):
 
 
 def cmd_fixed_point(args, cfg) -> int:
-    params = cfg.params
+    params = cfg.sim.params
     if args.n is not None:
         params = replace(params, n_nodes=args.n)
     if args.payload is not None:
@@ -107,17 +109,13 @@ def cmd_characterize(args, cfg) -> int:
         raise ValueError("empty theta grid")
     if any(th <= 0 for th in thetas):
         raise ValueError("theta values must be positive")
-    model = ImpairmentModel(cfg.params, epsilon=args.epsilon)
+    model = ImpairmentModel(cfg.sim.params, epsilon=args.epsilon)
     rows = []
     for th in thetas:
         sr = model.sigma_rho(th)
         rows.append({"theta": th, "sigma": sr.sigma, "rho": sr.rho})
     _emit(rows, ["theta", "sigma", "rho"], args)
     return EXIT_OK
-
-
-def _resolve_rate(args, cfg) -> float:
-    return args.rate if args.rate is not None else cfg.rate
 
 
 def _check_p_list(p_list):
@@ -141,12 +139,11 @@ def _parse_variants(text: str):
 
 
 def _quantile_rows(args, cfg, variants):
-    """Quantile rows of these variants for Poisson arrivals at the command's
+    """Quantile rows of these variants for Poisson arrivals at the run's
     rate, one row per entry of --p-list."""
-    rate = _resolve_rate(args, cfg)
     p_list = _parse_float_list(args.p_list)
     _check_p_list(p_list)
-    return quantile_table(PoissonTraffic(rate), ImpairmentModel(cfg.params),
+    return quantile_table(PoissonTraffic(cfg.sim.rate), ImpairmentModel(cfg.sim.params),
                           p_list, variants=variants, options=cfg.grid)
 
 
@@ -159,42 +156,16 @@ def cmd_bounds(args, cfg) -> int:
 def cmd_stability(args, cfg) -> int:
     """Can a finite backlog bound be derived at this arrival rate? Only
     strictly below the sustainable service rate p_s L / (p_nt + p_t L)."""
-    rate = _resolve_rate(args, cfg)
-    if not 0 <= rate < math.inf:
-        raise ValueError(f"arrival rate must be finite and nonnegative, got {rate}")
-    threshold = stable_rate_threshold(solve_fixed_point(cfg.params))
+    rate, params = cfg.sim.rate, cfg.sim.params
+    _check_rate(rate)
+    threshold = stable_rate_threshold(solve_fixed_point(params))
     row = {"arrival_rate": rate,
-           "arrival_mbps": rate_to_mbps(rate, cfg.params),
+           "arrival_mbps": rate_to_mbps(rate, params),
            "threshold": threshold,
-           "threshold_mbps": rate_to_mbps(threshold, cfg.params),
+           "threshold_mbps": rate_to_mbps(threshold, params),
            "verdict": "stable-bound-derivable" if rate < threshold else "not-derivable"}
     _emit([row], list(row), args)
     return EXIT_OK
-
-
-def _sim_config(args, cfg) -> SimConfig:
-    mode = cfg.traffic_mode
-    rate = cfg.rate
-    if getattr(args, "saturated", False):
-        mode = "saturated"
-    elif args.rate is not None:
-        mode = "poisson"
-        rate = args.rate
-    duration = args.duration if args.duration is not None else cfg.duration
-    sample_time = (args.sample_time if args.sample_time is not None
-                   else min(cfg.sample_time, duration))
-    return SimConfig(
-        params=cfg.params,
-        traffic=mode,
-        rate=rate,
-        duration=duration,
-        replications=(args.replications if args.replications is not None
-                      else cfg.replications),
-        sample_time=sample_time,
-        seed=cfg.seed,
-        collision_duration_mode=(args.collision_mode if args.collision_mode
-                                 else cfg.collision_mode),
-    )
 
 
 def _sim_rows(sc: SimConfig, res: SimResult):
@@ -203,14 +174,13 @@ def _sim_rows(sc: SimConfig, res: SimResult):
 
 
 def cmd_simulate(args, cfg) -> int:
-    sc = _sim_config(args, cfg)
-    res = run(sc)
+    res = run(cfg.sim)
     summary = {"mean_backlog": res.mean_backlog,
                "drops": res.drops,
                "tagged_attempt_rate": res.tagged_attempt_rate,
                "tagged_collision_fraction": res.tagged_collision_fraction,
                "throughput_per_node": [float(x) for x in res.throughput_per_node]}
-    _emit(_sim_rows(sc, res), ["replication", "time", "backlog"], args,
+    _emit(_sim_rows(cfg.sim, res), ["replication", "time", "backlog"], args,
           summary=summary)
     return EXIT_OK
 
@@ -223,27 +193,15 @@ def _empirical_quantile(res: SimResult, p: float) -> int:
 
 
 def cmd_compare(args, cfg) -> int:
+    if cfg.sim.traffic != "poisson":
+        raise ValueError("compare needs Poisson traffic: the bounds hold only "
+                         "for Poisson arrivals")
     rows = _quantile_rows(args, cfg, VARIANTS)
-    sc = _sim_config(args, cfg)
-    res = run(sc)
+    res = run(cfg.sim)
     for row in rows:
         row["empirical"] = _empirical_quantile(res, row["p"])
     _emit(rows, ["p", *VARIANTS, "empirical"], args)
     return EXIT_OK
-
-
-def _add_sim_flags(parser, saturated_flag: bool):
-    parser.add_argument("--rate", type=float,
-                        help="arrival rate, packets per network-calculus slot")
-    if saturated_flag:
-        parser.add_argument("--saturated", action="store_true",
-                            help="every node always backlogged")
-    parser.add_argument("--duration", type=float, help="simulated seconds")
-    parser.add_argument("--replications", type=int)
-    parser.add_argument("--sample-time", type=float, dest="sample_time",
-                        help="backlog sampling instant, seconds")
-    parser.add_argument("--collision-mode", choices=COLLISION_MODES,
-                        dest="collision_mode")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -254,6 +212,21 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("table", "csv", "json"),
                         default="table")
     common.add_argument("--out", help="write to this file instead of stdout")
+    rate = argparse.ArgumentParser(add_help=False)
+    rate.add_argument("--rate", type=float,
+                      help="arrival rate, packets per network-calculus slot")
+    p_list = argparse.ArgumentParser(add_help=False)
+    p_list.add_argument("--p-list", dest="p_list", default=DEFAULT_P_LIST)
+    saturated = argparse.ArgumentParser(add_help=False)
+    saturated.add_argument("--saturated", action="store_true",
+                           help="every node always backlogged")
+    sim = argparse.ArgumentParser(add_help=False)
+    sim.add_argument("--duration", type=float, help="simulated seconds")
+    sim.add_argument("--replications", type=int)
+    sim.add_argument("--sample-time", type=float, dest="sample_time",
+                     help="backlog sampling instant, seconds")
+    sim.add_argument("--collision-mode", choices=COLLISION_MODES,
+                     dest="collision_mode")
 
     p = argparse.ArgumentParser(
         prog="snc80211",
@@ -273,30 +246,40 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="envelope-fit convergence tolerance")
     sp.set_defaults(func=cmd_characterize)
 
-    sp = sub.add_parser("bounds", parents=[common],
+    sp = sub.add_parser("bounds", parents=[common, rate, p_list],
                         help="backlog quantile table for the four bounds")
-    sp.add_argument("--rate", type=float,
-                    help="Poisson arrival rate, packets per slot")
-    sp.add_argument("--p-list", dest="p_list", default=DEFAULT_P_LIST)
     sp.add_argument("--variants", default=",".join(VARIANTS))
     sp.set_defaults(func=cmd_bounds)
 
-    sp = sub.add_parser("stability", parents=[common],
+    sp = sub.add_parser("stability", parents=[common, rate],
                         help="can a finite backlog bound be derived?")
-    sp.add_argument("--rate", type=float)
     sp.set_defaults(func=cmd_stability)
 
-    sp = sub.add_parser("simulate", parents=[common],
+    sp = sub.add_parser("simulate", parents=[common, rate, saturated, sim],
                         help="discrete-event DCF simulation")
-    _add_sim_flags(sp, saturated_flag=True)
     sp.set_defaults(func=cmd_simulate)
 
-    sp = sub.add_parser("compare", parents=[common],
+    sp = sub.add_parser("compare", parents=[common, rate, sim, p_list],
                         help="bounds table with the empirical column")
-    _add_sim_flags(sp, saturated_flag=False)
-    sp.add_argument("--p-list", dest="p_list", default=DEFAULT_P_LIST)
     sp.set_defaults(func=cmd_compare)
     return p
+
+
+# SimConfig fields that a flag of the same name sets, where the subcommand
+# declares that flag
+_SIM_FLAGS = ("rate", "duration", "replications", "sample_time", "collision_mode", "seed")
+
+
+def _flag_values(args) -> dict:
+    """The SimConfig fields the user's flags set. --saturated wins over
+    --rate, and --rate implies Poisson traffic."""
+    values = {k: getattr(args, k) for k in _SIM_FLAGS
+              if getattr(args, k, None) is not None}
+    if getattr(args, "saturated", False):
+        values["traffic"] = "saturated"
+    elif "rate" in values:
+        values["traffic"] = "poisson"
+    return values
 
 
 def main(argv=None) -> int:
@@ -304,8 +287,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_run_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
+        cfg = replace(cfg, sim=_replace_sim(cfg.sim, **_flag_values(args)))
         return args.func(args, cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

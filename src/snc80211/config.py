@@ -6,14 +6,18 @@ Four sections, all optional, every key optional (defaults are the standard
   [mac]      Params80211 fields: basic_rate, data_rate, phy_header,
              ack_header, mac_header, sifs, difs, idle_slot, cw_min, cw_max,
              retry_limit, payload, n_nodes
-  [traffic]  mode (poisson | saturated), rate (packets per slot)
   [grid]     GridOptions fields: theta_points, theta_min, theta_max, r_points
+  [traffic]  mode (poisson | saturated), rate (packets per slot)
   [sim]      duration, replications, sample_time, collision_mode, seed
 
-Each value is parsed as the type of the dataclass field it sets. Unknown
-sections or keys are errors, not silently ignored. The config path can also
-come from the SNC80211_CONFIG environment variable; an explicit --config
-flag wins.
+[mac], [traffic] and [sim] all set the one SimConfig: [mac] its params,
+the others its fields under their own names, except that the key mode sets
+the field traffic. Each value is parsed as the type of the dataclass field
+it sets and checked by that dataclass when the file is loaded. A duration
+given without a sample time also lowers sample_time to at most the
+duration (_replace_sim). Unknown sections or keys are errors, not
+silently ignored. The config path can also come from the SNC80211_CONFIG
+environment variable; an explicit --config flag wins.
 """
 from __future__ import annotations
 
@@ -24,7 +28,7 @@ from typing import get_type_hints
 
 from .bounds import GridOptions
 from .dcf import Params80211
-from .sim import COLLISION_MODES, TRAFFIC_MODES
+from .sim import SimConfig
 
 __all__ = ["ConfigError", "RunConfig", "load_run_config", "ENV_CONFIG"]
 
@@ -37,32 +41,27 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
-    params: Params80211 = field(default_factory=Params80211)
+    sim: SimConfig = field(default_factory=SimConfig)
     grid: GridOptions = field(default_factory=GridOptions)
-    traffic_mode: str = "poisson"
-    rate: float = 0.0
-    duration: float = 100.0
-    replications: int = 100
-    sample_time: float = 50.0
-    collision_mode: str = "same-as-success"
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.traffic_mode not in TRAFFIC_MODES:
-            raise ValueError(f"traffic_mode must be one of {TRAFFIC_MODES}")
-        if self.collision_mode not in COLLISION_MODES:
-            raise ValueError(f"collision_mode must be one of {COLLISION_MODES}")
 
 
-# section -> (RunConfig attribute it replaces, or None for RunConfig itself;
-#             the dataclass whose fields it sets; INI key -> field name, or
-#             None when every field is a key under its own name)
+def _replace_sim(sim: SimConfig, **values) -> SimConfig:
+    """sim with these fields replaced. A duration given without a sample
+    time sets sample_time = min(sample_time, duration)."""
+    if "duration" in values and "sample_time" not in values:
+        values["sample_time"] = min(sim.sample_time, values["duration"])
+    return replace(sim, **values)
+
+
+# section -> (the dataclass whose fields it sets; INI key -> field name, or
+#             None when every field is a key under its own name). Sections
+#             are applied in this order, whatever their order in the file.
 _SECTIONS = {
-    "mac": ("params", Params80211, None),
-    "grid": ("grid", GridOptions, None),
-    "traffic": (None, RunConfig, {"mode": "traffic_mode", "rate": "rate"}),
-    "sim": (None, RunConfig, {k: k for k in ("duration", "replications", "sample_time",
-                                             "collision_mode", "seed")}),
+    "mac": (Params80211, None),
+    "grid": (GridOptions, None),
+    "traffic": (SimConfig, {"mode": "traffic", "rate": "rate"}),
+    "sim": (SimConfig, {k: k for k in ("duration", "replications", "sample_time",
+                                       "collision_mode", "seed")}),
 }
 
 
@@ -88,7 +87,7 @@ def load_run_config(path: str | None = None) -> RunConfig:
         path = os.environ.get(ENV_CONFIG)
     if path is None:
         return RunConfig()
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         with open(path) as fh:
             cp.read_file(fh)
@@ -101,14 +100,18 @@ def load_run_config(path: str | None = None) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config section(s): {sorted(unknown)}")
 
-    out = RunConfig()
-    for section in cp.sections():
-        attr, cls, keys = _SECTIONS[section]
+    sim, grid = SimConfig(), GridOptions()
+    for section, (cls, keys) in _SECTIONS.items():
+        if not cp.has_section(section):
+            continue
         values = _overrides(cp, section, cls, keys)
         try:
-            if attr is not None:
-                values = {attr: replace(getattr(out, attr), **values)}
-            out = replace(out, **values)
+            if cls is GridOptions:
+                grid = replace(grid, **values)
+            elif cls is Params80211:
+                sim = replace(sim, params=replace(sim.params, **values))
+            else:
+                sim = _replace_sim(sim, **values)
         except ValueError as e:
             raise ConfigError(f"invalid [{section}] values: {e}") from e
-    return out
+    return RunConfig(sim=sim, grid=grid)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .characterize import _check_rate
 from .dcf import Params80211, _ceil_slots, data_slots, slot_length
 
 __all__ = [
@@ -57,15 +58,15 @@ class SimConfig:
     replications: int = 100
     sample_time: float = 50.0
     seed: int = 0
-    collision_duration_mode: str = "same-as-success"
+    collision_mode: str = "same-as-success"
 
     def __post_init__(self):
         if self.traffic not in TRAFFIC_MODES:
             raise ValueError(f"traffic must be one of {TRAFFIC_MODES}")
-        if self.collision_duration_mode not in COLLISION_MODES:
-            raise ValueError(f"collision_duration_mode must be one of {COLLISION_MODES}")
-        if self.traffic == "poisson" and not 0 <= self.rate < math.inf:
-            raise ValueError(f"poisson rate must be finite and nonnegative, got {self.rate}")
+        if self.collision_mode not in COLLISION_MODES:
+            raise ValueError(f"collision_mode must be one of {COLLISION_MODES}")
+        if self.traffic == "poisson":
+            _check_rate(self.rate)
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if not 0 < self.duration < math.inf:
@@ -130,7 +131,7 @@ def _run_one(config: SimConfig, rng: np.random.Generator) -> _RepStats:
     L = slot_length(p)
     difs_arm = _ceil_slots(p.difs, p.idle_slot)
     busy_success = L - difs_arm  # DATA+SIFS+ACK; success cycle is exactly L
-    if config.collision_duration_mode == "same-as-success":
+    if config.collision_mode == "same-as-success":
         busy_collision = busy_success
     else:
         busy_collision = data_slots(p)

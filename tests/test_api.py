@@ -12,7 +12,8 @@ import snc80211
 from snc80211.bounds import BoundSpec, quantile
 from snc80211.characterize import fit_sigma_rho
 from snc80211.dcf import ImpairmentModel, impairment_mgf, impairment_sigma_rho, solve_fixed_point
-from snc80211.sim import SimResult
+from snc80211.config import RunConfig
+from snc80211.sim import SimConfig, SimResult
 
 MODULES = ("bounds", "characterize", "config", "curves", "dcf", "sim")
 
@@ -71,6 +72,14 @@ def test_derived_values_are_not_stored():
     assert "r_i" not in {f.name for f in fields(BoundSpec)}
     stored = {f.name for f in fields(SimResult)}
     assert not stored & {"mean_backlog", "replications", "sample_time"}
+
+
+def test_each_run_setting_is_declared_once():
+    # the simulator settings live in SimConfig only, under the INI key's name
+    assert {f.name for f in fields(RunConfig)} == {"sim", "grid"}
+    sim_fields = {f.name for f in fields(SimConfig)}
+    assert "collision_duration_mode" not in sim_fields
+    assert "collision_mode" in sim_fields
 
 
 def test_no_assert_in_the_package():

@@ -156,7 +156,7 @@ def test_stability_verdicts(capsys):
     assert _json_out(capsys)["rows"][0]["verdict"] == "not-derivable"
     assert main(["stability", "--rate", "-0.01"]) == 2
     assert capsys.readouterr().err == (
-        "error: arrival rate must be finite and nonnegative, got -0.01\n")
+        "error: rate must be finite and nonnegative, got -0.01\n")
 
 
 def test_simulate_rows_and_summary(capsys):
@@ -201,6 +201,14 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(out.read_text())["rows"][0]["L"] == 39
 
 
+def test_out_into_missing_directory_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "fp.json"
+    assert main(["fixed-point", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {str(out)!r}: No such file or directory\n"
+
+
 def test_repeat_runs_are_byte_identical(tmp_path):
     argv = ["simulate", "--rate", "0.06", "--duration", "2",
             "--replications", "5", "--sample-time", "2", "--seed", "11",
@@ -223,6 +231,18 @@ def test_compare_empirical_stays_below_bounds(capsys):
             assert r["empirical"] <= r[v]
 
 
+def test_compare_rejects_saturated_traffic(tmp_path):
+    # saturated backlogs sit at the sentinel queue length, and the bounds
+    # hold only for Poisson arrivals
+    cfgfile = _write(tmp_path, "sat.ini", "[traffic]\nmode = saturated\n")
+    proc = _run_cli(["compare", "--config", cfgfile, "--duration", "2",
+                     "--replications", "3", "--sample-time", "2", "--p-list", "0.5"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == ("error: compare needs Poisson traffic: the bounds hold "
+                           "only for Poisson arrivals\n")
+
+
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
@@ -232,7 +252,7 @@ def _write(tmp_path, name, text):
 def test_config_mac_section(tmp_path, capsys):
     cfgfile = _write(tmp_path, "n20.ini", "[mac]\nn_nodes = 20\n")
     cfg = load_run_config(cfgfile)
-    assert cfg.params.n_nodes == 20
+    assert cfg.sim.params.n_nodes == 20
     assert main(["fixed-point", "--config", cfgfile, "--format", "json"]) == 0
     assert _json_out(capsys)["rows"][0]["n"] == 20
 
@@ -263,6 +283,18 @@ def test_config_traffic_and_sim_sections(tmp_path, capsys):
     assert payload["rows"][0]["time"] == 1.0
 
 
+@pytest.mark.parametrize("sim, flags, time", [
+    ("duration = 2", [], 2.0),                     # config duration lowers the default
+    ("sample_time = 1", ["--duration", "3"], 1.0),  # flag duration keeps the lower one
+])
+def test_duration_without_sample_time(tmp_path, capsys, sim, flags, time):
+    # a duration given without a sample time sets min(sample_time, duration)
+    cfgfile = _write(tmp_path, "st.ini",
+                     f"[traffic]\nrate = 0.05\n[sim]\n{sim}\nreplications = 2\n")
+    assert main(["simulate", "--config", cfgfile, *flags, "--format", "json"]) == 0
+    assert [r["time"] for r in _json_out(capsys)["rows"]] == [time, time]
+
+
 def test_config_grid_section(tmp_path, capsys):
     cfgfile = _write(tmp_path, "grid.ini",
                      "[grid]\ntheta_points = 5\ntheta_min = 0.1\n"
@@ -283,6 +315,10 @@ def test_config_grid_section(tmp_path, capsys):
     "[grid]\ntheta_points = 0\n",        # empty theta grid
     "[grid]\nr_points = 0\n",            # empty rate split
     "[sim]\ncollision_mode = bogus\n",   # unknown collision mode
+    "[sim]\nreplications = 0\n",        # no replication to sample
+    "[sim]\nduration = 60\nsample_time = 80\n",  # sample after the end
+    "[mac]\npayload = 5%\n",            # a % is a value, not interpolation
+    "[traffic]\nmode = 5%\n",
     "n_nodes = 20\n",                    # no section header
 ])
 def test_config_rejected(tmp_path, capsys, body):

@@ -20,7 +20,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(traffic="bursty")
     with pytest.raises(ValueError):
-        SimConfig(collision_duration_mode="short")
+        SimConfig(collision_mode="short")
     with pytest.raises(ValueError):
         SimConfig(traffic="poisson", rate=-0.1)
     with pytest.raises(ValueError):
@@ -127,7 +127,7 @@ def _reference_rep(config: SimConfig, rng: np.random.Generator):
     L = slot_length(p)
     difs_arm = math.ceil(p.difs / p.idle_slot - 1e-9)
     busy_success = L - difs_arm
-    if config.collision_duration_mode == "same-as-success":
+    if config.collision_mode == "same-as-success":
         busy_collision = busy_success
     else:
         busy_collision = data_slots(p)
@@ -250,7 +250,7 @@ _REFERENCE_CONFIGS = [
               duration=0.2, replications=3, sample_time=0.2, seed=11),
     SimConfig(params=Params80211(n_nodes=5), traffic="poisson", rate=0.5,
               duration=0.2, replications=3, sample_time=0.05371, seed=13,
-              collision_duration_mode="data-plus-difs"),
+              collision_mode="data-plus-difs"),
     SimConfig(params=Params80211(n_nodes=2), traffic="poisson", rate=0.05,
               duration=0.5, replications=3, sample_time=0.25, seed=3),
 ]
@@ -314,7 +314,7 @@ _FROZEN_REPS = [
      ((1 << 40) - 5255, [5255, 4860, 5028, 5082, 5206, 5019, 4874, 4831, 5080, 4826],
       [0, 4, 1, 0, 0, 0, 1, 2, 0, 0], 7316, 2061, 184694)),
     (SimConfig(traffic="poisson", rate=0.07, duration=50.0, replications=1,
-               sample_time=50.0, seed=3, collision_duration_mode="data-plus-difs"),
+               sample_time=50.0, seed=3, collision_mode="data-plus-difs"),
      (0, [4396, 4498, 4515, 4568, 4486, 4485, 4450, 4557, 4479, 4546],
       [0] * 10, 4850, 454, 89500)),
     (SimConfig(traffic="poisson", rate=0.078, duration=50.0, replications=1,
