@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 
 from .bounds import VARIANTS, InfeasibleBoundError, quantile_table, rate_to_mbps
-from .characterize import DEFAULT_EPSILON, FitConvergenceError, PoissonTraffic, _check_rate
+from .characterize import DEFAULT_EPSILON, FitConvergenceError, PoissonTraffic
 from .config import ConfigError, _replace_sim, load_run_config
 from .dcf import ImpairmentModel, solve_fixed_point, stable_rate_threshold
 from .sim import COLLISION_MODES, SimConfig, SimResult, run
@@ -138,12 +138,20 @@ def _parse_variants(text: str):
     return variants
 
 
+def _poisson_rate(args, cfg) -> float:
+    if cfg.sim.traffic != "poisson":
+        raise ValueError(f"{args.command} needs Poisson traffic: the bounds hold "
+                         "only for Poisson arrivals")
+    return cfg.sim.rate
+
+
 def _quantile_rows(args, cfg, variants):
     """Quantile rows of these variants for Poisson arrivals at the run's
     rate, one row per entry of --p-list."""
+    rate = _poisson_rate(args, cfg)
     p_list = _parse_float_list(args.p_list)
     _check_p_list(p_list)
-    return quantile_table(PoissonTraffic(cfg.sim.rate), ImpairmentModel(cfg.sim.params),
+    return quantile_table(PoissonTraffic(rate), ImpairmentModel(cfg.sim.params),
                           p_list, variants=variants, options=cfg.grid)
 
 
@@ -156,8 +164,7 @@ def cmd_bounds(args, cfg) -> int:
 def cmd_stability(args, cfg) -> int:
     """Can a finite backlog bound be derived at this arrival rate? Only
     strictly below the sustainable service rate p_s L / (p_nt + p_t L)."""
-    rate, params = cfg.sim.rate, cfg.sim.params
-    _check_rate(rate)
+    rate, params = _poisson_rate(args, cfg), cfg.sim.params
     threshold = stable_rate_threshold(solve_fixed_point(params))
     row = {"arrival_rate": rate,
            "arrival_mbps": rate_to_mbps(rate, params),
@@ -193,9 +200,6 @@ def _empirical_quantile(res: SimResult, p: float) -> int:
 
 
 def cmd_compare(args, cfg) -> int:
-    if cfg.sim.traffic != "poisson":
-        raise ValueError("compare needs Poisson traffic: the bounds hold only "
-                         "for Poisson arrivals")
     rows = _quantile_rows(args, cfg, VARIANTS)
     res = run(cfg.sim)
     for row in rows:

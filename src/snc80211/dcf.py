@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .characterize import DEFAULT_EPSILON, DEFAULT_T_CAP, FitConvergenceError, fit_sigma_rho
 from .curves import SigmaRho
@@ -34,6 +34,7 @@ __all__ = [
 
 ORACLE_SLOT_CAP = 64
 _FIXED_POINT_TOL = 1e-10  # bisection stops once the eta bracket is this narrow
+_log_fact = np.zeros(0)  # log(n!) at index n, grown on first use by _log_factorials
 
 
 @dataclass(frozen=True)
@@ -205,45 +206,64 @@ def impairment_mgf(fp: DcfFixedPoint, theta: float, t: int) -> float:
     p_t, p_nt, ps_c = fp.p_t, fp.p_nt, fp.p_s_cond
     log_pt = math.log(p_t) if p_t > 0 else -math.inf
     log_pnt = math.log(p_nt) if p_nt > 0 else -math.inf
-    # own-success credit factor per complete transmission
-    w = ps_c * math.exp(-theta) + (1.0 - ps_c)
-    log_w = math.log(w)
-    terms = []
+    # log of the own-success credit factor per complete transmission
+    log_w = math.log(ps_c * math.exp(-theta) + (1.0 - ps_c))
+    lf = _log_factorials((t - 1) * L, DEFAULT_T_CAP * L)
+    lt = np.empty(0)
 
     if p_t > 0 and L > 1:
-        # case I: last transmission cut off after k in [1, L-1] idle slots,
-        # i complete transmissions before it, i in [0, t-2]
-        i = np.arange(0, t - 1)
+        # case I: last transmission cut off after k in [1, L-1] idle slots
+        # (columns), i complete transmissions before it, i in [0, t-2] (rows)
+        i = np.arange(0, t - 1)[:, None]
         k = np.arange(1, L)
-        I, K = np.meshgrid(i, k, indexing="ij")
-        idle = (t - I - 1) * L - K
-        m = idle + I
-        log_comb = gammaln(m + 1) - gammaln(I + 1) - gammaln(idle + 1)
-        wk = ps_c * np.exp(-theta * K / L) + (1.0 - ps_c)
-        lt = (log_pt + log_comb + _xlogy(I, log_pt) + _xlogy(idle, log_pnt)
-              + np.log(wk) + I * log_w + theta * t)
-        terms.append(lt.ravel())
+        idle = (t - i - 1) * L - k
+        log_comb = lf[idle + i] - lf[i] - lf[idle]
+        with np.errstate(over="ignore"):  # -theta * k past the float range is -inf
+            log_wk = np.log(ps_c * np.exp(-theta * k / L) + (1.0 - ps_c))
+        lt = (log_pt + log_comb + i * log_pt + _xlogy(idle, log_pnt)
+              + log_wk + i * log_w + theta * t)
 
     # case II: horizon ends on idle slots or a complete transmission,
     # i complete transmissions in [0, t-1]
     i2 = np.arange(0, t)
     idle2 = (t - i2 - 1) * L
-    m2 = idle2 + i2
-    log_comb2 = gammaln(m2 + 1) - gammaln(i2 + 1) - gammaln(idle2 + 1)
+    log_comb2 = lf[idle2 + i2] - lf[i2] - lf[idle2]
     lt2 = (log_comb2 + _xlogy(i2, log_pt) + _xlogy(idle2, log_pnt)
            + i2 * log_w + theta * t)
-    terms.append(lt2.ravel())
 
-    return _exp_or_diverge(float(logsumexp(np.concatenate(terms))), theta, t)
+    return _exp_or_diverge(_logsumexp(np.concatenate((lt.ravel(), lt2))), theta, t)
+
+
+def _log_factorials(n_max: int, n_cap: int) -> np.ndarray:
+    global _log_fact
+    table = _log_fact  # the one checked and returned, whatever another thread stores
+    if len(table) <= n_max:  # double it, to at most n_cap entries unless n_max needs more
+        table = _log_fact = gammaln(np.arange(max(n_max + 1, min(2 * len(table), n_cap))) + 1)
+    return table
+
+
+def _logsumexp(a: np.ndarray) -> float:
+    """scipy.special.logsumexp(a) of a 1-D float array in scipy 1.17's order of
+    operations, so bit-identical, without the array-API dispatch it pays per call."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a_max = a.max(keepdims=True)
+        mask = a == a_max
+        m = np.count_nonzero(mask)
+        s = np.exp(np.where(mask, -np.inf, a) - a_max).sum()
+        out = np.log1p(s / m if s != 0 else s) + np.log(m) + a_max
+        if not np.isfinite(out[0]):  # scipy then falls back to the direct formula
+            out = np.log(np.exp(a).sum(keepdims=True))
+    return float(out[0])
 
 
 def _exp_or_diverge(log_m: float, theta: float, t: int) -> float:
-    # an MGF past the float range cannot feed a fit: report a non-convergence
+    # a log-MGF that is not finite, or an MGF past the float range, cannot feed a fit
     try:
-        return math.exp(log_m)
-    except OverflowError as e:
-        raise FitConvergenceError(
-            f"impairment MGF overflows a float at theta={theta}, t={t}") from e
+        if math.isfinite(log_m):
+            return math.exp(log_m)
+    except OverflowError:
+        pass
+    raise FitConvergenceError(f"impairment MGF overflows a float at theta={theta}, t={t}")
 
 
 def _xlogy(count, log_p):

@@ -243,6 +243,18 @@ def test_compare_rejects_saturated_traffic(tmp_path):
                            "only for Poisson arrivals\n")
 
 
+@pytest.mark.parametrize("argv", [["bounds", "--p-list", "0.5"], ["stability"]])
+def test_bounds_and_stability_reject_saturated_traffic(tmp_path, capsys, argv):
+    # a saturated node has no arrival rate: these used to answer for
+    # Poisson arrivals at the default rate 0
+    cfgfile = _write(tmp_path, "sat.ini", "[traffic]\nmode = saturated\n")
+    assert main([*argv, "--config", cfgfile]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {argv[0]} needs Poisson traffic: the bounds "
+                            "hold only for Poisson arrivals\n")
+
+
 def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)

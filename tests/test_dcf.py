@@ -2,8 +2,12 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from scipy.special import gammaln, logsumexp
 
+from snc80211 import dcf
+from snc80211.characterize import FitConvergenceError
 from snc80211.dcf import (
     DcfFixedPoint,
     ImpairmentModel,
@@ -169,6 +173,97 @@ def test_impairment_mgf_matches_oracle_small_grid():
                     a = impairment_mgf(fp, 0.8, t)
                     b = oracle_impairment_mgf(fp, 0.8, t)
                     assert a == pytest.approx(b, rel=1e-12), (L, t, p_t, ps_c)
+
+
+def _scipy_impairment_mgf(fp, theta, t):
+    # the enumeration as first written, on scipy's gammaln and logsumexp and
+    # a meshgrid; impairment_mgf must return the same float, bit for bit
+    if t == 1:
+        return math.exp(theta)
+    L = fp.L
+    p_t, p_nt, ps_c = fp.p_t, fp.p_nt, fp.p_s_cond
+    log_pt = math.log(p_t) if p_t > 0 else -math.inf
+    log_pnt = math.log(p_nt) if p_nt > 0 else -math.inf
+    log_w = math.log(ps_c * math.exp(-theta) + (1.0 - ps_c))
+
+    def xlogy(count, log_p):
+        if log_p == -math.inf:
+            return np.where(count == 0, 0.0, -math.inf)
+        return count * log_p
+
+    terms = []
+    if p_t > 0 and L > 1:
+        I, K = np.meshgrid(np.arange(0, t - 1), np.arange(1, L), indexing="ij")
+        idle = (t - I - 1) * L - K
+        m = idle + I
+        log_comb = gammaln(m + 1) - gammaln(I + 1) - gammaln(idle + 1)
+        wk = ps_c * np.exp(-theta * K / L) + (1.0 - ps_c)
+        lt = (log_pt + log_comb + xlogy(I, log_pt) + xlogy(idle, log_pnt)
+              + np.log(wk) + I * log_w + theta * t)
+        terms.append(lt.ravel())
+    i2 = np.arange(0, t)
+    idle2 = (t - i2 - 1) * L
+    m2 = idle2 + i2
+    log_comb2 = gammaln(m2 + 1) - gammaln(i2 + 1) - gammaln(idle2 + 1)
+    lt2 = (log_comb2 + xlogy(i2, log_pt) + xlogy(idle2, log_pnt)
+           + i2 * log_w + theta * t)
+    terms.append(lt2.ravel())
+    return math.exp(float(logsumexp(np.concatenate(terms))))
+
+
+def test_impairment_mgf_is_bit_identical_to_the_scipy_enumeration(monkeypatch):
+    # start from an empty log-factorial table so that the cases below make
+    # it grow, the last one well past anything before it
+    monkeypatch.setattr(dcf, "_log_fact", np.zeros(0))
+    rng = np.random.default_rng(12)
+    cases = []
+    for _ in range(300):
+        params = Params80211(n_nodes=int(rng.integers(1, 51)),
+                             payload=int(rng.integers(0, 1501)))
+        cases.append(solve_fixed_point(params))
+    for L in (2, 3, 39):
+        for p_t in (0.0, 1.0, 0.37):
+            for ps_c in (0.0, 1.0, 0.61):
+                cases.append(_fp(p_t, ps_c, L))
+    for fp in cases:
+        t = int(rng.integers(1, 401))
+        # theta * t below 700 keeps the MGF inside the float range
+        theta = float(np.exp(rng.uniform(np.log(1e-4), np.log(min(10.0, 700.0 / t)))))
+        assert impairment_mgf(fp, theta, t) == _scipy_impairment_mgf(fp, theta, t), (fp, theta, t)
+    fp = solve_fixed_point(Params80211(payload=1500))
+    before = len(dcf._log_fact)
+    assert impairment_mgf(fp, 0.3, 2345) == _scipy_impairment_mgf(fp, 0.3, 2345)
+    assert len(dcf._log_fact) > max(before, 2344 * fp.L)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 1000])
+def test_logsumexp_is_bit_identical_to_scipy(n):
+    rng = np.random.default_rng(n)
+    for scale in (1e-3, 1.0, 50.0, 800.0):
+        a = rng.normal(0.0, scale, n) - 10.0
+        arrays = [a, np.where(rng.random(n) < 0.3, -np.inf, a)]
+        tied = a.copy()
+        tied[rng.integers(0, n, 3)] = a.max() + 1.0  # tied maxima
+        arrays.append(tied)
+        ninf = tied.copy()
+        ninf[rng.integers(0, n, n // 2 + 1)] = -np.inf
+        ninf[0] = 3.0 * scale
+        arrays.append(ninf)
+        for arr in arrays:
+            assert _bits(dcf._logsumexp(arr)) == _bits(logsumexp(arr)), (scale, arr)
+    # scipy's fallback: all terms -inf, or a +inf term
+    for arr in (np.full(n, -np.inf), np.r_[np.zeros(n - 1), np.inf]):
+        assert _bits(dcf._logsumexp(arr)) == _bits(logsumexp(arr))
+
+
+def test_impairment_mgf_past_the_float_range_is_nonconvergence(fixed_point):
+    # theta * t is inf: no float MGF, and no numpy overflow warning either
+    with pytest.raises(FitConvergenceError, match="overflows a float"):
+        impairment_mgf(fixed_point, 1e308, 2)
 
 
 def test_impairment_sigma_rho_sweep(params):
