@@ -168,6 +168,8 @@ class BacklogBound:
     """
 
     def __init__(self, variant: str, grid: _Grid):
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}")
         self.variant = variant
         self._grid = grid
         self.meta = {"grid_points": len(grid), "best": {}}
@@ -218,8 +220,6 @@ def build_bound(variant: str, arrival, impairment: ImpairmentModel,
     sustainable rate: every envelope rate is at least its mean rate, so no
     grid point could be feasible.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
     if _needs_martingale(variant) and not getattr(arrival, "martingale_ok", False):
         raise ValueError(
             f"{variant} uses the martingale arrival tail, which needs "

@@ -14,14 +14,13 @@ from typing import Callable
 from .curves import SigmaRho
 
 __all__ = [
-    "DEFAULT_EPSILON",
     "FitConvergenceError",
     "poisson_sigma_rho",
     "fit_sigma_rho",
     "PoissonTraffic",
 ]
 
-DEFAULT_EPSILON = 1e-5
+_EPSILON = 1e-5  # relative band in which an envelope slope counts as settled
 DEFAULT_T_CAP = 10_000  # the largest t an envelope fit or the impairment MGF reaches
 
 
@@ -45,28 +44,25 @@ def poisson_sigma_rho(lam: float, theta: float) -> SigmaRho:
     return SigmaRho(theta=theta, sigma=0.0, rho=rho)
 
 
-def fit_sigma_rho(theta: float, y: Callable[[int], float],
-                  epsilon: float = DEFAULT_EPSILON) -> SigmaRho:
+def fit_sigma_rho(theta: float, y: Callable[[int], float]) -> SigmaRho:
     """Fit (sigma, rho) at theta to a log-MGF envelope y(t), t >= 1, with
     y(0) = 0 by definition, by slope stabilization.
 
     Walks t = 2, 3, ... and stops at the first t* where the slope
     s(t) = y(t) - y(t-1) lies within the relative band
-    (1 - epsilon) s(t-1) <= s(t) <= (1 + epsilon) s(t-1). Then rho = s(t*)
-    and sigma lifts the line rho*t through the largest gap over t <= t*,
+    (1 - 1e-5) s(t-1) <= s(t) <= (1 + 1e-5) s(t-1). Then rho = s(t*) and
+    sigma lifts the line rho*t through the largest gap over t <= t*,
     so y(t) <= rho*t + sigma on the whole fitted range (checked). Each
     y(t) is called once.
 
     Raises FitConvergenceError if no t* is found up to DEFAULT_T_CAP.
     """
-    if not 0.0 < epsilon < math.inf:
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
     ys = [0.0, y(1)]
     prev_s = ys[1] - ys[0]
     for t in range(2, DEFAULT_T_CAP + 1):
         ys.append(y(t))
         s = ys[t] - ys[t - 1]
-        if (1.0 - epsilon) * prev_s <= s <= (1.0 + epsilon) * prev_s:
+        if (1.0 - _EPSILON) * prev_s <= s <= (1.0 + _EPSILON) * prev_s:
             rho = s
             # sigma = max gap between y and the rate line, never below zero
             sigma = max(ys[i] - rho * i for i in range(t + 1))

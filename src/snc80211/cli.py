@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 
 from .bounds import VARIANTS, InfeasibleBoundError, quantile_table, rate_to_mbps
-from .characterize import DEFAULT_EPSILON, FitConvergenceError, PoissonTraffic
+from .characterize import FitConvergenceError, PoissonTraffic
 from .config import ConfigError, _replace_sim, load_run_config
 from .dcf import ImpairmentModel, solve_fixed_point, stable_rate_threshold
 from .sim import COLLISION_MODES, SimConfig, SimResult, run
@@ -109,7 +109,7 @@ def cmd_characterize(args, cfg) -> int:
         raise ValueError("empty theta grid")
     if any(th <= 0 for th in thetas):
         raise ValueError("theta values must be positive")
-    model = ImpairmentModel(cfg.sim.params, epsilon=args.epsilon)
+    model = ImpairmentModel(cfg.sim.params)
     rows = []
     for th in thetas:
         sr = model.sigma_rho(th)
@@ -246,8 +246,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("characterize", parents=[common],
                         help="impairment (sigma, rho) over a theta grid")
     sp.add_argument("--thetas", help="comma-separated theta values")
-    sp.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON,
-                    help="envelope-fit convergence tolerance")
     sp.set_defaults(func=cmd_characterize)
 
     sp = sub.add_parser("bounds", parents=[common, rate, p_list],

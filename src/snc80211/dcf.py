@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .characterize import DEFAULT_EPSILON, DEFAULT_T_CAP, FitConvergenceError, fit_sigma_rho
+from .characterize import DEFAULT_T_CAP, FitConvergenceError, fit_sigma_rho
 from .curves import SigmaRho
 
 __all__ = [
@@ -200,8 +200,11 @@ def impairment_mgf(fp: DcfFixedPoint, theta: float, t: int) -> float:
         raise ValueError(f"t={t} beyond cap {DEFAULT_T_CAP}")
     if not 0.0 < theta < math.inf:
         raise ValueError(f"theta must be positive and finite, got {theta}")
+    # the first slot is busy, so M_I(t) >= e^theta: past the float range of
+    # exp every t overflows (and at p_s_cond = 1, log_w below is log 0)
+    m_first = _exp_or_diverge(theta, theta, t)
     if t == 1:
-        return _exp_or_diverge(theta, theta, t)
+        return m_first
     L = fp.L
     p_t, p_nt, ps_c = fp.p_t, fp.p_nt, fp.p_s_cond
     log_pt = math.log(p_t) if p_t > 0 else -math.inf
@@ -322,9 +325,7 @@ class ImpairmentModel:
     and average rate. The envelope fit is the expensive step, so sigma_rho
     results are cached per theta."""
 
-    def __init__(self, params: Params80211, epsilon: float = DEFAULT_EPSILON):
-        self.params = params
-        self.epsilon = epsilon
+    def __init__(self, params: Params80211):
         self.fixed_point = solve_fixed_point(params)
         self._cache: dict = {}
 
@@ -334,8 +335,7 @@ class ImpairmentModel:
             # envelope y(t) = (1/theta) log M_I(t)
             fp = self.fixed_point
             sr = fit_sigma_rho(
-                theta, lambda t: math.log(impairment_mgf(fp, theta, t)) / theta,
-                epsilon=self.epsilon)
+                theta, lambda t: math.log(impairment_mgf(fp, theta, t)) / theta)
             # rho(theta) of a valid envelope is at least the mean rate; a fit
             # below it (y(t) rounded away at tiny theta) fails for large t
             mean = self.average_rate()

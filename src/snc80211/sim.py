@@ -139,7 +139,9 @@ def _run_one(config: SimConfig, rng: np.random.Generator) -> _RepStats:
     s_slot = config.sample_time * (1e6 / p.idle_slot)
     saturated = config.traffic == "saturated"
     q0 = _SATURATED_QUEUE if saturated else 0
-    cw_min, cw_max, retry_limit = p.cw_min, p.cw_max, p.retry_limit
+    retry_limit = p.retry_limit
+    # contention window after r retries: cw_min doubled r times, up to cw_max
+    window = [min(p.cw_min << r, p.cw_max) for r in range(retry_limit)]
     draw = rng.integers
 
     # Per-node MAC state in plain lists. bo holds the frozen backoff counter
@@ -147,10 +149,9 @@ def _run_one(config: SimConfig, rng: np.random.Generator) -> _RepStats:
     # its DIFS wait ends (difs_end) plus its frozen backoff. Every busy period
     # delays all countdowns alike, so expiry[i] is kept net of the summed
     # delay of past busy periods and re-arming is one addition. expiry is
-    # _NEVER for an empty queue; next_tx is the smallest expiry + delay. A
-    # node's contention window is cw_min doubled once per retry, up to cw_max.
+    # _NEVER for an empty queue; next_tx is the smallest expiry + delay.
     queue = [q0] * n
-    bo = [int(draw(cw_min)) for _ in range(n)]
+    bo = [int(draw(window[0])) for _ in range(n)]
     retries = [0] * n
     difs_end = [difs_arm] * n
     expiry = [difs_arm + b if q0 else _NEVER for b in bo]
@@ -227,10 +228,8 @@ def _run_one(config: SimConfig, rng: np.random.Generator) -> _RepStats:
         if n_tx == 0:
             raise RuntimeError(f"countdown expired at slot {tx_t} with no transmitter")
         collided = n_tx > 1
-        if collided:
-            transmitters = [i for i, e in enumerate(expiry) if e == due]
-        else:
-            i = expiry.index(due)
+        transmitters = ([i for i, e in enumerate(expiry) if e == due] if collided
+                        else [expiry.index(due)])
         b_end = tx_t + (busy_collision if collided else busy_success)
         # The busy period and the DIFS after it delay every countdown by
         # arm - tx_t. A node still in its DIFS at tx_t restarts that DIFS and
@@ -243,29 +242,24 @@ def _run_one(config: SimConfig, rng: np.random.Generator) -> _RepStats:
                     expiry[j] -= d - tx_t
         delay += arm - tx_t
         advance(b_end)
-        if not collided:
+        for i in transmitters:
             if i == 0:
                 attempts0 += 1
                 ticks0 += 1
-            queue[i] -= 1
-            succ[i] += 1
-            retries[i] = 0
-            # mandatory fresh backoff between consecutive transmissions
-            bo[i] = b = int(draw(cw_min))
-            expiry[i] = arm + b - delay if queue[i] else _NEVER
-        else:
-            for i in transmitters:
-                if i == 0:
-                    attempts0 += 1
-                    ticks0 += 1
-                    colls0 += 1
+                colls0 += collided
+            if collided:
                 retries[i] += 1
                 if retries[i] >= retry_limit:
                     queue[i] -= 1
                     dropped[i] += 1
                     retries[i] = 0
-                bo[i] = b = int(draw(min(cw_min << retries[i], cw_max)))
-                expiry[i] = arm + b - delay if queue[i] else _NEVER
+            else:
+                queue[i] -= 1
+                succ[i] += 1
+                retries[i] = 0
+            # mandatory fresh backoff between consecutive transmissions
+            bo[i] = b = int(draw(window[retries[i]]))
+            expiry[i] = arm + b - delay if queue[i] else _NEVER
         difs_end = [arm] * n
         next_tx = min(expiry) + delay
         if next_tx < arm:

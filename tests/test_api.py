@@ -11,6 +11,7 @@ import pytest
 import snc80211
 from snc80211.bounds import BoundSpec, quantile
 from snc80211.characterize import fit_sigma_rho
+from snc80211.cli import main
 from snc80211.dcf import ImpairmentModel, impairment_mgf, impairment_sigma_rho, solve_fixed_point
 from snc80211.config import RunConfig
 from snc80211.sim import SimConfig, SimResult
@@ -35,6 +36,7 @@ def test_package_exports_the_union_of_module_exports():
     ("characterize", "TraceTraffic"),
     ("characterize", "trace_mgf_envelope"),
     ("characterize", "average_rate"),
+    ("characterize", "DEFAULT_EPSILON"),
     ("bounds", "average_rate"),
     ("dcf", "MgfEnvelope"),
     ("dcf", "impairment_mgf_envelope"),
@@ -64,6 +66,11 @@ def test_single_valued_options_are_gone():
     assert "x_max" not in inspect.signature(quantile).parameters
     assert "tol" not in inspect.signature(solve_fixed_point).parameters
     assert "epsilon" not in inspect.signature(impairment_sigma_rho).parameters
+    assert "epsilon" not in inspect.signature(fit_sigma_rho).parameters
+    assert "epsilon" not in inspect.signature(ImpairmentModel).parameters
+    with pytest.raises(SystemExit) as exc:
+        main(["characterize", "--epsilon", "1e-5"])
+    assert exc.value.code == 2
 
 
 def test_derived_values_are_not_stored():

@@ -253,8 +253,11 @@ def test_martingale_variants_need_declared_independence(impairment):
 
 
 def test_unknown_variant_rejected(arr04, impairment):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown variant"):
         build_bound("bound5", arr04, impairment)
+    # a variant after the first of its arrival tail reuses that grid
+    with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+        quantile_table(arr04, impairment, [0.5], variants=("bound1", "bogus"))
 
 
 def test_point_tail_value_routes_agree(bounds04, arr04, impairment):

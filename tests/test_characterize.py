@@ -62,7 +62,7 @@ def test_fit_result_dominates_envelope():
     def y(t):  # y(0) = 0, as the fitter assumes
         return 0.2 * t + 0.6 * (1.0 - 0.5 ** t)
 
-    sr = fit_sigma_rho(1.0, y, epsilon=1e-4)
+    sr = fit_sigma_rho(1.0, y)
     for t in range(0, 40):
         assert y(t) <= sr.rho * t + sr.sigma + 1e-9
 
@@ -76,11 +76,9 @@ def test_fit_poisson_envelope_recovers_parameters():
 
 def test_fit_nonconvergence_raises():
     # sqrt slopes shrink too slowly for the relative band within the cap:
-    # s(t)/s(t-1) ~ 1 - 1/(2t) enters a 1e-6 band only past t = 5e5
+    # s(t)/s(t-1) ~ 1 - 1/(2t) enters the 1e-5 band only past t = 5e4
     with pytest.raises(FitConvergenceError):
-        fit_sigma_rho(1.0, math.sqrt, epsilon=1e-6)
-    with pytest.raises(ValueError):
-        fit_sigma_rho(1.0, math.sqrt, epsilon=0.0)
+        fit_sigma_rho(1.0, math.sqrt)
 
 
 def test_average_rate_dispatch(impairment):

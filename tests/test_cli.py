@@ -351,12 +351,12 @@ def test_simulate_duration_below_one_slot_is_a_usage_error(capsys):
 
 
 def test_characterize_mgf_overflow_is_nonconvergence(capsys):
-    # at theta=5 the slope settles to 1e-9 only after theta*t passes the
-    # float range of exp, so the fit cannot converge
-    assert main(["characterize", "--thetas", "5", "--epsilon", "1e-9"]) == 4
+    # at theta=700, log M_I(2) already passes the float range of exp, so
+    # the fit cannot converge
+    assert main(["characterize", "--thetas", "700"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("did not converge: impairment MGF overflows")
-    assert "theta=5.0, t=" in err
+    assert "theta=700.0, t=2" in err
 
 
 @pytest.mark.parametrize("theta", ["1e-12", "1e-300"])
@@ -376,7 +376,7 @@ SIM_1S = ["--duration", "1", "--replications", "1", "--sample-time", "1"]
 @pytest.mark.parametrize("argv, grid", [
     (["characterize", "--thetas", "inf"], None),
     (["characterize", "--thetas", "nan"], None),
-    (["characterize", "--thetas", "0.1", "--epsilon", "nan"], None),
+    (["bounds", "--rate", "0.04", "--p-list", "nan"], None),
     (["bounds", "--p-list", "0.5"], "theta_max = inf"),
     (["bounds", "--p-list", "0.5"], "theta_min = nan"),
     (["bounds", "--rate", "nan", "--p-list", "0.5"], None),

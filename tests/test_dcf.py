@@ -264,6 +264,13 @@ def test_impairment_mgf_past_the_float_range_is_nonconvergence(fixed_point):
     # theta * t is inf: no float MGF, and no numpy overflow warning either
     with pytest.raises(FitConvergenceError, match="overflows a float"):
         impairment_mgf(fixed_point, 1e308, 2)
+    # a lone node owns every transmission (p_s_cond = 1), so e^{-theta}
+    # underflows to a zero credit factor; M_I(t) >= e^theta overflows first
+    lone = solve_fixed_point(Params80211(n_nodes=1))
+    assert lone.p_s_cond == 1.0
+    for t in (2, 3):
+        with pytest.raises(FitConvergenceError, match=f"theta=800.0, t={t}$"):
+            impairment_mgf(lone, 800.0, t)
 
 
 def test_impairment_sigma_rho_sweep(params):
