@@ -109,13 +109,28 @@ def _independent(variant: str) -> bool:
 
 @dataclass
 class _Grid:
-    """Flattened feasible grid with precomputed tail parameters."""
+    """Flattened feasible grid with precomputed tail parameters.
+
+    Each run of points with equal (theta1, theta2) is a block (a grid from
+    _build_grid has one per pair, its r_a points). __post_init__ derives each
+    block's start and size, its thetas and its smallest prefactors."""
 
     theta1: np.ndarray
     theta2: np.ndarray
     r_a: np.ndarray
     a_f: np.ndarray  # arrival tail prefactor
     a_g: np.ndarray  # service tail prefactor
+
+    def __post_init__(self):
+        edge = (self.theta1[1:] != self.theta1[:-1]) | (self.theta2[1:] != self.theta2[:-1])
+        start = np.flatnonzero(np.r_[len(self) > 0, edge])
+        self.block_start = start
+        self.block_size = np.diff(np.r_[start, len(self)])
+        self.block_theta1 = self.theta1[start]
+        self.block_theta2 = self.theta2[start]
+        # fmin skips a nan prefactor, whose point no lower bound keeps anyway
+        self.block_a_f = np.fmin.reduceat(self.a_f, start)
+        self.block_a_g = np.fmin.reduceat(self.a_g, start)
 
     def __len__(self):
         return self.theta1.size
@@ -163,8 +178,12 @@ class BacklogBound:
     lb = max(f(x), g(x)) the larger of its two tails, and the memoized
     winner of the nearest x evaluated below 1, run at x, bounds the minimum
     by ub (1 when there is none). A point with lb > ub (1 + _REL_SLACK)
-    cannot attain the minimum. If no other point falls below 1,
-    every value is 1 and the full pass's argmin is index 0.
+    cannot attain the minimum. A block of the grid is dropped whole when
+    max(min a_f e^{-theta1 x}, min a_g e^{-theta2 x}) over its points
+    passes that cut: rounding is monotone, so no member's lb lies below
+    it, and the points kept are exactly those of a pass over every lb. If
+    no other point falls below 1, every value is 1 and the full pass's
+    argmin is index 0.
     """
 
     def __init__(self, variant: str, grid: _Grid):
@@ -188,8 +207,15 @@ class BacklogBound:
         if seeds:
             j = best[min(seeds, key=lambda y: abs(y - x))]["i"]
             ub = float(kernel(g.a_f[j], g.theta1[j], g.a_g[j], g.theta2[j], xf))
-        lb = np.maximum(g.a_f * np.exp(-g.theta1 * xf), g.a_g * np.exp(-g.theta2 * xf))
-        keep = np.flatnonzero(lb <= ub * (1.0 + _REL_SLACK))
+        cut = ub * (1.0 + _REL_SLACK)
+        e1, e2 = np.exp(-g.block_theta1 * xf), np.exp(-g.block_theta2 * xf)
+        blocks = np.flatnonzero(np.maximum(g.block_a_f * e1, g.block_a_g * e2) <= cut)
+        size = g.block_size[blocks]
+        shift = np.repeat(g.block_start[blocks] - np.cumsum(size) + size, size)
+        idx = np.arange(size.sum()) + shift  # their points, in grid order
+        lb = np.maximum(g.a_f[idx] * np.repeat(e1[blocks], size),
+                        g.a_g[idx] * np.repeat(e2[blocks], size))
+        keep = idx[lb <= cut]
         i, value = 0, 1.0
         if keep.size:
             vals = kernel(g.a_f[keep], g.theta1[keep], g.a_g[keep], g.theta2[keep], xf)

@@ -35,6 +35,7 @@ __all__ = [
 ORACLE_SLOT_CAP = 64
 _FIXED_POINT_TOL = 1e-10  # bisection stops once the eta bracket is this narrow
 _log_fact = np.zeros(0)  # log(n!) at index n, grown on first use by _log_factorials
+_CHUNK_TERMS = 1 << 18  # about the most log-MGF terms one chunk of an envelope holds
 
 
 @dataclass(frozen=True)
@@ -198,43 +199,59 @@ def impairment_mgf(fp: DcfFixedPoint, theta: float, t: int) -> float:
         raise ValueError("t must be at least 1")
     if t > DEFAULT_T_CAP:
         raise ValueError(f"t={t} beyond cap {DEFAULT_T_CAP}")
+    return _exp_or_diverge(float(_log_mgfs(fp, theta, t, t)[0]), theta, t)
+
+
+def _log_mgfs(fp: DcfFixedPoint, theta: float, t_lo: int, t_hi: int) -> np.ndarray:
+    """log M_I(t) for t = t_lo..t_hi, each the float impairment_mgf takes the
+    exp of. The terms of every t sit in one flat array, per t in the order
+    case I (rows i, columns k), then case II; each t sums its own contiguous
+    slice, so every t gets the bits of a lone call."""
     if not 0.0 < theta < math.inf:
         raise ValueError(f"theta must be positive and finite, got {theta}")
     # the first slot is busy, so M_I(t) >= e^theta: past the float range of
     # exp every t overflows (and at p_s_cond = 1, log_w below is log 0)
-    m_first = _exp_or_diverge(theta, theta, t)
-    if t == 1:
-        return m_first
+    _exp_or_diverge(theta, theta, t_lo)
     L = fp.L
     p_t, p_nt, ps_c = fp.p_t, fp.p_nt, fp.p_s_cond
     log_pt = math.log(p_t) if p_t > 0 else -math.inf
     log_pnt = math.log(p_nt) if p_nt > 0 else -math.inf
     # log of the own-success credit factor per complete transmission
     log_w = math.log(ps_c * math.exp(-theta) + (1.0 - ps_c))
-    lf = _log_factorials((t - 1) * L, DEFAULT_T_CAP * L)
-    lt = np.empty(0)
+    lf = _log_factorials((t_hi - 1) * L, DEFAULT_T_CAP * L)
+    # one row (t, i) per case II term, i in [0, t-1]; case I has every row
+    # but each t's last, times L-1 columns k (none when p_t = 0)
+    ts = np.arange(t_lo, t_hi + 1)
+    t2 = np.repeat(ts, ts)
+    i2 = np.arange(t2.size) - np.repeat(np.cumsum(ts) - ts, ts)
+    cols = L - 1 if p_t > 0 else 0
+    size = (ts - 1) * cols + ts  # terms of each t
+    start = np.cumsum(size) - size
+    two = np.repeat(start + (ts - 1) * cols, ts) + i2  # where case II terms go
+    lt = np.empty(size.sum())
+    one = np.ones(lt.size, dtype=bool)
+    one[two] = False
 
-    if p_t > 0 and L > 1:
+    if cols:
         # case I: last transmission cut off after k in [1, L-1] idle slots
         # (columns), i complete transmissions before it, i in [0, t-2] (rows)
-        i = np.arange(0, t - 1)[:, None]
+        row = i2 < t2 - 1
+        t, i = t2[row, None], i2[row, None]
         k = np.arange(1, L)
         idle = (t - i - 1) * L - k
         log_comb = lf[idle + i] - lf[i] - lf[idle]
         with np.errstate(over="ignore"):  # -theta * k past the float range is -inf
             log_wk = np.log(ps_c * np.exp(-theta * k / L) + (1.0 - ps_c))
-        lt = (log_pt + log_comb + i * log_pt + _xlogy(idle, log_pnt)
-              + log_wk + i * log_w + theta * t)
+        lt[one] = (log_pt + log_comb + i * log_pt + _xlogy(idle, log_pnt)
+                   + log_wk + i * log_w + theta * t).ravel()
 
     # case II: horizon ends on idle slots or a complete transmission,
     # i complete transmissions in [0, t-1]
-    i2 = np.arange(0, t)
-    idle2 = (t - i2 - 1) * L
+    idle2 = (t2 - i2 - 1) * L
     log_comb2 = lf[idle2 + i2] - lf[i2] - lf[idle2]
-    lt2 = (log_comb2 + _xlogy(i2, log_pt) + _xlogy(idle2, log_pnt)
-           + i2 * log_w + theta * t)
-
-    return _exp_or_diverge(_logsumexp(np.concatenate((lt.ravel(), lt2))), theta, t)
+    lt[two] = (log_comb2 + _xlogy(i2, log_pt) + _xlogy(idle2, log_pnt)
+               + i2 * log_w + theta * t2)
+    return _segment_logsumexp(lt, start)
 
 
 def _log_factorials(n_max: int, n_cap: int) -> np.ndarray:
@@ -245,18 +262,25 @@ def _log_factorials(n_max: int, n_cap: int) -> np.ndarray:
     return table
 
 
-def _logsumexp(a: np.ndarray) -> float:
-    """scipy.special.logsumexp(a) of a 1-D float array in scipy 1.17's order of
-    operations, so bit-identical, without the array-API dispatch it pays per call."""
+def _segment_logsumexp(a: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """scipy.special.logsumexp of each segment a[start[j]:start[j + 1]] of a
+    1-D float array (the last one runs to the end), in scipy 1.17's order of
+    operations, so bit-identical, without the array-API dispatch scipy pays
+    per call. Each segment sums its own contiguous slice, as scipy does:
+    np.add.reduceat adds in sequence, not pairwise, and rounds differently."""
+    end = np.append(start[1:], a.size)
+    size = end - start
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = a.max(keepdims=True)
-        mask = a == a_max
-        m = np.count_nonzero(mask)
-        s = np.exp(np.where(mask, -np.inf, a) - a_max).sum()
-        out = np.log1p(s / m if s != 0 else s) + np.log(m) + a_max
-        if not np.isfinite(out[0]):  # scipy then falls back to the direct formula
-            out = np.log(np.exp(a).sum(keepdims=True))
-    return float(out[0])
+        a_max = np.maximum.reduceat(a, start)
+        a_max_each = np.repeat(a_max, size)
+        mask = a == a_max_each
+        m = np.add.reduceat(mask, start, dtype=np.intp)
+        e = np.exp(np.where(mask, -np.inf, a) - a_max_each)
+        s = np.array([e[b:c].sum() for b, c in zip(start.tolist(), end.tolist())])
+        out = np.log1p(np.where(s != 0, s / m, s)) + np.log(m) + a_max
+        for j in np.flatnonzero(~np.isfinite(out)):  # scipy's fallback, the direct formula
+            out[j] = np.log(np.exp(a[start[j]:end[j]]).sum())
+    return out
 
 
 def _exp_or_diverge(log_m: float, theta: float, t: int) -> float:
@@ -332,10 +356,7 @@ class ImpairmentModel:
     def sigma_rho(self, theta: float) -> SigmaRho:
         sr = self._cache.get(theta)
         if sr is None:
-            # envelope y(t) = (1/theta) log M_I(t)
-            fp = self.fixed_point
-            sr = fit_sigma_rho(
-                theta, lambda t: math.log(impairment_mgf(fp, theta, t)) / theta)
+            sr = fit_sigma_rho(theta, self._envelope(theta))
             # rho(theta) of a valid envelope is at least the mean rate; a fit
             # below it (y(t) rounded away at tiny theta) fails for large t
             mean = self.average_rate()
@@ -345,6 +366,21 @@ class ImpairmentModel:
                     f"impairment's mean rate {mean}")
             self._cache[theta] = sr
         return sr
+
+    def _envelope(self, theta: float):
+        """y(t) = (1/theta) log M_I(t), as math.log(impairment_mgf(...)) /
+        theta gives it, raising where that call would. The log-MGFs come in
+        chunks of 16 t, fewer where a chunk would pass _CHUNK_TERMS terms."""
+        fp = self.fixed_point
+        log_m = {}
+
+        def y(t: int) -> float:
+            if t not in log_m:
+                hi = min(t + 15, t + _CHUNK_TERMS // (t * fp.L), DEFAULT_T_CAP)
+                log_m.update(zip(range(t, hi + 1), _log_mgfs(fp, theta, t, hi).tolist()))
+            return math.log(_exp_or_diverge(log_m[t], theta, t)) / theta
+
+        return y
 
     def average_rate(self) -> float:
         """Long-run impairment rate a_I = 1 - sustainable service rate."""

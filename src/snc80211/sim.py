@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +77,8 @@ class SimConfig:
                              f"idle slot ({self.params.idle_slot} us)")
         if not 0 <= self.sample_time <= self.duration:
             raise ValueError("need 0 <= sample_time <= duration")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 def _horizon_slots(config: SimConfig) -> int:

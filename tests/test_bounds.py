@@ -121,6 +121,52 @@ def test_pruning_keeps_the_lowest_index_among_ties():
             assert b.meta["best"][x]["i"] == 1 and b.spec_at(x) == spec
 
 
+def _assert_pruned_matches_full_pass(b, xs):
+    for x in xs:
+        value, spec = _full_pass(b, x)
+        assert b.evaluate(x) == value, (b.variant, x)
+        assert b.spec_at(x) == spec, (b.variant, x)
+
+
+def test_block_pruning_matches_full_pass_on_hand_built_grids():
+    # runs of equal (theta1, theta2) with 1 to 4 points; the few theta
+    # values make a pair come back in runs that are not adjacent
+    rng = np.random.default_rng(5)
+    thetas = np.array([0.05, 0.2, 0.7])
+    for _ in range(20):
+        pairs = rng.integers(0, 3, size=(30, 2))
+        sizes = rng.integers(1, 5, size=30)
+        th1 = np.repeat(thetas[pairs[:, 0]], sizes)
+        th2 = np.repeat(thetas[pairs[:, 1]], sizes)
+        a_f = np.exp(rng.normal(1.0, 1.5, th1.size))
+        # with no service tail a point's value is its lower bound, so the
+        # pruning cut has only its slack to spare
+        a_g = np.where(rng.random(th1.size) < 0.3, 0.0, np.exp(rng.normal(1.0, 1.5, th1.size)))
+        grid = _Grid(theta1=th1, theta2=th2, r_a=np.full(th1.size, 0.5), a_f=a_f, a_g=a_g)
+        # a block ends where the pair changes, not only where it is new
+        new_run = np.r_[True, (pairs[1:] != pairs[:-1]).any(axis=1)]
+        assert list(grid.block_start) == list((np.cumsum(sizes) - sizes)[new_run])
+        assert grid.block_size.sum() == th1.size
+        for s, n, lo_f, lo_g in zip(grid.block_start, grid.block_size,
+                                    grid.block_a_f, grid.block_a_g):
+            assert (lo_f, lo_g) == (a_f[s:s + n].min(), a_g[s:s + n].min())
+        for v in ("bound1", "bound3"):
+            _assert_pruned_matches_full_pass(BacklogBound(v, grid),
+                                             rng.permutation(np.arange(0, 120, 3)))
+
+
+@pytest.mark.parametrize("options", [GridOptions(r_points=1), GridOptions(theta_points=1)])
+def test_block_pruning_matches_full_pass_on_thin_grids(options, impairment):
+    # r_points=1 makes every block a single point; theta_points=1 makes the
+    # whole grid one block
+    arrival = PoissonTraffic(0.04)
+    for v in ("bound1", "bound2", "bound3", "bound4"):
+        b = build_bound(v, arrival, impairment, options)
+        assert b._grid.block_size.max() == (options.r_points if options.theta_points == 1 else 1)
+        q = quantile(b, 1e-3)
+        _assert_pruned_matches_full_pass(b, sorted(b.meta["best"]) + list(range(0, q + 2, 7)))
+
+
 def _reference_grid(martingale, arrival, impairment, opts):
     """The grid as a plain row-major loop over the scalar prefactor, with
     rho_a + sigma_a of each point."""

@@ -23,13 +23,13 @@ def _json_out(capsys):
     return json.loads(capsys.readouterr().out)
 
 
-def _run_cli(argv):
+def _run_cli(argv, module="snc80211.cli"):
     """Run the CLI in a fresh interpreter, without a config from the
     environment, under a timeout."""
     env = {k: v for k, v in os.environ.items() if k != ENV_CONFIG}
     src = str(Path(snc80211.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "snc80211.cli", *argv], env=env,
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env,
                           capture_output=True, text=True, timeout=30)
 
 
@@ -52,6 +52,13 @@ def test_fixed_point_json(capsys):
     assert row["tau"] == pytest.approx(0.037609599546, abs=1e-9)
     assert main(["fixed-point", "--payload", "512", "--format", "json"]) == 0
     assert _json_out(capsys)["rows"][0]["L"] == 49
+
+
+def test_package_runs_as_a_module(capsys):
+    # python -m snc80211 is the console script, without installing it
+    proc = _run_cli(["fixed-point", "--format", "json"], module="snc80211")
+    assert main(["fixed-point", "--format", "json"]) == 0
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
 
 
 def test_fixed_point_csv(capsys):
@@ -332,6 +339,7 @@ def test_config_grid_section(tmp_path, capsys):
     "[mac]\npayload = 5%\n",            # a % is a value, not interpolation
     "[traffic]\nmode = 5%\n",
     "n_nodes = 20\n",                    # no section header
+    "[sim]\nseed = -5\n",               # no negative root seed
 ])
 def test_config_rejected(tmp_path, capsys, body):
     cfgfile = _write(tmp_path, "bad.ini", body)
@@ -397,6 +405,24 @@ def test_non_finite_input_is_a_usage_error(tmp_path, argv, grid):
     assert proc.returncode == 2, proc.stderr
     assert "error:" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, body", [
+    (["fixed-point", "--seed", "-1"], None),
+    (["simulate", "--rate", "0.04", *SIM_1S, "--seed", "-1"], None),
+    (["bounds", "--rate", "0.04", "--seed", "-1"], None),
+    (["fixed-point"], "[sim]\nseed = -5\n"),
+    (["simulate", "--rate", "0.04", *SIM_1S], "[sim]\nseed = -5\n"),
+])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv, body):
+    # rejected where the settings load, by a message that names the seed,
+    # whether or not the command would draw from it
+    if body is not None:
+        argv = [*argv, "--config", _write(tmp_path, "seed.ini", body)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "seed must be a nonnegative integer, got -" in captured.err
 
 
 def test_config_missing_file(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import gammaln, logsumexp
 
 from snc80211 import dcf
-from snc80211.characterize import FitConvergenceError
+from snc80211.characterize import DEFAULT_T_CAP, FitConvergenceError
 from snc80211.dcf import (
     DcfFixedPoint,
     ImpairmentModel,
@@ -211,10 +211,9 @@ def _scipy_impairment_mgf(fp, theta, t):
     return math.exp(float(logsumexp(np.concatenate(terms))))
 
 
-def test_impairment_mgf_is_bit_identical_to_the_scipy_enumeration(monkeypatch):
-    # start from an empty log-factorial table so that the cases below make
-    # it grow, the last one well past anything before it
-    monkeypatch.setattr(dcf, "_log_fact", np.zeros(0))
+def _enumeration_cases():
+    """(fp, theta, t) over random fixed points and edge slot probabilities;
+    theta * t below 700 keeps the MGF inside the float range."""
     rng = np.random.default_rng(12)
     cases = []
     for _ in range(300):
@@ -227,8 +226,15 @@ def test_impairment_mgf_is_bit_identical_to_the_scipy_enumeration(monkeypatch):
                 cases.append(_fp(p_t, ps_c, L))
     for fp in cases:
         t = int(rng.integers(1, 401))
-        # theta * t below 700 keeps the MGF inside the float range
         theta = float(np.exp(rng.uniform(np.log(1e-4), np.log(min(10.0, 700.0 / t)))))
+        yield fp, theta, t
+
+
+def test_impairment_mgf_is_bit_identical_to_the_scipy_enumeration(monkeypatch):
+    # start from an empty log-factorial table so that the cases below make
+    # it grow, the last one well past anything before it
+    monkeypatch.setattr(dcf, "_log_fact", np.zeros(0))
+    for fp, theta, t in _enumeration_cases():
         assert impairment_mgf(fp, theta, t) == _scipy_impairment_mgf(fp, theta, t), (fp, theta, t)
     fp = solve_fixed_point(Params80211(payload=1500))
     before = len(dcf._log_fact)
@@ -236,8 +242,70 @@ def test_impairment_mgf_is_bit_identical_to_the_scipy_enumeration(monkeypatch):
     assert len(dcf._log_fact) > max(before, 2344 * fp.L)
 
 
+def _assert_batch_matches_each_t(fp, theta, lo, hi):
+    log_m = dcf._log_mgfs(fp, theta, lo, hi)
+    assert log_m.shape == (hi - lo + 1,)
+    for t, v in zip(range(lo, hi + 1), log_m.tolist()):
+        assert dcf._exp_or_diverge(v, theta, t) == impairment_mgf(fp, theta, t), (fp, theta, lo, hi, t)
+
+
+def test_batched_log_mgfs_equal_each_impairment_mgf(monkeypatch):
+    # a range of t around each enumeration case, from an empty log-factorial
+    # table, so that some ranges start inside the table and end past it
+    monkeypatch.setattr(dcf, "_log_fact", np.zeros(0))
+    rng = np.random.default_rng(13)
+    grew_across = 0
+    for fp, theta, t in _enumeration_cases():
+        lo = max(1, t - int(rng.integers(0, 16)))
+        hi = min(t + int(rng.integers(0, 16)), int(700.0 / theta))
+        before = len(dcf._log_fact)
+        _assert_batch_matches_each_t(fp, theta, lo, hi)
+        grew_across += (lo - 1) * fp.L < before <= (hi - 1) * fp.L
+    assert grew_across > 0
+    # ranges ending at the t cap
+    for fp in (_fp(0.37, 0.61, 2), _fp(1.0, 0.61, 3), solve_fixed_point(Params80211())):
+        _assert_batch_matches_each_t(fp, 0.05, DEFAULT_T_CAP - (20 if fp.L < 39 else 1),
+                                     DEFAULT_T_CAP)
+
+
+def test_envelope_chunks_equal_each_impairment_mgf(params):
+    model = ImpairmentModel(params)
+    fp = model.fixed_point
+    y = model._envelope(0.3)
+    for t in (1, 2, 16, 17, 40, 33, 90):  # first chunk, later ones, out of order
+        assert y(t) == math.log(impairment_mgf(fp, 0.3, t)) / 0.3, t
+    # chunks cut short by the t cap
+    model.fixed_point = fp = _fp(0.37, 0.61, 2)
+    y = model._envelope(0.05)
+    for t in range(DEFAULT_T_CAP - 5, DEFAULT_T_CAP + 1):
+        assert y(t) == math.log(impairment_mgf(fp, 0.05, t)) / 0.05, t
+
+
+@pytest.mark.parametrize("theta, t_over", [(60.0, 12), (45.0, 17)])
+def test_fit_raises_at_the_first_overflowing_t(params, theta, t_over):
+    # the slope has not settled when M_I(t) first overflows: inside the
+    # first chunk of t at theta 60, at the start of the second at theta 45;
+    # the t after it overflow as well, and the fit names the first one
+    fp = _fp(0.9, 0.61, 3)
+    assert math.isfinite(impairment_mgf(fp, theta, t_over - 1))
+    for t in (t_over, t_over + 1):
+        with pytest.raises(FitConvergenceError, match=f"theta={theta}, t={t}$"):
+            impairment_mgf(fp, theta, t)
+    model = ImpairmentModel(params)
+    model.fixed_point = fp
+    with pytest.raises(FitConvergenceError,
+                       match=f"^impairment MGF overflows a float at theta={theta}, t={t_over}$"):
+        model.sigma_rho(theta)
+
+
 def _bits(x):
     return np.float64(x).tobytes()
+
+
+def _logsumexps(arrays):
+    # dcf._segment_logsumexp over the arrays laid end to end, one per segment
+    sizes = np.array([a.size for a in arrays])
+    return dcf._segment_logsumexp(np.concatenate(arrays), np.cumsum(sizes) - sizes)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 1000])
@@ -254,10 +322,18 @@ def test_logsumexp_is_bit_identical_to_scipy(n):
         ninf[0] = 3.0 * scale
         arrays.append(ninf)
         for arr in arrays:
-            assert _bits(dcf._logsumexp(arr)) == _bits(logsumexp(arr)), (scale, arr)
+            assert _bits(_logsumexps([arr])[0]) == _bits(logsumexp(arr)), (scale, arr)
+        # segments of several lengths side by side, each on its own
+        arrays += [arr[: n // 3 + 1] for arr in arrays]
+        rng.shuffle(arrays)
+        got = _logsumexps(arrays)
+        assert [_bits(g) for g in got] == [_bits(logsumexp(arr)) for arr in arrays], scale
     # scipy's fallback: all terms -inf, or a +inf term
     for arr in (np.full(n, -np.inf), np.r_[np.zeros(n - 1), np.inf]):
-        assert _bits(dcf._logsumexp(arr)) == _bits(logsumexp(arr))
+        assert _bits(_logsumexps([arr])[0]) == _bits(logsumexp(arr))
+    fallback = [np.full(n, -np.inf), np.zeros(n), np.r_[np.zeros(n - 1), np.inf]]
+    assert ([_bits(g) for g in _logsumexps(fallback)]
+            == [_bits(logsumexp(arr)) for arr in fallback])
 
 
 def test_impairment_mgf_past_the_float_range_is_nonconvergence(fixed_point):
