@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .characterize import DEFAULT_T_CAP, FitConvergenceError, fit_sigma_rho
 from .curves import SigmaRho
@@ -36,6 +35,11 @@ ORACLE_SLOT_CAP = 64
 _FIXED_POINT_TOL = 1e-10  # bisection stops once the eta bracket is this narrow
 _log_fact = np.zeros(0)  # log(n!) at index n, grown on first use by _log_factorials
 _CHUNK_TERMS = 1 << 18  # about the most log-MGF terms one chunk of an envelope holds
+# cephes lgam, which scipy.special.gammaln calls: log(sqrt(2 pi)), and the
+# coefficients of its Stirling correction for 13 <= x < 1000
+_LS2PI = 0.91893853320467274178
+_LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+           -2.77777777730099687205e-3, 8.33333333333331927722e-2)
 
 
 @dataclass(frozen=True)
@@ -258,8 +262,35 @@ def _log_factorials(n_max: int, n_cap: int) -> np.ndarray:
     global _log_fact
     table = _log_fact  # the one checked and returned, whatever another thread stores
     if len(table) <= n_max:  # double it, to at most n_cap entries unless n_max needs more
-        table = _log_fact = gammaln(np.arange(max(n_max + 1, min(2 * len(table), n_cap))) + 1)
+        new = np.arange(len(table), max(n_max + 1, min(2 * len(table), n_cap)))
+        table = _log_fact = np.concatenate((table, _log_factorial(new)))
     return table
+
+
+def _log_factorial(k: np.ndarray) -> np.ndarray:
+    """log(k!) of each integer k >= 0, bit for bit scipy.special.gammaln(k + 1):
+    the branches of cephes lgam that x = k + 1 >= 1 reaches, in its order of
+    operations. Each log is libm's (math.log), as in cephes; numpy's
+    vectorised np.log rounds a few x the other way."""
+    x = (k + 1).astype(np.float64)
+    out = np.empty(x.shape)
+    small = x < 13.0  # cephes multiplies out (x - 1)!, exact below 13
+    out[small] = [math.log(math.factorial(n)) for n in k[small].tolist()]
+    x = x[~small]
+    log_x = np.fromiter(map(math.log, x.tolist()), np.float64, x.size)
+    q = (x - 0.5) * log_x - x + _LS2PI
+    p = 1.0 / (x * x)
+    mid = x < 1000.0  # polevl(p, A, 4) / x
+    pm, poly = p[mid], _LGAM_A[0]
+    for a in _LGAM_A[1:]:
+        poly = poly * pm + a
+    q[mid] += poly / x[mid]
+    far = ~mid & (x <= 1e8)  # the short series; past 1e8, q alone
+    pf = p[far]
+    q[far] += ((7.9365079365079365079365e-4 * pf - 2.7777777777777777777778e-3) * pf
+               + 0.0833333333333333333333) / x[far]
+    out[~small] = q
+    return out
 
 
 def _segment_logsumexp(a: np.ndarray, start: np.ndarray) -> np.ndarray:

@@ -3,6 +3,9 @@
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -95,3 +98,23 @@ def test_no_assert_in_the_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
         assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+def _run_python(*args):
+    env = dict(os.environ)
+    src = str(Path(snc80211.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=30)
+
+
+def test_the_package_does_not_load_scipy():
+    # scipy is a test oracle only; importing it would about triple start-up
+    proc = _run_python("-c", "import sys, snc80211; print('scipy' in sys.modules)")
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+    # -X importtime names every module a run loads, on stderr, one a line
+    proc = _run_python("-X", "importtime", "-m", "snc80211", "fixed-point", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    loaded = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()]
+    assert "snc80211.dcf" in loaded
+    assert not [m for m in loaded if m.partition(".")[0] == "scipy"]

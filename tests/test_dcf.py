@@ -268,6 +268,27 @@ def test_batched_log_mgfs_equal_each_impairment_mgf(monkeypatch):
                                      DEFAULT_T_CAP)
 
 
+@pytest.mark.parametrize("payload", [256, 1500])
+def test_log_factorial_table_is_bit_identical_to_gammaln(monkeypatch, payload):
+    # grown from empty in steps, as the envelope fit grows it, up to the
+    # whole DEFAULT_T_CAP * L table
+    monkeypatch.setattr(dcf, "_log_fact", np.zeros(0))
+    n = DEFAULT_T_CAP * solve_fixed_point(Params80211(payload=payload)).L
+    for n_max in (0, 1, 12, 999, 5000, n):
+        table = dcf._log_factorials(n_max, n)
+    assert len(table) == n + 1
+    np.testing.assert_array_equal(table.view(np.int64), gammaln(np.arange(n + 1) + 1).view(np.int64))
+
+
+def test_log_factorial_is_bit_identical_to_gammaln_at_the_branch_edges():
+    # x = k + 1 at and around each edge of cephes lgam's branches, far past
+    # any table the package builds
+    x = np.array([1, 2, 3, 11, 12, 13, 14, 998, 999, 1000, 1001,
+                  10**8 - 1, 10**8, 10**8 + 1, 10**8 + 2, 10**12])
+    got = dcf._log_factorial(x - 1)
+    np.testing.assert_array_equal(got.view(np.int64), gammaln(x).view(np.int64))
+
+
 def test_envelope_chunks_equal_each_impairment_mgf(params):
     model = ImpairmentModel(params)
     fp = model.fixed_point
