@@ -66,8 +66,9 @@ class Params80211:
 
     def __post_init__(self):
         for name in ("basic_rate", "data_rate", "sifs", "difs", "idle_slot"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.cw_min < 1 or self.cw_max < self.cw_min:
             raise ValueError("need 1 <= cw_min <= cw_max")
         ratio = self.cw_max / self.cw_min
@@ -75,6 +76,14 @@ class Params80211:
             raise ValueError("cw_max must be cw_min times a power of two")
         if self.retry_limit < 1:
             raise ValueError("retry_limit must be at least 1")
+        try:
+            # the fixed point weighs the last stage's mean backoff
+            # 2**(retry_limit - 1) * cw_min / 2 as a float
+            math.ldexp(self.cw_min, self.retry_limit - 1)
+        except OverflowError:
+            raise ValueError(f"retry_limit {self.retry_limit} takes the backoff window "
+                             f"cw_min * 2**(retry_limit - 1) past the float range "
+                             f"(cw_min {self.cw_min})") from None
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be at least 1")
         if self.payload < 0 or self.phy_header < 0 or self.ack_header < 0 or self.mac_header < 0:

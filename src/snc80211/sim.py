@@ -128,6 +128,45 @@ class _RepStats:
     ticks0: int
 
 
+def _backoff_draw(rng: np.random.Generator):
+    """draw(w) for a window w >= 1: the value int(rng.integers(w)) would
+    return, from the same bit-generator calls.
+
+    Generator.integers(w) draws nothing for w == 1 and otherwise applies
+    Lemire's multiply-and-reject method (Lemire, "Fast random integer
+    generation in an interval", ACM TOMACS 2019) to the bit generator's
+    next_uint32, or to next_uint64 for w > 2**32. draw repeats that
+    arithmetic on the same functions, called through the bit generator's
+    ctypes interface without integers()'s per-call overhead, so interleaved
+    calls to rng's other methods see the same stream.
+    """
+    c = rng.bit_generator.ctypes
+    state, next32, next64 = c.state, c.next_uint32, c.next_uint64
+
+    def draw(w: int) -> int:
+        if w <= 0x100000000:
+            if w == 1:
+                return 0
+            m = next32(state) * w
+            if m & 0xFFFFFFFF < w:
+                # redraw while the low word falls in the biased cut
+                cut = (0x100000000 - w) % w
+                while m & 0xFFFFFFFF < cut:
+                    m = next32(state) * w
+            return m >> 32
+        if w > 1 << 63:
+            # integers() returns int64, so it refuses such a window
+            raise ValueError("high is out of bounds for int64")
+        m = next64(state) * w
+        if m & 0xFFFFFFFFFFFFFFFF < w:
+            cut = ((1 << 64) - w) % w
+            while m & 0xFFFFFFFFFFFFFFFF < cut:
+                m = next64(state) * w
+        return m >> 64
+
+    return draw
+
+
 def _run_one(config: SimConfig, rng: np.random.Generator) -> _RepStats:
     p = config.params
     n = p.n_nodes
@@ -145,7 +184,7 @@ def _run_one(config: SimConfig, rng: np.random.Generator) -> _RepStats:
     retry_limit = p.retry_limit
     # contention window after r retries: cw_min doubled r times, up to cw_max
     window = [min(p.cw_min << r, p.cw_max) for r in range(retry_limit)]
-    draw = rng.integers
+    draw = _backoff_draw(rng)
 
     # Per-node MAC state in plain lists. bo holds the frozen backoff counter
     # of an empty queue. A backlogged node transmits at its expiry: the slot
@@ -154,7 +193,7 @@ def _run_one(config: SimConfig, rng: np.random.Generator) -> _RepStats:
     # delay of past busy periods and re-arming is one addition. expiry is
     # _NEVER for an empty queue; next_tx is the smallest expiry + delay.
     queue = [q0] * n
-    bo = [int(draw(window[0])) for _ in range(n)]
+    bo = [draw(window[0]) for _ in range(n)]
     retries = [0] * n
     difs_end = [difs_arm] * n
     expiry = [difs_arm + b if q0 else _NEVER for b in bo]
@@ -261,7 +300,7 @@ def _run_one(config: SimConfig, rng: np.random.Generator) -> _RepStats:
                 succ[i] += 1
                 retries[i] = 0
             # mandatory fresh backoff between consecutive transmissions
-            bo[i] = b = int(draw(window[retries[i]]))
+            bo[i] = b = draw(window[retries[i]])
             expiry[i] = arm + b - delay if queue[i] else _NEVER
         difs_end = [arm] * n
         next_tx = min(expiry) + delay

@@ -407,6 +407,21 @@ def test_non_finite_input_is_a_usage_error(tmp_path, argv, grid):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("body, name", [
+    ("difs = nan", "difs"),
+    ("basic_rate = inf", "basic_rate"),
+    ("retry_limit = 2000", "retry_limit"),
+])
+def test_mac_setting_outside_the_model_is_a_usage_error(tmp_path, body, name):
+    # a non-finite time or rate, and a retry limit whose last backoff window
+    # cw_min * 2**(retry_limit - 1) leaves the float range, are refused where
+    # the config loads, by a message that names the setting
+    proc = _run_cli(["fixed-point", "--config", _write(tmp_path, "mac.ini", f"[mac]\n{body}\n")])
+    assert proc.returncode == 2, proc.stderr
+    assert f"config error: invalid [mac] values: {name} " in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv, body", [
     (["fixed-point", "--seed", "-1"], None),
     (["simulate", "--rate", "0.04", *SIM_1S, "--seed", "-1"], None),

@@ -13,7 +13,7 @@ import pytest
 
 from snc80211.dcf import Params80211, data_slots, slot_length
 from snc80211.sim import SimConfig, SimResult, run
-from snc80211.sim import _run_one  # white-box: compared against the reference
+from snc80211.sim import _backoff_draw, _run_one  # white-box: compared against references
 
 
 def test_config_validation():
@@ -274,8 +274,8 @@ _EDGE_CONFIGS = [
     (SimConfig(params=Params80211(n_nodes=1), traffic="poisson", rate=0.6,
                duration=0.5, replications=3, sample_time=0.3, seed=17),
      lambda reps: all(r.colls0 == 0 for r in reps) and sum(r.succ[0] for r in reps) > 0),
-    # windows of 24, 48 and 96: not powers of two, so integers() masks and
-    # may reject raw draws
+    # windows of 24, 48 and 96: not powers of two, so the multiply-and-reject
+    # method in integers() may reject a raw draw (with probability about w/2**32)
     (SimConfig(params=Params80211(n_nodes=6, cw_min=24, cw_max=96), traffic="poisson",
                rate=0.5, duration=0.3, replications=3, sample_time=0.2, seed=19),
      lambda reps: sum(r.colls0 for r in reps) > 0),
@@ -283,11 +283,22 @@ _EDGE_CONFIGS = [
     (SimConfig(params=Params80211(n_nodes=8, retry_limit=1), traffic="poisson",
                rate=0.5, duration=0.3, replications=3, sample_time=0.15, seed=23),
      lambda reps: sum(sum(r.drops) for r in reps) > 0),
+    # a window of 1: every backoff is 0 and integers(1) consumes no draw
+    (SimConfig(params=Params80211(n_nodes=3, cw_min=1, cw_max=1), traffic="poisson",
+               rate=0.5, duration=0.2, replications=3, sample_time=0.1, seed=29),
+     lambda reps: sum(r.attempts0 for r in reps) > 0),
+    # a window above 2**32: integers() draws 64-bit words, and no countdown
+    # ends inside the horizon
+    (SimConfig(params=Params80211(n_nodes=4, cw_min=1 << 33, cw_max=1 << 33),
+               traffic="poisson", rate=0.5, duration=0.1, replications=3,
+               sample_time=0.05, seed=31),
+     lambda reps: all(r.attempts0 == 0 and r.sample > 0 for r in reps)),
 ]
 
 
 @pytest.mark.parametrize("cfg,edge_seen", _EDGE_CONFIGS,
-                         ids=["one-node", "cw-not-power-of-two", "retry-limit-1"])
+                         ids=["one-node", "cw-not-power-of-two", "retry-limit-1",
+                              "cw-1-no-draw", "cw-above-2-32"])
 def test_event_jump_matches_slot_stepper_at_edges(cfg, edge_seen):
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
     reps = []
@@ -298,6 +309,32 @@ def test_event_jump_matches_slot_stepper_at_edges(cfg, edge_seen):
                 got.attempts0, got.colls0, got.ticks0) == want
         reps.append(got)
     assert edge_seen(reps)
+
+
+# 2**31 + 1 makes the multiply-and-reject method reject about half its raw
+# draws; windows above 2**32 take 64-bit words; 1 consumes nothing.
+_WINDOWS = [1, 2, 3, 24, 32, 1024, (1 << 31) + 1, 1 << 32, (1 << 32) + 1, 1 << 33,
+            (1 << 62) + 1, 1 << 63]
+
+
+def test_backoff_draw_equals_integers():
+    # the same values and the same stream as Generator.integers on a twin,
+    # with exponential draws interleaved as the simulator does
+    order = np.random.default_rng(2019)
+    for seed in range(100):
+        ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draw = _backoff_draw(rng)
+        for _ in range(50):
+            w = _WINDOWS[order.integers(len(_WINDOWS))]
+            assert draw(w) == int(ref.integers(w)), (seed, w)
+            if order.random() < 0.5:
+                assert rng.exponential(7.0) == ref.exponential(7.0)
+        assert rng.bit_generator.state == ref.bit_generator.state, seed
+    for w in ((1 << 63) + 1, 1 << 64):
+        with pytest.raises(ValueError, match="out of bounds"):
+            ref.integers(w)
+        with pytest.raises(ValueError, match="out of bounds"):
+            draw(w)
 
 
 # Workload-sized horizons are too long for the slot stepper. These tuples
