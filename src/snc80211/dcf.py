@@ -8,8 +8,9 @@ combinatorial sums run in log space to survive large t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,6 +33,11 @@ __all__ = [
 ]
 
 ORACLE_SLOT_CAP = 64
+# Largest slot length L a config may give. The envelope fit holds O(L) terms
+# per network-calculus slot (about 130 bytes per unit of L at its peak), and
+# every 802.11 exchange is far shorter: L is 39 by default and about 2,100
+# for a 2312-byte payload at 1 Mbps with a 9 us slot.
+_L_MAX = 1 << 20
 _FIXED_POINT_TOL = 1e-10  # bisection stops once the eta bracket is this narrow
 _log_fact = np.zeros(0)  # log(n!) at index n, grown on first use by _log_factorials
 _CHUNK_TERMS = 1 << 18  # about the most log-MGF terms one chunk of an envelope holds
@@ -71,8 +77,13 @@ class Params80211:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.cw_min < 1 or self.cw_max < self.cw_min:
             raise ValueError("need 1 <= cw_min <= cw_max")
-        ratio = self.cw_max / self.cw_min
-        if 2 ** round(math.log2(ratio)) != ratio:
+        if self.cw_max > 1 << 63:
+            # Generator.integers, and so the simulator's backoff draw, takes
+            # windows of at most 2**63
+            raise ValueError(f"cw_max must be at most 2**63, got a "
+                             f"{self.cw_max.bit_length()}-bit number")
+        ratio, rest = divmod(self.cw_max, self.cw_min)
+        if rest or ratio & (ratio - 1):
             raise ValueError("cw_max must be cw_min times a power of two")
         if self.retry_limit < 1:
             raise ValueError("retry_limit must be at least 1")
@@ -88,6 +99,14 @@ class Params80211:
             raise ValueError("n_nodes must be at least 1")
         if self.payload < 0 or self.phy_header < 0 or self.ack_header < 0 or self.mac_header < 0:
             raise ValueError("sizes must be nonnegative")
+        L = _slot_length_or_inf(self)
+        if L > _L_MAX:
+            # name the setting whose default alone brings L under the limit
+            culprit = next((f.name for f in fields(self) if _slot_length_or_inf(
+                SimpleNamespace(**{**vars(self), f.name: f.default})) <= _L_MAX), None)
+            named = f", set by {culprit}," if culprit else ""
+            raise ValueError(f"slot length L = {L:.3g} idle slots{named} is past "
+                             f"the model's limit of {_L_MAX}")
 
 
 @dataclass(frozen=True)
@@ -135,6 +154,15 @@ def slot_length(params: Params80211) -> int:
     """L, the idle slots consumed by one complete successful exchange
     (DIFS + SIFS + ACK + DATA); one network-calculus slot equals L idle slots."""
     return difs_sifs_slots(params) + ack_slots(params) + data_slots(params)
+
+
+def _slot_length_or_inf(params) -> float:
+    # L of any object with Params80211's fields, inf where a part of it
+    # leaves the float range
+    try:
+        return float(slot_length(params))
+    except OverflowError:
+        return math.inf
 
 
 def _tau_of_eta(eta: float, cw_min: int, stages: int) -> float:

@@ -14,14 +14,18 @@ arrival or a countdown stop then costs O(log n); only a transmission pays
 O(n), to find the transmitters and the next expiry.
 
 Replication i draws from an independent stream spawned from the root seed,
-so results are bit-reproducible for a fixed (config, seed).
+so results are bit-reproducible for a fixed (config, seed). A long enough
+run maps its replications over forked worker processes; results come back
+in replication order, so the output does not depend on the worker count.
 """
 from __future__ import annotations
 
 import heapq
 import math
 import numbers
+import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -41,6 +45,7 @@ COLLISION_MODES = ("same-as-success", "data-plus-difs")
 _SATURATED_QUEUE = 1 << 40
 _INF = float("inf")
 _NEVER = 1 << 62  # expiry of an empty queue, past any horizon
+_POOL_MIN_SLOTS = 4_000_000  # replications x horizon slots worth forking for
 
 
 @dataclass(frozen=True)
@@ -326,18 +331,50 @@ def _run_one(config: SimConfig, rng: np.random.Generator) -> _RepStats:
                      attempts0=attempts0, colls0=colls0, ticks0=ticks0)
 
 
+def _workers(config: SimConfig) -> int:
+    """Processes run() maps the replications over: one per usable CPU, at
+    most one per replication, and 1 (in process) for a run too short to
+    pay for forking or where fork is missing."""
+    if not hasattr(os, "fork") or config.replications * _horizon_slots(config) < _POOL_MIN_SLOTS:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, config.replications)
+
+
+def _replicate(config: SimConfig, seed: np.random.SeedSequence) -> _RepStats:
+    # _run_one is looked up when called, so a forked worker calls the one
+    # the parent had at fork time
+    return _run_one(config, np.random.default_rng(seed))
+
+
+def _map(fn, items: list, workers: int) -> list:
+    """[fn(x) for x in items], in order, over this many forked workers."""
+    if workers < 2:
+        return list(map(fn, items))
+    # imported here: the serial path and the other subcommands skip the cost
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # for fork, the executor starts every worker before its helper threads
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, items, chunksize=-(-len(items) // workers)))
+
+
 def run(config: SimConfig) -> SimResult:
     """Run all replications and aggregate.
 
     Replication streams come from spawning the root SeedSequence, so each
     replication is independent and the whole result is a pure function of
-    (config, seed).
+    (config, seed), whichever process runs each replication.
     """
     p = config.params
     L = slot_length(p)
     t_end = _horizon_slots(config)
     children = np.random.SeedSequence(config.seed).spawn(config.replications)
-    reps = [_run_one(config, np.random.default_rng(s)) for s in children]
+    reps = _map(partial(_replicate, config), children, _workers(config))
 
     backlogs = np.array([r.sample for r in reps], dtype=np.int64)
     thr = np.array([[s * L / t_end for s in r.succ] for r in reps], dtype=float)

@@ -422,6 +422,23 @@ def test_mac_setting_outside_the_model_is_a_usage_error(tmp_path, body, name):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("body, name", [
+    (f"cw_min = 1\ncw_max = {2 ** 2000}", "cw_max"),
+    ("sifs = 1e308", "sifs"),
+    (f"payload = {10 ** 400}", "payload"),
+])
+@pytest.mark.parametrize("command", ["fixed-point", "characterize"])
+def test_mac_setting_past_the_integer_range_is_a_usage_error(tmp_path, capsys, body, name, command):
+    # a window beyond 64-bit draws, or a slot length L past the model's
+    # limit, is refused where the config loads, before anything is sized by
+    # it, by a message that names the setting
+    assert main([command, "--config", _write(tmp_path, "mac.ini", f"[mac]\n{body}\n")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: invalid [mac] values: ")
+    assert f" {name}" in captured.err
+
+
 @pytest.mark.parametrize("argv, body", [
     (["fixed-point", "--seed", "-1"], None),
     (["simulate", "--rate", "0.04", *SIM_1S, "--seed", "-1"], None),

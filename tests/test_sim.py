@@ -7,10 +7,20 @@ re-arming, the sample barrier, busy periods running to completion, and the
 frozen final countdown window.
 """
 import math
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import snc80211
+from snc80211 import sim
+from snc80211.cli import main
 from snc80211.dcf import Params80211, data_slots, slot_length
 from snc80211.sim import SimConfig, SimResult, run
 from snc80211.sim import _backoff_draw, _run_one  # white-box: compared against references
@@ -369,3 +379,123 @@ def test_frozen_replication_at_workload_horizon(cfg, want):
     got = _run_one(cfg, np.random.default_rng(child))
     assert (got.sample, got.succ, got.drops,
             got.attempts0, got.colls0, got.ticks0) == want
+
+
+# Just above the pool threshold: 3 x 27 s is 4.05 million replication-slots.
+# Three replications over two workers make chunks of 2 and 1.
+_POOL_CFG = SimConfig(traffic="poisson", rate=0.04, duration=27.0, replications=3,
+                      sample_time=27.0, seed=5)
+_POOL_ARGV = ["--rate", "0.04", "--duration", "27", "--replications", "3",
+              "--sample-time", "27", "--seed", "5", "--format", "json"]
+
+
+def test_pool_gives_the_serial_result_for_any_worker_count(monkeypatch, capsys):
+    assert _POOL_CFG.replications * sim._horizon_slots(_POOL_CFG) >= sim._POOL_MIN_SLOTS
+    parent, serial_run_one = os.getpid(), sim._run_one
+
+    def run_one_in_a_worker(config, rng):
+        if os.getpid() == parent:
+            raise RuntimeError("a replication ran in the parent process")
+        return serial_run_one(config, rng)
+
+    results, outputs = {}, {}
+    for workers in (1, 2):
+        monkeypatch.setattr(sim, "_workers", lambda config: workers)
+        if workers > 1:
+            monkeypatch.setattr(sim, "_run_one", run_one_in_a_worker)
+        results[workers] = run(_POOL_CFG)
+        for command in ("simulate", "compare"):
+            assert main([command, *_POOL_ARGV]) == 0
+            outputs[workers, command] = capsys.readouterr().out
+        assert multiprocessing.active_children() == []
+    a, b = results[1], results[2]
+    assert np.array_equal(a.backlogs, b.backlogs)
+    assert np.array_equal(a.throughput_per_node, b.throughput_per_node)
+    assert (a.drops, a.tagged_attempt_rate, a.tagged_collision_fraction) == \
+        (b.drops, b.tagged_attempt_rate, b.tagged_collision_fraction)
+    for command in ("simulate", "compare"):
+        assert outputs[1, command] == outputs[2, command], command
+
+
+def test_worker_count_caps_at_cpus_and_replications(monkeypatch):
+    # the rule alone, evaluated for CPU counts that no test may start
+    many = replace(_POOL_CFG, replications=40)
+    short = replace(_POOL_CFG, duration=1.0, sample_time=1.0)
+    assert sim._workers(short) == 1  # below the threshold: in process
+    for cpus in (10 ** 6, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(cpus))
+        assert sim._workers(many) == min(cpus, 40)
+        assert sim._workers(_POOL_CFG) == min(cpus, 3)
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for cpus in (10 ** 6, 1, None):  # os.cpu_count() may not know
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert sim._workers(many) == min(cpus or 1, 40)
+    monkeypatch.delattr(os, "fork")
+    assert sim._workers(many) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_import_and_serial_run_skip_the_pool_modules():
+    # importing them costs 8-23 ms, which set-up and the other subcommands
+    # must not pay
+    code = ("import sys\nfrom snc80211 import cli\n"
+            "cli.main(['simulate', '--rate', '0.04', '--duration', '1', '--replications', '2'])\n"
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    rc, out, err = _run_capped([sys.executable, "-c", code])
+    assert (rc, out.splitlines()[-1]) == (0, "[]"), err
+
+
+# Runs the CLI with _run_one replaced by a failure, over a forced worker
+# count, and prints how many child processes are left once main returns.
+_FAILING_RUN = """
+import multiprocessing, os, sys
+from snc80211 import cli, sim
+workers, failure = int(sys.argv[1]), sys.argv[2]
+def failing_run_one(config, rng):
+    if failure == "exit":
+        os._exit(1)
+    raise RuntimeError("node 3: conservation violated")
+sim._workers = lambda config: workers
+sim._run_one = failing_run_one
+rc = cli.main(["simulate", "--rate", "0.04", "--duration", "1",
+               "--replications", "4", "--sample-time", "1"])
+print(len(multiprocessing.active_children()))
+sys.exit(rc)
+"""
+
+
+def _run_capped(argv, timeout: float = 60.0):
+    """(exit code, stdout, stderr) of argv, run without a config from the
+    environment in its own session, which is killed whole if it outlives
+    the timeout: a hung pool fails the test and leaves no process behind."""
+    env = {k: v for k, v in os.environ.items() if k != "SNC80211_CONFIG"}
+    src = str(Path(snc80211.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail(f"{argv[-2:]} still running after {timeout} s")
+    return proc.returncode, out, err
+
+
+def _run_failing(workers: int, failure: str):
+    return _run_capped([sys.executable, "-c", _FAILING_RUN, str(workers), failure])
+
+
+def test_check_failure_in_a_worker_exits_as_in_process():
+    # the same error line and exit code 4 whichever process raised it
+    serial, pooled = _run_failing(1, "raise"), _run_failing(2, "raise")
+    assert serial == pooled == (4, "0\n", "error: node 3: conservation violated\n")
+
+
+def test_worker_that_dies_breaks_the_pool_without_hanging():
+    # a worker that exits abruptly fails the run with BrokenProcessPool, a
+    # RuntimeError, and the pool's other worker is gone once main returns
+    rc, out, err = _run_failing(2, "exit")
+    assert (rc, out) == (4, "0\n"), err
+    assert err.startswith("error: A process in the process pool was terminated abruptly")
+    assert "Traceback" not in err
