@@ -40,12 +40,26 @@ __all__ = [
     "rate_to_mbps",
 ]
 
-VARIANTS = ("bound1", "bound2", "bound3", "bound4")
+# variant -> (martingale arrival tail?, kernel combining the two tails)
+_FORMS = {
+    "bound1": (False, _minplus_vec),
+    "bound2": (True, _minplus_vec),
+    "bound3": (False, _indep_vec),
+    "bound4": (True, _indep_vec),
+}
+VARIANTS = tuple(_FORMS)
 X_MAX = 10 ** 6  # quantile search cap
 CAPACITY = 1.0  # packets per slot, split between r_a and r_i
-# evaluate keeps a grid point while its lower bound lb <= ub (1 + _REL_SLACK),
-# a margin for the rounding of the kernels' exp and sums
+# evaluate keeps a grid row while its points' lower bound is <= ub (1 +
+# _REL_SLACK), a margin for the rounding of the kernels' exp and sums
 _REL_SLACK = 1e-9
+
+
+def _form(variant: str):
+    try:
+        return _FORMS[variant]
+    except KeyError:
+        raise ValueError(f"unknown variant {variant!r}") from None
 
 
 class InfeasibleBoundError(RuntimeError):
@@ -99,21 +113,13 @@ class BoundSpec:
         return CAPACITY - self.r_a
 
 
-def _needs_martingale(variant: str) -> bool:
-    return variant in ("bound2", "bound4")
-
-
-def _independent(variant: str) -> bool:
-    return variant in ("bound3", "bound4")
-
-
 @dataclass
 class _Grid:
-    """Flattened feasible grid with precomputed tail parameters.
-
-    Each run of points with equal (theta1, theta2) is a block (a grid from
-    _build_grid has one per pair, its r_a points). __post_init__ derives each
-    block's start and size, its thetas and its smallest prefactors."""
+    """Feasible grid with precomputed tail prefactors, one row per feasible
+    (theta1, theta2) pair: theta1 and theta2 hold each row's pair, and r_a,
+    a_f and a_g are rows x r_points arrays. Point i is column i % r_points
+    of row i // r_points (row-major). __post_init__ keeps each row's
+    smallest prefactors, which bound every point of the row from below."""
 
     theta1: np.ndarray
     theta2: np.ndarray
@@ -122,29 +128,24 @@ class _Grid:
     a_g: np.ndarray  # service tail prefactor
 
     def __post_init__(self):
-        edge = (self.theta1[1:] != self.theta1[:-1]) | (self.theta2[1:] != self.theta2[:-1])
-        start = np.flatnonzero(np.r_[len(self) > 0, edge])
-        self.block_start = start
-        self.block_size = np.diff(np.r_[start, len(self)])
-        self.block_theta1 = self.theta1[start]
-        self.block_theta2 = self.theta2[start]
-        # fmin skips a nan prefactor, whose point no lower bound keeps anyway
-        self.block_a_f = np.fmin.reduceat(self.a_f, start)
-        self.block_a_g = np.fmin.reduceat(self.a_g, start)
+        # fmin skips a nan prefactor, whose point cannot win anyway
+        self.row_a_f = np.fmin.reduce(self.a_f, axis=1)
+        self.row_a_g = np.fmin.reduce(self.a_g, axis=1)
 
     def __len__(self):
-        return self.theta1.size
+        return self.r_a.size
 
     def spec(self, i: int, variant: str) -> BoundSpec:
-        return BoundSpec(variant=variant, theta1=float(self.theta1[i]),
-                         theta2=float(self.theta2[i]), r_a=float(self.r_a[i]))
+        k = i // self.r_a.shape[1]
+        return BoundSpec(variant=variant, theta1=float(self.theta1[k]),
+                         theta2=float(self.theta2[k]), r_a=float(self.r_a.flat[i]))
 
 
 def _build_grid(martingale: bool, arrival, impairment, options: GridOptions) -> _Grid:
     """The feasible grid for one arrival tail: the general vb tail, or the
     martingale tail when martingale is true. Both compositions share it.
 
-    Points run in row-major (theta1, theta2) order with r_a innermost."""
+    Rows run in row-major (theta1, theta2) order, r_a along each row."""
     thetas = options.thetas()
     sig_a, rho_a = np.array([(s.sigma, s.rho) for s in map(arrival.sigma_rho, thetas)]).T
     sig_i, rho_i = np.array([(s.sigma, s.rho) for s in map(impairment.sigma_rho, thetas)]).T
@@ -162,9 +163,7 @@ def _build_grid(martingale: bool, arrival, impairment, options: GridOptions) -> 
     a_f = (np.ones_like(r_a) if martingale
            else _vb_prefactor(thetas[j1], sig_a[j1], rho_a[j1], r_a))
     a_g = _vb_prefactor(thetas[j2], sig_i[j2], rho_i[j2], CAPACITY - r_a)
-    return _Grid(theta1=np.repeat(thetas[i1], options.r_points),
-                 theta2=np.repeat(thetas[i2], options.r_points),
-                 r_a=r_a.ravel(), a_f=a_f.ravel(), a_g=a_g.ravel())
+    return _Grid(theta1=thetas[i1], theta2=thetas[i2], r_a=r_a, a_f=a_f, a_g=a_g)
 
 
 class BacklogBound:
@@ -173,22 +172,22 @@ class BacklogBound:
     evaluate(x) is the minimum of the variant's closed-form tail over the
     whole feasible grid, at the first grid point attaining it, as a full
     kernel pass with argmin gives it; the value and the winning index "i"
-    are memoized in meta["best"]. The kernel runs only on points
-    that can still win: each point's value is at least min(1, lb), with
-    lb = max(f(x), g(x)) the larger of its two tails, and the memoized
-    winner of the nearest x evaluated below 1, run at x, bounds the minimum
-    by ub (1 when there is none). A point with lb > ub (1 + _REL_SLACK)
-    cannot attain the minimum. A block of the grid is dropped whole when
+    are memoized in meta["best"]. The kernel runs only on the rows of the
+    grid that can still win. Each point's value is at least min(1, lb),
+    with lb = max(f(x), g(x)) the larger of its two tails, and the
+    memoized winner of the nearest x evaluated below 1, run at x, bounds
+    the minimum by ub (1 when there is none). A row is dropped when
     max(min a_f e^{-theta1 x}, min a_g e^{-theta2 x}) over its points
-    passes that cut: rounding is monotone, so no member's lb lies below
-    it, and the points kept are exactly those of a pass over every lb. If
-    no other point falls below 1, every value is 1 and the full pass's
-    argmin is index 0.
+    passes the cut ub (1 + _REL_SLACK): rounding is monotone, so no point
+    of it has lb below the cut, and none can attain the minimum. Every
+    point of a kept row is run. One whose own lb passes the cut has a
+    value above ub, which is at least the minimum, so it can neither win
+    nor tie, and the result is the full pass's. If no point falls below
+    1, every value is 1 and the full pass's argmin is index 0.
     """
 
     def __init__(self, variant: str, grid: _Grid):
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}")
+        _form(variant)  # rejects an unknown variant
         self.variant = variant
         self._grid = grid
         self.meta = {"grid_points": len(grid), "best": {}}
@@ -201,27 +200,23 @@ class BacklogBound:
         if hit is not None:
             return hit["value"]
         g, xf = self._grid, float(x)
-        kernel = _indep_vec if _independent(self.variant) else _minplus_vec
+        kernel = _FORMS[self.variant][1]
+        n = g.r_a.shape[1]
         ub = 1.0
         seeds = [y for y, b in best.items() if b["value"] < 1.0]
         if seeds:
-            j = best[min(seeds, key=lambda y: abs(y - x))]["i"]
-            ub = float(kernel(g.a_f[j], g.theta1[j], g.a_g[j], g.theta2[j], xf))
+            k, j = divmod(best[min(seeds, key=lambda y: abs(y - x))]["i"], n)
+            ub = float(kernel(g.a_f[k, j], g.theta1[k], g.a_g[k, j], g.theta2[k], xf))
         cut = ub * (1.0 + _REL_SLACK)
-        e1, e2 = np.exp(-g.block_theta1 * xf), np.exp(-g.block_theta2 * xf)
-        blocks = np.flatnonzero(np.maximum(g.block_a_f * e1, g.block_a_g * e2) <= cut)
-        size = g.block_size[blocks]
-        shift = np.repeat(g.block_start[blocks] - np.cumsum(size) + size, size)
-        idx = np.arange(size.sum()) + shift  # their points, in grid order
-        lb = np.maximum(g.a_f[idx] * np.repeat(e1[blocks], size),
-                        g.a_g[idx] * np.repeat(e2[blocks], size))
-        keep = idx[lb <= cut]
+        rows = np.flatnonzero(np.maximum(g.row_a_f * np.exp(-g.theta1 * xf),
+                                         g.row_a_g * np.exp(-g.theta2 * xf)) <= cut)
         i, value = 0, 1.0
-        if keep.size:
-            vals = kernel(g.a_f[keep], g.theta1[keep], g.a_g[keep], g.theta2[keep], xf)
+        if rows.size:
+            vals = kernel(g.a_f[rows].ravel(), np.repeat(g.theta1[rows], n),
+                          g.a_g[rows].ravel(), np.repeat(g.theta2[rows], n), xf)
             j = int(np.argmin(vals))
             if vals[j] < 1.0:
-                i, value = int(keep[j]), float(vals[j])
+                i, value = int(rows[j // n]) * n + j % n, float(vals[j])
         best[x] = {"value": value, "i": i}
         return value
 
@@ -246,7 +241,8 @@ def build_bound(variant: str, arrival, impairment: ImpairmentModel,
     sustainable rate: every envelope rate is at least its mean rate, so no
     grid point could be feasible.
     """
-    if _needs_martingale(variant) and not getattr(arrival, "martingale_ok", False):
+    martingale = _form(variant)[0]
+    if martingale and not getattr(arrival, "martingale_ok", False):
         raise ValueError(
             f"{variant} uses the martingale arrival tail, which needs "
             "independent per-slot increments; this arrival does not declare them")
@@ -257,8 +253,7 @@ def build_bound(variant: str, arrival, impairment: ImpairmentModel,
         raise InfeasibleBoundError(
             f"arrival rate {a_a:.4f} >= sustainable rate {CAPACITY - a_i:.4f}; "
             "no finite bound exists")
-    grid = _build_grid(_needs_martingale(variant), arrival, impairment, options)
-    return BacklogBound(variant, grid)
+    return BacklogBound(variant, _build_grid(martingale, arrival, impairment, options))
 
 
 def quantile(bound: BacklogBound, p: float) -> int:
@@ -293,10 +288,11 @@ def quantile_table(arrival, impairment: ImpairmentModel, p_list,
     share one grid, so at most two grids are built."""
     bounds, grids = {}, {}  # grids: one per arrival tail, martingale or not
     for v in variants:
-        grid = grids.get(_needs_martingale(v))
+        martingale = _form(v)[0]
+        grid = grids.get(martingale)
         bounds[v] = (build_bound(v, arrival, impairment, options) if grid is None
                      else BacklogBound(v, grid))
-        grids[_needs_martingale(v)] = bounds[v]._grid
+        grids[martingale] = bounds[v]._grid
     return [{"p": p, **{v: quantile(bounds[v], p) for v in variants}} for p in p_list]
 
 
@@ -324,7 +320,8 @@ def point_tail_value(spec: BoundSpec, arrival, impairment: ImpairmentModel,
     implementation of the convolution; tests/test_curves.py checks the
     kernels against scalar oracles.
     """
-    if _needs_martingale(spec.variant):
+    martingale, kernel = _FORMS[spec.variant]
+    if martingale:
         raise ValueError("route comparison applies to the general-arrival variants")
     if route not in ("direct", "aggregated"):
         raise ValueError(f"unknown route {route!r}")
@@ -341,5 +338,4 @@ def point_tail_value(spec: BoundSpec, arrival, impairment: ImpairmentModel,
             delta = r - sr.rho
             prefactors.append(math.exp(sr.theta * sr.sigma) / -math.expm1(-sr.theta * delta))
     a_f, a_g = prefactors
-    kernel = _indep_vec if _independent(spec.variant) else _minplus_vec
     return float(kernel(a_f, spec.theta1, a_g, spec.theta2, float(x)))

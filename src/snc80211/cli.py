@@ -20,7 +20,7 @@ from .bounds import VARIANTS, InfeasibleBoundError, quantile_table, rate_to_mbps
 from .characterize import FitConvergenceError, PoissonTraffic
 from .config import ConfigError, _replace_sim, load_run_config
 from .dcf import ImpairmentModel, solve_fixed_point, stable_rate_threshold
-from .sim import COLLISION_MODES, SimConfig, SimResult, run
+from .sim import COLLISION_MODES, SimConfig, SimResult, _check_runnable, run
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -200,6 +200,7 @@ def _empirical_quantile(res: SimResult, p: float) -> int:
 
 
 def cmd_compare(args, cfg) -> int:
+    _check_runnable(cfg.sim)  # before the bounds, which would call it infeasible
     rows = _quantile_rows(args, cfg, VARIANTS)
     res = run(cfg.sim)
     for row in rows:

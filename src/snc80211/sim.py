@@ -77,6 +77,11 @@ class SimConfig:
             raise ValueError("replications must be at least 1")
         if not 0 < self.duration < math.inf:
             raise ValueError(f"duration must be positive and finite, got {self.duration}")
+        # compared as a float, which int() cannot take past the float range;
+        # _NEVER must lie past every horizon
+        if not self.duration * (1e6 / self.params.idle_slot) < _NEVER:
+            raise ValueError(f"duration {self.duration} s reaches 2**62 idle slots, "
+                             "past the simulator's horizon")
         if _horizon_slots(self) < 1:
             raise ValueError(f"duration {self.duration} s is shorter than half an "
                              f"idle slot ({self.params.idle_slot} us)")
@@ -89,6 +94,17 @@ class SimConfig:
 def _horizon_slots(config: SimConfig) -> int:
     # the simulated horizon in whole idle slots
     return int(round(config.duration * (1e6 / config.params.idle_slot)))
+
+
+def _check_runnable(config: SimConfig) -> None:
+    """Refuse a Poisson rate above L packets per slot, one arrival per idle
+    slot per node on average and far past saturation: the event loop stops
+    at every arrival, so its cost grows with the rate without bound. Only
+    the simulator has this limit; the analysis takes any finite rate."""
+    L = slot_length(config.params)
+    if config.traffic == "poisson" and config.rate > L:
+        raise ValueError(f"rate {config.rate} exceeds the simulator's limit of {L} "
+                         "packets per slot (one arrival per idle slot per node)")
 
 
 @dataclass(eq=False)
@@ -370,6 +386,7 @@ def run(config: SimConfig) -> SimResult:
     replication is independent and the whole result is a pure function of
     (config, seed), whichever process runs each replication.
     """
+    _check_runnable(config)
     p = config.params
     L = slot_length(p)
     t_end = _horizon_slots(config)

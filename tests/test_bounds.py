@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from snc80211.bounds import (
+    VARIANTS,
     BacklogBound,
     BoundSpec,
     GridOptions,
@@ -78,10 +79,13 @@ def test_spec_at_and_meta(bounds04):
 
 def _full_pass(bound, x):
     """The exhaustive evaluation that BacklogBound.evaluate prunes: the
-    kernel over the whole grid, and the first index of the minimum."""
+    kernel over every point of the grid, flattened row-major, and the first
+    index of the minimum."""
     g = bound._grid
     kernel = _indep_vec if bound.variant in ("bound3", "bound4") else _minplus_vec
-    vals = kernel(g.a_f, g.theta1, g.a_g, g.theta2, float(x))
+    n = g.r_a.shape[1]
+    vals = kernel(g.a_f.ravel(), np.repeat(g.theta1, n), g.a_g.ravel(),
+                  np.repeat(g.theta2, n), float(x))
     i = int(np.argmin(vals))
     return float(vals[i]), g.spec(i, bound.variant)
 
@@ -103,22 +107,24 @@ def test_pruned_evaluate_matches_full_pass(rate, impairment):
 
 
 def test_pruning_keeps_the_lowest_index_among_ties():
-    # rows 1, 3 and 4 are one point, better than rows 0 and 2 at every
-    # x > 0, and with no service tail its value is its lower bound f(x), so
-    # any overstated lower bound prunes it; row 5 never beats 1
-    a_f = np.array([3.0, 2.0, 3.0, 2.0, 2.0, 1.0])
-    a_g = np.array([3.0, 0.0, 3.0, 0.0, 0.0, 0.5])
-    th = np.array([0.2, 0.3, 0.2, 0.3, 0.3, 1e-3])
-    grid = _Grid(theta1=th, theta2=th, r_a=np.full(6, 0.5), a_f=a_f, a_g=a_g)
+    # points 3, 4 and 5 are one point, in two rows of the same pair, better
+    # than points 0-2 at every x > 0; with no service tail its value is its
+    # lower bound f(x), so any overstated lower bound prunes it. Point 2
+    # shares a row with 3 but its own lower bound passes the cut, so it
+    # reaches the kernel and loses there; the last row never beats 3.
+    a_f = np.array([[3.0, 3.0], [3.0, 2.0], [2.0, 2.0], [1.0, 1.0]])
+    a_g = np.array([[3.0, 3.0], [3.0, 0.0], [0.0, 0.0], [0.5, 0.5]])
+    th = np.array([0.2, 0.3, 0.3, 1e-3])
+    grid = _Grid(theta1=th, theta2=th, r_a=np.full((4, 2), 0.5), a_f=a_f, a_g=a_g)
     for v in ("bound1", "bound3"):
         b = BacklogBound(v, grid)
         # every value is 1 at x = 0 and the full pass's argmin is 0, although
-        # only row 5 (lower bound exactly 1) reaches the kernel
+        # only the last row (lower bound exactly 1) reaches the kernel
         assert b.evaluate(0) == 1.0 and b.meta["best"][0]["i"] == 0
         for x in (60, 20, 40, 30, 25, 12):
             value, spec = _full_pass(b, x)
             assert b.evaluate(x) == value < 1.0, (v, x)
-            assert b.meta["best"][x]["i"] == 1 and b.spec_at(x) == spec
+            assert b.meta["best"][x]["i"] == 3 and b.spec_at(x) == spec
 
 
 def _assert_pruned_matches_full_pass(b, xs):
@@ -129,27 +135,21 @@ def _assert_pruned_matches_full_pass(b, xs):
 
 
 def test_block_pruning_matches_full_pass_on_hand_built_grids():
-    # runs of equal (theta1, theta2) with 1 to 4 points; the few theta
-    # values make a pair come back in runs that are not adjacent
+    # 30 rows of 1 to 4 points each; the few theta values make a pair come
+    # back in rows that are not adjacent, and adjacent rows share a pair
     rng = np.random.default_rng(5)
     thetas = np.array([0.05, 0.2, 0.7])
     for _ in range(20):
         pairs = rng.integers(0, 3, size=(30, 2))
-        sizes = rng.integers(1, 5, size=30)
-        th1 = np.repeat(thetas[pairs[:, 0]], sizes)
-        th2 = np.repeat(thetas[pairs[:, 1]], sizes)
-        a_f = np.exp(rng.normal(1.0, 1.5, th1.size))
+        shape = (30, int(rng.integers(1, 5)))
+        a_f = np.exp(rng.normal(1.0, 1.5, shape))
         # with no service tail a point's value is its lower bound, so the
         # pruning cut has only its slack to spare
-        a_g = np.where(rng.random(th1.size) < 0.3, 0.0, np.exp(rng.normal(1.0, 1.5, th1.size)))
-        grid = _Grid(theta1=th1, theta2=th2, r_a=np.full(th1.size, 0.5), a_f=a_f, a_g=a_g)
-        # a block ends where the pair changes, not only where it is new
-        new_run = np.r_[True, (pairs[1:] != pairs[:-1]).any(axis=1)]
-        assert list(grid.block_start) == list((np.cumsum(sizes) - sizes)[new_run])
-        assert grid.block_size.sum() == th1.size
-        for s, n, lo_f, lo_g in zip(grid.block_start, grid.block_size,
-                                    grid.block_a_f, grid.block_a_g):
-            assert (lo_f, lo_g) == (a_f[s:s + n].min(), a_g[s:s + n].min())
+        a_g = np.where(rng.random(shape) < 0.3, 0.0, np.exp(rng.normal(1.0, 1.5, shape)))
+        grid = _Grid(theta1=thetas[pairs[:, 0]], theta2=thetas[pairs[:, 1]],
+                     r_a=np.full(shape, 0.5), a_f=a_f, a_g=a_g)
+        assert np.array_equal(grid.row_a_f, a_f.min(axis=1))
+        assert np.array_equal(grid.row_a_g, a_g.min(axis=1))
         for v in ("bound1", "bound3"):
             _assert_pruned_matches_full_pass(BacklogBound(v, grid),
                                              rng.permutation(np.arange(0, 120, 3)))
@@ -157,19 +157,21 @@ def test_block_pruning_matches_full_pass_on_hand_built_grids():
 
 @pytest.mark.parametrize("options", [GridOptions(r_points=1), GridOptions(theta_points=1)])
 def test_block_pruning_matches_full_pass_on_thin_grids(options, impairment):
-    # r_points=1 makes every block a single point; theta_points=1 makes the
-    # whole grid one block
+    # r_points=1 makes every row a single point; theta_points=1 makes the
+    # whole grid one row
     arrival = PoissonTraffic(0.04)
     for v in ("bound1", "bound2", "bound3", "bound4"):
         b = build_bound(v, arrival, impairment, options)
-        assert b._grid.block_size.max() == (options.r_points if options.theta_points == 1 else 1)
+        rows, n = b._grid.a_f.shape
+        assert n == options.r_points and (rows == 1 or options.theta_points > 1)
         q = quantile(b, 1e-3)
         _assert_pruned_matches_full_pass(b, sorted(b.meta["best"]) + list(range(0, q + 2, 7)))
 
 
 def _reference_grid(martingale, arrival, impairment, opts):
-    """The grid as a plain row-major loop over the scalar prefactor, with
-    rho_a + sigma_a of each point."""
+    """The grid as a plain row-major loop over the scalar prefactor: the
+    thetas of each feasible pair, and r_a, a_f, a_g and rho_a + sigma_a of
+    each of its points, one list per pair."""
     ref = {k: [] for k in ("theta1", "theta2", "r_a", "a_f", "a_g", "floor")}
     for th1 in opts.thetas():
         sa = arrival.sigma_rho(th1)
@@ -179,12 +181,17 @@ def _reference_grid(martingale, arrival, impairment, opts):
             width = 1.0 - si.rho - lo
             if width <= 0:
                 continue
+            ref["theta1"].append(th1)
+            ref["theta2"].append(th2)
+            row = {k: [] for k in ("r_a", "a_f", "a_g", "floor")}
             for j in range(1, opts.r_points + 1):
                 r_a = lo + width * (j / (opts.r_points + 1))
                 a_f = 1.0 if martingale else float(_vb_prefactor(th1, sa.sigma, sa.rho, r_a))
                 a_g = float(_vb_prefactor(th2, si.sigma, si.rho, 1.0 - r_a))
-                for k, v in zip(ref, (th1, th2, r_a, a_f, a_g, sa.rho + sa.sigma)):
-                    ref[k].append(v)
+                for k, v in zip(row, (r_a, a_f, a_g, sa.rho + sa.sigma)):
+                    row[k].append(v)
+            for k, v in row.items():
+                ref[k].append(v)
     return ref
 
 
@@ -197,7 +204,8 @@ class _BurstyPoisson(PoissonTraffic):
 
 
 def test_grid_specs_are_feasible(impairment):
-    # bound2 has the martingale tail: r_a >= rho + sigma, no arrival prefactor
+    # bound2 has the martingale tail: r_a >= rho + sigma, no arrival prefactor;
+    # the grid holds each feasible pair once, its r_a points along the row
     for arrival in (PoissonTraffic(0.04), PoissonTraffic(0.075), _BurstyPoisson(0.04)):
         for variant in ("bound1", "bound2"):
             bound = build_bound(variant, arrival, impairment)
@@ -209,6 +217,10 @@ def test_grid_specs_are_feasible(impairment):
                 assert np.all(grid.r_a >= ref["floor"]) and np.all(grid.a_f == 1.0)
             specs = bound.grid_specs()
             assert len(specs) == bound.meta["grid_points"]
+            # spec i is column i % r_points of row i // r_points
+            n = GridOptions().r_points
+            assert [(s.theta1, s.theta2, s.r_a) for s in specs] == list(zip(
+                np.repeat(ref["theta1"], n), np.repeat(ref["theta2"], n), np.ravel(ref["r_a"])))
             for spec in specs[:50] + specs[-50:]:
                 assert spec.r_i > impairment.sigma_rho(spec.theta2).rho
 
@@ -240,30 +252,64 @@ def test_quantile_never_crosses():
         quantile(_Fake(lambda x: 0.5), 0.1)
 
 
-def test_quantile_table_poisson_004(arr04, impairment):
-    rows = quantile_table(arr04, impairment, P_LIST)
-    got = {v: [r[v] for r in rows]
-           for v in ("bound1", "bound2", "bound3", "bound4")}
-    assert got["bound1"] == [24, 25, 25, 26, 26, 27, 28, 29, 31, 33]
-    assert got["bound2"] == [8, 9, 10, 10, 11, 12, 13, 15, 17, 19]
-    assert got["bound3"] == [23, 23, 24, 24, 25, 25, 26, 27, 28, 30]
-    assert got["bound4"] == [7, 8, 8, 9, 10, 11, 11, 13, 14, 16]
+# quantile tables at the benchmark's bound rates, for P_LIST + DEEP_P:
+# bound1, bound2, bound3 and bound4 per rate
+DEEP_P = (1e-3, 1e-6, 1e-9)
+PINNED_TABLES = {
+    0.02: ([11, 11, 11, 11, 12, 12, 12, 13, 14, 15, 21, 31, 41],
+           [4, 4, 4, 5, 5, 5, 6, 7, 8, 9, 15, 25, 35],
+           [10, 10, 11, 11, 11, 11, 12, 12, 13, 14, 17, 23, 29],
+           [3, 4, 4, 4, 5, 5, 5, 6, 7, 8, 11, 17, 23]),
+    0.03: ([16, 16, 16, 17, 17, 18, 18, 19, 21, 22, 31, 46, 60],
+           [5, 6, 6, 7, 7, 8, 9, 10, 12, 13, 22, 37, 52],
+           [15, 15, 16, 16, 16, 17, 17, 18, 19, 20, 25, 33, 41],
+           [5, 5, 6, 6, 7, 7, 8, 9, 10, 11, 16, 25, 33]),
+    0.04: ([24, 25, 25, 26, 26, 27, 28, 29, 31, 33, 46, 66, 86],
+           [8, 9, 10, 10, 11, 12, 13, 15, 17, 19, 31, 52, 73],
+           [23, 23, 24, 24, 25, 25, 26, 27, 28, 30, 37, 49, 60],
+           [7, 8, 8, 9, 10, 11, 11, 13, 14, 16, 23, 35, 46]),
+    0.05: ([39, 39, 40, 41, 42, 43, 44, 46, 49, 53, 70, 101, 131],
+           [13, 14, 15, 16, 17, 19, 20, 23, 26, 30, 48, 79, 109],
+           [37, 38, 38, 39, 40, 40, 41, 43, 45, 47, 58, 74, 90],
+           [10, 12, 13, 14, 15, 16, 18, 19, 22, 24, 36, 54, 70]),
+    0.06: ([71, 72, 73, 74, 76, 77, 80, 83, 88, 93, 123, 176, 226],
+           [24, 25, 27, 29, 31, 33, 36, 40, 46, 51, 83, 133, 183],
+           [68, 69, 70, 71, 72, 73, 75, 77, 80, 84, 101, 130, 159],
+           [19, 21, 23, 25, 27, 29, 31, 34, 38, 42, 62, 93, 120]),
+    0.07: ([186, 188, 191, 193, 196, 200, 205, 212, 224, 236, 302, 419, 536],
+           [60, 64, 68, 72, 78, 83, 89, 98, 112, 126, 195, 316, 436],
+           [178, 180, 183, 185, 188, 191, 194, 199, 206, 214, 252, 317, 381],
+           [50, 54, 58, 63, 67, 72, 78, 84, 94, 105, 149, 218, 282]),
+    0.075: ([496, 501, 506, 512, 519, 527, 538, 553, 579, 605, 753, 1013, 1273],
+            [154, 164, 174, 185, 198, 210, 225, 246, 277, 309, 470, 737, 1003],
+            [475, 481, 486, 492, 498, 505, 513, 524, 540, 557, 642, 786, 927],
+            [130, 141, 151, 161, 173, 185, 197, 212, 237, 260, 366, 521, 662]),
+}
+
+
+@pytest.mark.parametrize("rate", sorted(PINNED_TABLES))
+def test_quantile_table_poisson(rate, impairment):
+    # any change to the bound layer that moves a quantile fails here; a
+    # change that provably tightens a bound re-pins the table
+    rows = quantile_table(PoissonTraffic(rate), impairment, P_LIST + DEEP_P)
+    got = tuple([r[v] for r in rows] for v in VARIANTS)
+    assert got == PINNED_TABLES[rate]
     for r in rows:
         assert r["bound4"] <= r["bound3"] <= r["bound1"]
         assert r["bound4"] <= r["bound2"] <= r["bound1"]
 
 
-def test_quantile_table_poisson_007(impairment):
-    rows = quantile_table(PoissonTraffic(0.07), impairment, P_LIST)
-    got = {v: [r[v] for r in rows]
-           for v in ("bound1", "bound2", "bound3", "bound4")}
-    assert got["bound1"] == [186, 188, 191, 193, 196, 200, 205, 212, 224, 236]
-    assert got["bound2"] == [60, 64, 68, 72, 78, 83, 89, 98, 112, 126]
-    assert got["bound3"] == [178, 180, 183, 185, 188, 191, 194, 199, 206, 214]
-    assert got["bound4"] == [50, 54, 58, 63, 67, 72, 78, 84, 94, 105]
-    for r in rows:
-        assert r["bound4"] <= r["bound3"] <= r["bound1"]
-        assert r["bound4"] <= r["bound2"] <= r["bound1"]
+@pytest.mark.parametrize("rate", [0.02, 0.075])
+def test_quantile_table_shares_grids_correctly(rate, impairment):
+    # the table builds one grid per arrival tail and lends it to the other
+    # variant of that tail; in either order, each column must equal the
+    # quantiles of that variant's own bound
+    arrival, p_list = PoissonTraffic(rate), P_LIST + DEEP_P
+    own = {v: [quantile(build_bound(v, arrival, impairment), p) for p in p_list]
+           for v in VARIANTS}
+    for variants in (VARIANTS, VARIANTS[::-1]):
+        rows = quantile_table(arrival, impairment, p_list, variants=variants)
+        assert {v: [r[v] for r in rows] for v in variants} == own
 
 
 def test_light_load_bound_is_tiny(impairment):

@@ -395,12 +395,22 @@ SIM_1S = ["--duration", "1", "--replications", "1", "--sample-time", "1"]
     (["simulate", "--rate", "nan", *SIM_1S], None),
     (["simulate", "--rate", "0.04", "--duration", "inf",
       "--replications", "1", "--sample-time", "1"], None),
+    # a horizon of 2**62 idle slots or more, and a rate past one arrival per
+    # idle slot per node, are past what the simulator runs
+    (["simulate", "--rate", "0.04", "--duration", "1e308",
+      "--replications", "1", "--sample-time", "1"], None),
+    (["fixed-point"], "[sim]\nduration = 1e308"),
+    (["fixed-point"], "[sim]\nduration = 1e14"),
+    (["simulate", "--rate", "1e308", *SIM_1S], None),
+    (["compare", "--rate", "1e308", "--p-list", "0.5", *SIM_1S], None),
 ])
 def test_non_finite_input_is_a_usage_error(tmp_path, argv, grid):
     # several of these used to hang, so each runs in its own process under
-    # a timeout: a regression fails here instead of stalling the suite
+    # a timeout: a regression fails here instead of stalling the suite. A
+    # config body goes under [grid] unless it names its own section.
     if grid is not None:
-        argv = [*argv, "--config", _write(tmp_path, "grid.ini", f"[grid]\n{grid}\n")]
+        body = grid if grid.startswith("[") else f"[grid]\n{grid}"
+        argv = [*argv, "--config", _write(tmp_path, "run.ini", body + "\n")]
     proc = _run_cli(argv)
     assert proc.returncode == 2, proc.stderr
     assert "error:" in proc.stderr

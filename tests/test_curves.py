@@ -105,7 +105,8 @@ def _route_prefactors(monkeypatch, route, theta, sigma, rho, delta):
     the min-plus kernel for the arrival envelope (theta, sigma, rho) at rate
     rho + delta and the envelope (theta, 0, 0) at the rest of the capacity."""
     seen = []
-    monkeypatch.setattr(bounds, "_minplus_vec", lambda *args: seen.append(args) or 0.0)
+    monkeypatch.setitem(bounds._FORMS, "bound1",
+                        (False, lambda *args: seen.append(args) or 0.0))
     spec = BoundSpec("bound1", theta, theta, rho + delta)
     point_tail_value(spec, _Fixed(sigma, rho), _Fixed(0.0, 0.0), 5, route=route)
     return seen[0][0], seen[0][2]

@@ -43,6 +43,23 @@ def test_config_validation():
         SimConfig(sample_time=-1.0)
 
 
+def test_horizon_and_rate_limits_name_the_setting():
+    # the empty-queue sentinel 2**62 must lie past every horizon; the
+    # duration is compared before it is converted to whole slots
+    slot_s = Params80211().idle_slot / 1e6
+    SimConfig(duration=0.99 * 2.0 ** 62 * slot_s, sample_time=0.0)
+    for duration in (2.0 ** 62 * slot_s, 1e308):
+        with pytest.raises(ValueError, match=r"^duration .* 2\*\*62 idle slots"):
+            SimConfig(duration=duration, sample_time=0.0)
+    # one arrival per idle slot per node on average is the most run() takes
+    L = slot_length(Params80211())
+    cfg = SimConfig(traffic="poisson", rate=float(L), duration=0.01,
+                    replications=1, sample_time=0.01)
+    assert run(cfg).replications == 1
+    with pytest.raises(ValueError, match=r"^rate 39\.5 exceeds the simulator's limit of 39 "):
+        run(replace(cfg, rate=L + 0.5))
+
+
 def test_deterministic_replay():
     cfg = SimConfig(traffic="poisson", rate=0.09, duration=5.0,
                     replications=8, sample_time=5.0, seed=123)
