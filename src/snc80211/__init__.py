@@ -8,15 +8,14 @@ tail bounds, query quantiles, and cross-check against simulation.
 The package re-exports each module's ``__all__``; a public name is declared
 once, in its module.
 """
-from . import bounds, characterize, config, curves, dcf, sim
+from . import bounds, characterize, config, dcf, sim
 from .bounds import *  # noqa: F401,F403
 from .characterize import *  # noqa: F401,F403
 from .config import *  # noqa: F401,F403
-from .curves import *  # noqa: F401,F403
 from .dcf import *  # noqa: F401,F403
 from .sim import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [name for module in (bounds, characterize, config, curves, dcf, sim)
+__all__ = [name for module in (bounds, characterize, config, dcf, sim)
            for name in module.__all__]

@@ -11,9 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .curves import SigmaRho
-
 __all__ = [
+    "SigmaRho",
     "FitConvergenceError",
     "poisson_sigma_rho",
     "fit_sigma_rho",
@@ -22,6 +21,28 @@ __all__ = [
 
 _EPSILON = 1e-5  # relative band in which an envelope slope counts as settled
 DEFAULT_T_CAP = 10_000  # the largest t an envelope fit or the impairment MGF reaches
+
+
+@dataclass(frozen=True)
+class SigmaRho:
+    """An MGF envelope triple (theta, sigma, rho).
+
+    Encodes (1/theta) * log E exp(theta * X(s, s+t)) <= rho * t + sigma for
+    all windows, i.e. the process is (sigma(theta), rho(theta))-upper
+    constrained at this theta.
+    """
+
+    theta: float
+    sigma: float
+    rho: float
+
+    def __post_init__(self):
+        if not 0 < self.theta < math.inf:
+            raise ValueError("theta must be positive and finite")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and nonnegative")
+        if not 0 <= self.rho < math.inf:
+            raise ValueError("rho must be finite and nonnegative")
 
 
 class FitConvergenceError(RuntimeError):

@@ -14,8 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .characterize import DEFAULT_T_CAP, FitConvergenceError, fit_sigma_rho
-from .curves import SigmaRho
+from .characterize import DEFAULT_T_CAP, FitConvergenceError, SigmaRho, fit_sigma_rho
 
 __all__ = [
     "Params80211",

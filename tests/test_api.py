@@ -2,6 +2,7 @@
 ``__all__``, and the package re-exports exactly their union."""
 import ast
 import importlib
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -19,7 +20,7 @@ from snc80211.dcf import ImpairmentModel, impairment_mgf, impairment_sigma_rho, 
 from snc80211.config import RunConfig
 from snc80211.sim import SimConfig, SimResult
 
-MODULES = ("bounds", "characterize", "config", "curves", "dcf", "sim")
+MODULES = ("bounds", "characterize", "config", "dcf", "sim")
 
 
 def test_package_exports_the_union_of_module_exports():
@@ -44,15 +45,15 @@ def test_package_exports_the_union_of_module_exports():
     ("dcf", "MgfEnvelope"),
     ("dcf", "impairment_mgf_envelope"),
     ("dcf", "DEFAULT_MGF_T_CAP"),
-    ("curves", "vb_curve_martingale"),
-    ("curves", "BoundingFunction"),
-    ("curves", "CurveWithBound"),
-    ("curves", "CURVE_KINDS"),
-    ("curves", "ta_curve_from_sigma_rho"),
-    ("curves", "vb_curve_from_sigma_rho"),
-    ("curves", "ta_to_vb"),
-    ("curves", "minplus_convolve"),
-    ("curves", "independent_tail_convolve"),
+    ("bounds", "vb_curve_martingale"),
+    ("bounds", "BoundingFunction"),
+    ("bounds", "CurveWithBound"),
+    ("bounds", "CURVE_KINDS"),
+    ("bounds", "ta_curve_from_sigma_rho"),
+    ("bounds", "vb_curve_from_sigma_rho"),
+    ("bounds", "ta_to_vb"),
+    ("bounds", "minplus_convolve"),
+    ("bounds", "independent_tail_convolve"),
     ("bounds", "VacuousBoundWarning"),
     ("bounds", "StabilityReport"),
     ("bounds", "stability_check"),
@@ -61,6 +62,12 @@ def test_deleted_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(f"snc80211.{module}"), name)
     assert not hasattr(snc80211, name)
     assert not hasattr(ImpairmentModel, "service_curve")
+
+
+def test_curves_module_is_gone():
+    # SigmaRho lives with the envelope code, the tail kernels with bounds
+    assert importlib.util.find_spec("snc80211.curves") is None
+    assert snc80211.SigmaRho is snc80211.characterize.SigmaRho
 
 
 def test_single_valued_options_are_gone():

@@ -12,14 +12,16 @@ from snc80211.bounds import (
     GridOptions,
     InfeasibleBoundError,
     _Grid,
+    _indep_vec,
+    _minplus_vec,
+    _vb_prefactor,
     build_bound,
     point_tail_value,
     quantile,
     quantile_table,
     rate_to_mbps,
 )
-from snc80211.characterize import PoissonTraffic
-from snc80211.curves import SigmaRho, _indep_vec, _minplus_vec, _vb_prefactor
+from snc80211.characterize import PoissonTraffic, SigmaRho
 from snc80211.dcf import stable_rate_threshold
 
 P_LIST = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05)

@@ -1,7 +1,7 @@
 """Envelope triples, the vb prefactor of both assembly routes, and the two
 composition kernels.
 
-Each composition rule has one closed-form kernel in snc80211.curves; the
+Each composition rule has one closed-form kernel in snc80211.bounds; the
 scalar minimiser and the O(x) sums below are the independent reference
 oracles it is checked against."""
 import math
@@ -10,9 +10,15 @@ import numpy as np
 import pytest
 
 import snc80211.bounds as bounds
-from snc80211.bounds import _REL_SLACK, BoundSpec, point_tail_value
-from snc80211.characterize import poisson_sigma_rho
-from snc80211.curves import SigmaRho, _indep_vec, _minplus_vec, _vb_prefactor
+from snc80211.bounds import (
+    _REL_SLACK,
+    BoundSpec,
+    _indep_vec,
+    _minplus_vec,
+    _vb_prefactor,
+    point_tail_value,
+)
+from snc80211.characterize import SigmaRho, poisson_sigma_rho
 
 
 def _minplus_oracle(a1, t1, a2, t2, x) -> float:
