@@ -118,6 +118,10 @@ CAPACITY = 1.0  # packets per slot, split between r_a and r_i
 # evaluate keeps a grid row while its points' lower bound is <= ub (1 +
 # _REL_SLACK), a margin for the rounding of the kernels' exp and sums
 _REL_SLACK = 1e-9
+# Largest theta_points**2 * r_points, about ten times the default 96,000. A
+# grid holds three floats per point and a kernel pass a dozen temporaries:
+# bounds --rate 0.02 peaks at 95 MB resident at the cap, 34 MB by default.
+_GRID_POINTS_MAX = 10 ** 6
 
 
 def _form(variant: str):
@@ -150,6 +154,12 @@ class GridOptions:
             raise ValueError("theta_points and r_points must be at least 1")
         if not (0 < self.theta_min < math.inf and 0 < self.theta_max < math.inf):
             raise ValueError("theta_min and theta_max must be positive and finite")
+        if self.theta_min > self.theta_max:
+            raise ValueError(f"theta_min {self.theta_min} is above theta_max {self.theta_max}")
+        points = self.theta_points ** 2 * self.r_points
+        if points > _GRID_POINTS_MAX:
+            raise ValueError(f"theta_points**2 * r_points = {points} grid points is past "
+                             f"the limit of {_GRID_POINTS_MAX}")
 
     def thetas(self) -> np.ndarray:
         return np.geomspace(self.theta_min, self.theta_max, self.theta_points)
@@ -316,7 +326,7 @@ def build_bound(variant: str, arrival, impairment: ImpairmentModel,
     a_i = impairment.average_rate()
     if a_a >= CAPACITY - a_i:
         raise InfeasibleBoundError(
-            f"arrival rate {a_a:.4f} >= sustainable rate {CAPACITY - a_i:.4f}; "
+            f"arrival rate {a_a:.4g} >= sustainable rate {CAPACITY - a_i:.4g}; "
             "no finite bound exists")
     return BacklogBound(variant, _build_grid(martingale, arrival, impairment, options))
 
@@ -362,11 +372,16 @@ def quantile_table(arrival, impairment: ImpairmentModel, p_list,
 
 
 def rate_to_mbps(rate_pkts_per_slot: float, params) -> float:
-    """packets/slot -> Mbps of payload, one slot being L idle slots."""
+    """packets/slot -> Mbps of payload, one slot being L idle slots. Raises
+    ValueError where the Mbps value leaves the float range."""
     L = slot_length(params)
     bits_per_slot_time = params.payload * 8.0
     slot_us = L * params.idle_slot
-    return rate_pkts_per_slot * bits_per_slot_time / slot_us
+    mbps = rate_pkts_per_slot * bits_per_slot_time / slot_us
+    if not math.isfinite(mbps):
+        raise ValueError(f"rate {rate_pkts_per_slot} packets per slot is past the "
+                         f"float range in Mbps")
+    return mbps
 
 
 def point_tail_value(spec: BoundSpec, arrival, impairment: ImpairmentModel,

@@ -185,27 +185,28 @@ def solve_fixed_point(params: Params80211) -> DcfFixedPoint:
     """
     n = params.n_nodes
     stages = params.retry_limit
-    L = slot_length(params)
-    if n == 1:
-        tau = _tau_of_eta(0.0, params.cw_min, stages)
-        return _fixed_point_from(tau, 0.0, n, L)
+    eta = 0.0
+    if n > 1:
+        def resid(eta):
+            tau = _tau_of_eta(eta, params.cw_min, stages)
+            return 1.0 - (1.0 - tau) ** (n - 1) - eta
 
-    def resid(eta):
-        tau = _tau_of_eta(eta, params.cw_min, stages)
-        return 1.0 - (1.0 - tau) ** (n - 1) - eta
-
-    lo, hi = 0.0, 1.0
-    if resid(lo) <= 0 or resid(hi) >= 0:
-        raise FitConvergenceError("fixed-point residual failed to bracket a root")
-    while hi - lo > _FIXED_POINT_TOL:
-        mid = 0.5 * (lo + hi)
-        if resid(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    eta = 0.5 * (lo + hi)
+        lo, hi = 0.0, 1.0
+        if resid(lo) <= 0 or resid(hi) >= 0:
+            raise FitConvergenceError("fixed-point residual failed to bracket a root")
+        while hi - lo > _FIXED_POINT_TOL:
+            mid = 0.5 * (lo + hi)
+            if resid(mid) > 0:
+                lo = mid
+            else:
+                hi = mid
+        eta = 0.5 * (lo + hi)
     tau = _tau_of_eta(eta, params.cw_min, stages)
-    return _fixed_point_from(tau, eta, n, L)
+    if not 0.0 < tau <= 1.0:
+        # the mean backoff of cw/2 slots per stage is under one slot at cw = 1
+        raise ValueError(f"cw_min = {params.cw_min} with n_nodes = {n} solves to an "
+                         f"attempt rate tau = {tau:.4g} per slot, outside (0, 1]")
+    return _fixed_point_from(tau, eta, n, slot_length(params))
 
 
 def _fixed_point_from(tau, eta, n, L) -> DcfFixedPoint:

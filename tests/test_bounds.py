@@ -325,7 +325,7 @@ def test_unsustainable_rate_warns_and_fails(impairment):
     # every envelope rate is at least the mean rate, so no grid point can be
     # feasible: build_bound says so before it builds a grid
     with pytest.raises(InfeasibleBoundError,
-                       match=r"^arrival rate 0\.0900 >= sustainable rate 0\.0793;"):
+                       match=r"^arrival rate 0\.09 >= sustainable rate 0\.0793;"):
         build_bound("bound1", PoissonTraffic(0.09), impairment)
 
 

@@ -132,8 +132,20 @@ def test_bounds_unsustainable_rate_is_one_stderr_line():
     proc = _run_cli(["bounds", "--rate", "0.2"])
     assert proc.returncode == 3
     assert proc.stdout == ""
-    assert proc.stderr == ("infeasible: arrival rate 0.2000 >= sustainable rate "
+    assert proc.stderr == ("infeasible: arrival rate 0.2 >= sustainable rate "
                            "0.0793; no finite bound exists\n")
+
+
+def test_rate_past_the_float_range_in_mbps(capsys):
+    # 1e308 packets per slot is finite, but its Mbps value is not: stability
+    # refuses it by name, and bounds prints it in 4 significant digits
+    assert main(["stability", "--rate", "1e308", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rate 1e+308 packets per slot is past the float range in Mbps\n"
+    assert main(["bounds", "--rate", "1e308"]) == 3
+    assert capsys.readouterr().err == ("infeasible: arrival rate 1e+308 >= sustainable rate "
+                                       "0.0793; no finite bound exists\n")
 
 
 def test_bounds_independent_tails_keep_falling_at_deep_p(capsys):
@@ -340,6 +352,8 @@ def test_config_grid_section(tmp_path, capsys):
     "[traffic]\nmode = 5%\n",
     "n_nodes = 20\n",                    # no section header
     "[sim]\nseed = -5\n",               # no negative root seed
+    "[grid]\nr_points = 1000000\n",     # 1.6e9 grid points, refused before any allocation
+    "[grid]\ntheta_min = 1\ntheta_max = 0.001\n",  # a reversed theta range
 ])
 def test_config_rejected(tmp_path, capsys, body):
     cfgfile = _write(tmp_path, "bad.ini", body)
@@ -379,6 +393,24 @@ def test_characterize_rho_below_mean_rate_is_nonconvergence(capsys, theta):
 
 
 SIM_1S = ["--duration", "1", "--replications", "1", "--sample-time", "1"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["fixed-point"], 2),
+    (["characterize", "--thetas", "0.1"], 2),
+    (["stability", "--rate", "0.5"], 2),
+    (["bounds"], 2),
+    (["compare", *SIM_1S], 2),
+    (["simulate", *SIM_1S], 0),
+])
+def test_one_node_at_cw_min_one_is_refused_where_the_fixed_point_is_solved(
+        tmp_path, capsys, argv, code):
+    # a mean backoff of cw_min/2 = 0.5 slots solves to tau = 2 at one node;
+    # the simulator draws its backoffs and never solves the fixed point
+    cfgfile = _write(tmp_path, "cw1.ini", "[mac]\ncw_min = 1\ncw_max = 1\nn_nodes = 1\n")
+    assert main([*argv, "--config", cfgfile]) == code
+    err = capsys.readouterr().err
+    assert ("cw_min = 1" in err) == (code == 2), err
 
 
 @pytest.mark.parametrize("argv, grid", [

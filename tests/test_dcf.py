@@ -84,6 +84,16 @@ def test_fixed_point_single_node(params):
     assert fp.tau == pytest.approx(1.0 / 16.0, rel=1e-12)
 
 
+def test_fixed_point_refuses_an_attempt_rate_past_one(params):
+    # the mean backoff cw_min/2 is half a slot at cw_min = 1: one node alone
+    # would attempt twice a slot, while contention brings more nodes below 1
+    one = replace(params, cw_min=1, cw_max=1)
+    with pytest.raises(ValueError, match=r"^cw_min = 1 .* tau = 2 per slot, outside \(0, 1\]"):
+        solve_fixed_point(replace(one, n_nodes=1))
+    for n, tau in ((2, 0.5207), (4, 0.3003)):
+        assert solve_fixed_point(replace(one, n_nodes=n)).tau == pytest.approx(tau, abs=1e-4)
+
+
 def test_fixed_point_monotone_in_n(params):
     fps = [solve_fixed_point(replace(params, n_nodes=n)) for n in (10, 20, 100)]
     taus = [fp.tau for fp in fps]
