@@ -21,8 +21,11 @@ the per-x minimum over the grid is itself a valid bound.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,17 +55,17 @@ def _minplus_vec(a, t1, b, t2, x):
     # min over the split point y of a e^{-t1 y} + b e^{-t2 (x-y)}: endpoints
     # plus the interior stationary point when it lands inside (0, x). A zero
     # prefactor sends the stationary point to +-inf (or nan for two zeros),
-    # which the mask drops, so those lanes may go non-finite quietly.
+    # which the mask drops, so those lanes may go non-finite quietly. x may
+    # be a scalar or one value per lane.
     a = np.asarray(a, dtype=float)
     h0 = a + b * np.exp(-t2 * x)
     hx = a * np.exp(-t1 * x) + b
     vals = np.minimum(h0, hx)
-    if x > 0:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ystar = (np.log(t1 * a / (t2 * b)) + t2 * x) / (t1 + t2)
-            hin = a * np.exp(-t1 * ystar) * (1.0 + t1 / t2)
-        ok = (ystar > 0.0) & (ystar < x)
-        vals = np.where(ok, np.minimum(vals, hin), vals)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        ystar = (np.log(t1 * a / (t2 * b)) + t2 * x) / (t1 + t2)
+        hin = a * np.exp(-t1 * ystar) * (1.0 + t1 / t2)
+    ok = (ystar > 0.0) & (ystar < x)
+    vals = np.where(ok, np.minimum(vals, hin), vals)
     return np.clip(vals, 0.0, 1.0)
 
 
@@ -105,6 +108,28 @@ def _indep_vec(a, t1, b, t2, x):
     return np.clip(vals, 0.0, 1.0)
 
 
+def _minplus_floor(a, t1, b, t2):
+    """Terms (c, d) with max(c - d x) <= log _minplus_vec(a', t1, b', t2, x)
+    for all x >= 0 and all a' >= a, b' >= b, elementwise, until the kernel
+    clamps at 1: f = a e^{-t1 x} and g = b e^{-t2 x}, which each split term
+    covers, and the unconstrained minimum over the split point,
+    s = a e^{-t1 y} (1 + t1/t2) at the stationary y of _minplus_vec, which
+    decays at t1 t2 / (t1 + t2) and grows in both prefactors."""
+    la, lb = np.log(a), np.log(b)
+    ls = (t2 * la + t1 * lb + t1 * np.log(t2 / t1)) / (t1 + t2) + np.log1p(t1 / t2)
+    return (la, t1), (lb, t2), (ls, t1 * t2 / (t1 + t2))
+
+
+def _indep_floor(a, t1, b, t2):
+    """Terms (c, d) with max(c - d x) <= log _indep_vec(a', t1, b', t2, x)
+    for all integer x >= 0 and all a' >= a, b' >= b, elementwise, until the
+    kernel clamps at 1. The kernel is the tail of X + Y, where Y >= kg and
+    X >= kf surely (the dead zones of the smallest prefactors), so it is at
+    least f(x - kg) and g(x - kf)."""
+    kf, kg = _dead_zone(a, t1), _dead_zone(b, t2)
+    return (np.log(a) + t1 * kg, t1), (np.log(b) + t2 * kf, t2)
+
+
 # variant -> (martingale arrival tail?, kernel combining the two tails)
 _FORMS = {
     "bound1": (False, _minplus_vec),
@@ -112,15 +137,20 @@ _FORMS = {
     "bound3": (False, _indep_vec),
     "bound4": (True, _indep_vec),
 }
+_FLOORS = {_minplus_vec: _minplus_floor, _indep_vec: _indep_floor}  # kernel -> row floor
 VARIANTS = tuple(_FORMS)
 X_MAX = 10 ** 6  # quantile search cap
 CAPACITY = 1.0  # packets per slot, split between r_a and r_i
-# evaluate keeps a grid row while its points' lower bound is <= ub (1 +
-# _REL_SLACK), a margin for the rounding of the kernels' exp and sums
+# evaluate keeps a grid row while its floor is <= ub (1 + _REL_SLACK), a
+# margin for the rounding of the kernels' exp and sums
 _REL_SLACK = 1e-9
+_TINY = sys.float_info.min  # smallest normal float
 # Largest theta_points**2 * r_points, about ten times the default 96,000. A
-# grid holds three floats per point and a kernel pass a dozen temporaries:
-# bounds --rate 0.02 peaks at 95 MB resident at the cap, 34 MB by default.
+# grid holds three floats per point, and a kernel call, which takes at most
+# one grid pass of points, a dozen per point: bounds --rate 0.02 peaks at
+# 147 MB resident in 1.0-1.1 s with theta_points = 1000, r_points = 1 (one
+# row per point), at 93 MB in 0.3-0.4 s with 40 and 625, and at 37 MB by
+# default.
 _GRID_POINTS_MAX = 10 ** 6
 
 
@@ -193,7 +223,7 @@ class _Grid:
     """Feasible grid with precomputed tail prefactors, one row per feasible
     (theta1, theta2) pair: theta1 and theta2 hold each row's pair, and r_a,
     a_f and a_g are rows x r_points arrays. Point i is column i % r_points
-    of row i // r_points (row-major). __post_init__ keeps each row's
+    of row i // r_points (row-major). row_a_f and row_a_g are each row's
     smallest prefactors, which bound every point of the row from below."""
 
     theta1: np.ndarray
@@ -202,10 +232,21 @@ class _Grid:
     a_f: np.ndarray  # arrival tail prefactor
     a_g: np.ndarray  # service tail prefactor
 
-    def __post_init__(self):
-        # fmin skips a nan prefactor, whose point cannot win anyway
-        self.row_a_f = np.fmin.reduce(self.a_f, axis=1)
-        self.row_a_g = np.fmin.reduce(self.a_g, axis=1)
+    # fmin skips a nan prefactor, whose point cannot win anyway
+    @property
+    def row_a_f(self) -> np.ndarray:
+        return np.fmin.reduce(self.a_f, axis=1)
+
+    @property
+    def row_a_g(self) -> np.ndarray:
+        return np.fmin.reduce(self.a_g, axis=1)
+
+    def floor_terms(self, kernel):
+        """The x-independent terms (c, d) of each row's floor under kernel:
+        min(1, exp(max(c - d x))) over the terms is at most every value of
+        the row at x, up to rounding."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _FLOORS[kernel](self.row_a_f, self.theta1, self.row_a_g, self.theta2)
 
     def __len__(self):
         return self.r_a.size
@@ -247,18 +288,19 @@ class BacklogBound:
     evaluate(x) is the minimum of the variant's closed-form tail over the
     whole feasible grid, at the first grid point attaining it, as a full
     kernel pass with argmin gives it; the value and the winning index "i"
-    are memoized in meta["best"]. The kernel runs only on the rows of the
-    grid that can still win. Each point's value is at least min(1, lb),
-    with lb = max(f(x), g(x)) the larger of its two tails, and the
+    are memoized in meta["best"]. _evaluate_many computes a batch of x
+    that way, and evaluate(x) is its one-x call.
+
+    The kernel runs only on the rows of the grid that can still win. Each
+    row has a floor from _Grid.floor_terms that decays at the kernel's
+    own rate, and every value of the row is at least min(1, floor). The
     memoized winner of the nearest x evaluated below 1, run at x, bounds
-    the minimum by ub (1 when there is none). A row is dropped when
-    max(min a_f e^{-theta1 x}, min a_g e^{-theta2 x}) over its points
-    passes the cut ub (1 + _REL_SLACK): rounding is monotone, so no point
-    of it has lb below the cut, and none can attain the minimum. Every
-    point of a kept row is run. One whose own lb passes the cut has a
-    value above ub, which is at least the minimum, so it can neither win
-    nor tie, and the result is the full pass's. If no point falls below
-    1, every value is 1 and the full pass's argmin is index 0.
+    the minimum by ub (1 when there is none). A row is dropped when its
+    floor passes the cut ub (1 + _REL_SLACK), so none of its points can
+    attain the minimum, and every point of a kept row is run: the result
+    is the full pass's. If no point falls below 1, every value is 1 and
+    the full pass's argmin is index 0. A cut below the smallest normal
+    float keeps every row, as the relative slack covers no rounding there.
     """
 
     def __init__(self, variant: str, grid: _Grid):
@@ -267,33 +309,70 @@ class BacklogBound:
         self._grid = grid
         self.meta = {"grid_points": len(grid), "best": {}}
 
+    @cached_property
+    def _floor_terms(self):
+        return self._grid.floor_terms(_FORMS[self.variant][1])
+
     def evaluate(self, x: int) -> float:
         if x < 0:
             raise ValueError("x must be nonnegative")
         best = self.meta["best"]
-        hit = best.get(x)
-        if hit is not None:
-            return hit["value"]
-        g, xf = self._grid, float(x)
+        if x not in best:
+            self._evaluate_many([x])
+        return best[x]["value"]
+
+    def _evaluate_many(self, xs):
+        """Memoize the minimum and its first index at each x of xs, distinct
+        nonnegative integers not memoized yet. A pass takes up to r_points
+        of them, so that its floors and seed values hold at most one value
+        per grid point; each kernel call takes whole x and at most one grid
+        pass of points."""
+        g, best = self._grid, self.meta["best"]
         kernel = _FORMS[self.variant][1]
-        n = g.r_a.shape[1]
-        ub = 1.0
-        seeds = [y for y, b in best.items() if b["value"] < 1.0]
-        if seeds:
-            k, j = divmod(best[min(seeds, key=lambda y: abs(y - x))]["i"], n)
-            ub = float(kernel(g.a_f[k, j], g.theta1[k], g.a_g[k, j], g.theta2[k], xf))
-        cut = ub * (1.0 + _REL_SLACK)
-        rows = np.flatnonzero(np.maximum(g.row_a_f * np.exp(-g.theta1 * xf),
-                                         g.row_a_g * np.exp(-g.theta2 * xf)) <= cut)
-        i, value = 0, 1.0
-        if rows.size:
-            vals = kernel(g.a_f[rows].ravel(), np.repeat(g.theta1[rows], n),
-                          g.a_g[rows].ravel(), np.repeat(g.theta2[rows], n), xf)
-            j = int(np.argmin(vals))
-            if vals[j] < 1.0:
-                i, value = int(rows[j // n]) * n + j % n, float(vals[j])
-        best[x] = {"value": value, "i": i}
-        return value
+        rows, n = g.r_a.shape
+        for s in range(0, len(xs), n):
+            chunk = xs[s:s + n]
+            xf = np.array(chunk, dtype=float)
+            cut = self._upper_bounds(kernel, xf) * (1.0 + _REL_SLACK)
+            floor = None  # log floor, one row per x
+            for c, d in self._floor_terms:
+                term = np.multiply.outer(xf, d)
+                term = np.subtract(c, term, out=term)
+                floor = term if floor is None else np.maximum(floor, term, out=floor)
+            keep = floor <= np.log(np.maximum(cut, _TINY))[:, None]
+            keep[cut < _TINY] = True
+            counts = np.count_nonzero(keep, axis=1).tolist()
+            kept = np.flatnonzero(keep) % rows  # rows kept, x by x
+            first = [0, *itertools.accumulate(counts)]  # x j's rows start here
+            for j0, j1 in _runs(counts, rows):
+                r = kept[first[j0]:first[j1]]
+                # one x goes in as a scalar, which spares a point-sized array
+                x = (xf[j0] if j1 - j0 == 1
+                     else np.repeat(xf[j0:j1], np.multiply(counts[j0:j1], n)))
+                if r.size:
+                    vals = kernel(g.a_f[r].ravel(), np.repeat(g.theta1[r], n),
+                                  g.a_g[r].ravel(), np.repeat(g.theta2[r], n), x)
+                for j in range(j0, j1):
+                    lo, hi = (first[j] - first[j0]) * n, (first[j + 1] - first[j0]) * n
+                    i, value = 0, 1.0
+                    if hi > lo:
+                        m = lo + int(np.argmin(vals[lo:hi]))
+                        if vals[m] < 1.0:
+                            i, value = int(r[m // n]) * n + m % n, float(vals[m])
+                    best[chunk[j]] = {"value": value, "i": i}
+
+    def _upper_bounds(self, kernel, xf):
+        """ub at each x of xf: the value there of the memoized winner of the
+        nearest x evaluated below 1, or 1 when there is none."""
+        g = self._grid
+        seeds = sorted((y, b["i"]) for y, b in self.meta["best"].items() if b["value"] < 1.0)
+        if not seeds:
+            return np.ones_like(xf)
+        sx, si = (np.array(col) for col in zip(*seeds))
+        j = np.searchsorted(sx, xf)
+        lo, hi = np.maximum(j - 1, 0), np.minimum(j, sx.size - 1)
+        k, c = np.divmod(si[np.where(xf - sx[lo] <= sx[hi] - xf, lo, hi)], g.r_a.shape[1])
+        return kernel(g.a_f[k, c], g.theta1[k], g.a_g[k, c], g.theta2[k], xf)
 
     def spec_at(self, x: int) -> BoundSpec:
         """The grid point achieving the minimum at x."""
@@ -331,36 +410,95 @@ def build_bound(variant: str, arrival, impairment: ImpairmentModel,
     return BacklogBound(variant, _build_grid(martingale, arrival, impairment, options))
 
 
-def quantile(bound: BacklogBound, p: float) -> int:
-    """Smallest integer x with bound.evaluate(x) <= p.
+def _runs(counts, limit):
+    """Split consecutive counts, none above limit, into runs [j0, j1) whose
+    sums are at most limit."""
+    j0, total = 0, 0
+    for j, c in enumerate(counts):
+        if total + c > limit:
+            yield j0, j
+            j0, total = j, 0
+        total += c
+    yield j0, len(counts)
 
-    Doubles x until the bound crosses p, then bisects. Raises
-    InfeasibleBoundError if the bound stays above p up to X_MAX.
-    """
+
+def _check_p(p: float):
     if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly between 0 and 1")
-    if bound.evaluate(0) <= p:
+        raise ValueError(f"p={p} must lie strictly between 0 and 1")
+    if p < _TINY:
+        raise ValueError(f"p={p} is below the smallest normal float {_TINY}, "
+                         "where the bounds lose their relative precision")
+
+
+def _search(p: float):
+    """The quantile search for p as a generator: it yields each x it needs,
+    is sent the bound's value there, and returns the smallest integer x
+    with value <= p. It tries x = 0, doubles x until the value crosses p,
+    then bisects. Raises InfeasibleBoundError if the value stays above p
+    up to X_MAX."""
+    _check_p(p)
+    if (yield 0) <= p:
         return 0
     lo, hi = 0, 1
-    while bound.evaluate(hi) > p:
+    while (yield hi) > p:
         if hi >= X_MAX:
             raise InfeasibleBoundError(
                 f"bound stays above {p} for all x up to {X_MAX}")
         lo, hi = hi, min(hi * 2, X_MAX)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if bound.evaluate(mid) <= p:
+        if (yield mid) <= p:
             hi = mid
         else:
             lo = mid
     return hi
 
 
+def quantile(bound: BacklogBound, p: float) -> int:
+    """Smallest integer x with bound.evaluate(x) <= p, found by _search.
+
+    Raises ValueError unless p lies in [sys.float_info.min, 1), and
+    InfeasibleBoundError if the bound stays above p up to X_MAX.
+    """
+    search = _search(p)
+    x = next(search)
+    while True:
+        try:
+            x = search.send(bound.evaluate(x))
+        except StopIteration as done:
+            return done.value
+
+
+def _lockstep(bound: BacklogBound, p_list) -> dict:
+    """{p: quantile, or the error its search raised} for each distinct p of
+    p_list. The searches run in lockstep: each round computes every x that
+    the unfinished ones ask for in one _evaluate_many call."""
+    best, out = bound.meta["best"], {}
+    searches = {p: _search(p) for p in dict.fromkeys(p_list)}
+    values = dict.fromkeys(searches)  # what each search is sent next
+    while searches:
+        asks = {}
+        for p, search in searches.items():
+            try:
+                asks[p] = search.send(values[p])
+            except StopIteration as done:
+                out[p] = done.value
+            except (ValueError, InfeasibleBoundError) as e:
+                out[p] = e
+        searches = {p: searches[p] for p in asks}
+        bound._evaluate_many(sorted(set(asks.values()) - best.keys()))
+        values = {p: best[x]["value"] for p, x in asks.items()}
+    return out
+
+
 def quantile_table(arrival, impairment: ImpairmentModel, p_list,
                    variants=VARIANTS, options: GridOptions | None = None):
-    """Rows of {p, variant -> quantile} for each p, sharing one optimized
-    bound per variant across all rows. Variants with the same arrival tail
-    share one grid, so at most two grids are built."""
+    """Rows of {p, variant -> quantile} for each p, as one quantile() call
+    per p and variant gives them, raising what the first of those calls
+    to fail would. Variants with the same arrival tail share one grid, so
+    at most two grids are built; each variant runs all its searches in
+    lockstep, and its bound is released when they end."""
+    p_list = list(p_list)
     bounds, grids = {}, {}  # grids: one per arrival tail, martingale or not
     for v in variants:
         martingale = _form(v)[0]
@@ -368,7 +506,14 @@ def quantile_table(arrival, impairment: ImpairmentModel, p_list,
         bounds[v] = (build_bound(v, arrival, impairment, options) if grid is None
                      else BacklogBound(v, grid))
         grids[martingale] = bounds[v]._grid
-    return [{"p": p, **{v: quantile(bounds[v], p) for v in variants}} for p in p_list]
+    columns = {}
+    for v in list(bounds):
+        columns[v] = _lockstep(bounds.pop(v), p_list)
+    for p in p_list:
+        for v in variants:
+            if isinstance(columns[v][p], Exception):
+                raise columns[v][p]
+    return [{"p": p, **{v: columns[v][p] for v in variants}} for p in p_list]
 
 
 def rate_to_mbps(rate_pkts_per_slot: float, params) -> float:

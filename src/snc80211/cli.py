@@ -16,7 +16,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .bounds import VARIANTS, InfeasibleBoundError, quantile_table, rate_to_mbps
+from .bounds import VARIANTS, InfeasibleBoundError, _check_p, quantile_table, rate_to_mbps
 from .characterize import FitConvergenceError, PoissonTraffic
 from .config import ConfigError, _replace_sim, load_run_config
 from .dcf import ImpairmentModel, solve_fixed_point, stable_rate_threshold
@@ -122,8 +122,7 @@ def _check_p_list(p_list):
     if not p_list:
         raise ValueError("empty p list")
     for p in p_list:
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"p={p} must lie strictly between 0 and 1")
+        _check_p(p)
 
 
 def _parse_variants(text: str):

@@ -1,12 +1,15 @@
 """Backlog bound variants, grid optimization and quantiles."""
 import math
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import snc80211.bounds as bounds_module
 from snc80211.bounds import (
     VARIANTS,
+    X_MAX,
     BacklogBound,
     BoundSpec,
     GridOptions,
@@ -404,3 +407,104 @@ def test_rate_to_mbps(params):
     assert rate_to_mbps(1.0, params) == pytest.approx(
         params.payload * 8 / (39 * params.idle_slot), rel=1e-12)
     assert rate_to_mbps(0.0, params) == 0.0
+
+
+def _sequential_table(arrival, impairment, p_list, variants=VARIANTS, options=None):
+    """The table as one quantile() call per p and variant, p by p, on
+    freshly built bounds."""
+    bounds = {v: build_bound(v, arrival, impairment, options) for v in variants}
+    return [{"p": p, **{v: quantile(bounds[v], p) for v in variants}} for p in p_list]
+
+
+@pytest.mark.parametrize("rate", [0.001, 0.02, 0.07, 0.0783])
+def test_lockstep_table_matches_one_search_per_p(rate, impairment):
+    # unsorted, with repeats, and down to the smallest p the bounds take
+    p_list = (0.05, 0.9, 1e-12, 0.5, 0.05, 1e-300, 1e-3, 0.5, 0.2, 1e-6)
+    arrival = PoissonTraffic(rate)
+    assert (quantile_table(arrival, impairment, p_list)
+            == _sequential_table(arrival, impairment, p_list))
+
+
+class _FlatImpairment:
+    """An impairment envelope with rho = 1/2 and no burst at every theta."""
+
+    def sigma_rho(self, theta):
+        return SigmaRho(theta, 0.0, 0.5)
+
+    def average_rate(self):
+        return 0.5
+
+
+def test_lockstep_table_raises_for_the_first_p_a_search_per_p_would():
+    # at theta = 5e-5 the tails decay so slowly that bound1 stays above 1e-6
+    # up to X_MAX while bound3 crosses it, and both stay above 1e-12; a
+    # p-by-p loop with bound3 first fails on bound1 at 1e-6, before it
+    # reaches 1e-12, where bound3 fails
+    arrival, impairment = PoissonTraffic(0.04), _FlatImpairment()
+    options = GridOptions(theta_points=1, theta_min=5e-5, theta_max=5e-5, r_points=3)
+    variants = ("bound3", "bound1")
+    b3 = build_bound("bound3", arrival, impairment, options)
+    assert quantile(b3, 1e-6) < X_MAX
+    for p_list, first in (((0.5, 1e-6, 1e-12), 1e-6), ((1e-12, 0.5, 1e-6), 1e-12),
+                          ((0.5, 0.5, 1e-6), 1e-6)):
+        with pytest.raises(InfeasibleBoundError) as seq:
+            _sequential_table(arrival, impairment, p_list, variants, options)
+        with pytest.raises(InfeasibleBoundError) as lock:
+            quantile_table(arrival, impairment, p_list, variants, options)
+        assert str(lock.value) == str(seq.value) == (
+            f"bound stays above {first} for all x up to {X_MAX}")
+
+
+def test_evaluate_matches_full_pass_where_values_underflow(impairment):
+    # past q(1e-300) = 513 the minimum reaches 0; a cut below the smallest
+    # normal float keeps every row, so the winner is still the full pass's
+    # first 0 (a relative cut once kept a later 0 at x = 625 and 731-733)
+    b = build_bound("bound3", PoissonTraffic(0.02), impairment)
+    assert quantile(b, 1e-300) == 513
+    _assert_pruned_matches_full_pass(b, [*range(513, 760, 8), 625, 731, 732, 733])
+    assert b.evaluate(625) == 0.0
+
+
+def test_p_below_the_smallest_normal_float_is_refused(bounds04, arr04, impairment):
+    for p in (5e-324, sys.float_info.min / 2):
+        with pytest.raises(ValueError, match="below the smallest normal float"):
+            quantile(bounds04["bound1"], p)
+        with pytest.raises(ValueError, match=f"^p={p} is below"):
+            quantile_table(arr04, impairment, [0.5, p])
+    assert quantile(bounds04["bound1"], sys.float_info.min) > 0
+
+
+def _record_kernel_sizes(monkeypatch):
+    """Wrap each variant's kernel so that it records the points of every
+    call, by variant."""
+    sizes = {v: [] for v in VARIANTS}
+    for v, (martingale, kernel) in list(bounds_module._FORMS.items()):
+        def wrapped(*args, _v=v, _kernel=kernel):
+            sizes[_v].append(np.broadcast(*args).size)
+            return _kernel(*args)
+        monkeypatch.setitem(bounds_module._FORMS, v, (martingale, wrapped))
+        monkeypatch.setitem(bounds_module._FLOORS, wrapped, bounds_module._FLOORS[kernel])
+    return sizes
+
+
+@pytest.mark.parametrize("options", [GridOptions(), GridOptions(theta_points=3, r_points=2),
+                                     GridOptions(theta_points=2, r_points=1),
+                                     GridOptions(theta_points=1, r_points=1)])
+def test_no_kernel_call_takes_more_points_than_the_grid(options, monkeypatch, impairment):
+    # many p in one round: their x share floor passes and kernel calls, up
+    # to one grid's worth of points per call
+    arrival = PoissonTraffic(0.04)
+    p_list = [10.0 ** -k for k in range(1, 40)] + [0.9, 0.7, 0.5, 0.3]
+    points = {v: build_bound(v, arrival, impairment, options).meta["grid_points"]
+              for v in VARIANTS}
+    want = quantile_table(arrival, impairment, p_list, options=options)
+    sizes = _record_kernel_sizes(monkeypatch)
+    assert quantile_table(arrival, impairment, p_list, options=options) == want
+    for v in VARIANTS:
+        # every value underflows at these two x, so each keeps every row:
+        # they share a floor pass but not a kernel call
+        b = build_bound(v, arrival, impairment, options)
+        quantile(b, 0.5)
+        b._evaluate_many([X_MAX - 1, X_MAX])
+        assert b.meta["best"][X_MAX]["value"] == 0.0
+        assert sizes[v] and max(sizes[v]) <= points[v], (v, max(sizes[v]), points[v])

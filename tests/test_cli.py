@@ -114,6 +114,17 @@ def test_bounds_rejects_bad_p(capsys):
         assert capsys.readouterr().err == f"error: {err}\n"
 
 
+def test_bounds_refuses_p_below_the_smallest_normal_float(capsys):
+    # a subnormal p once gave bound2 1073 > bound1 1064 at rate 0.02: the
+    # values lose their relative precision there, and the bounds' order too
+    assert main(["bounds", "--rate", "0.02", "--p-list", "0.5,5e-324"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: p=5e-324 is below the smallest normal float "
+                            f"{sys.float_info.min}, where the bounds lose their "
+                            "relative precision\n")
+
+
 @pytest.mark.parametrize("variants", [",", "bound1,bound1"])
 def test_bounds_rejects_empty_or_repeated_variants(capsys, variants):
     assert main(["bounds", "--rate", "0.04", "--variants", variants]) == 2

@@ -5,6 +5,7 @@ Each composition rule has one closed-form kernel in snc80211.bounds; the
 scalar minimiser and the O(x) sums below are the independent reference
 oracles it is checked against."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -302,3 +303,34 @@ def test_kernels_respect_the_pruning_lower_bound():
         for kernel in (_minplus_vec, _indep_vec):
             vals = kernel(a, t1, b, t2, float(x))
             assert np.all(lb <= vals * (1.0 + _REL_SLACK)), (kernel, x)
+
+
+def _floor_cases():
+    """_kernel_cases() plus 4,000 seeded draws over the grid's theta range,
+    a quarter of them with equal decays, with zero, unit, small and large
+    prefactors."""
+    rng = np.random.default_rng(77)
+    m = 4000
+    pool = np.concatenate(([0.0, 1.0], rng.uniform(0.0, 1.0, 6), np.exp(rng.uniform(0.0, 12.0, 8))))
+    a, b = rng.choice(pool, m), rng.choice(pool, m)
+    t1 = np.exp(rng.uniform(np.log(0.01), np.log(5.0), m))
+    t2 = np.where(rng.random(m) < 0.25, t1, np.exp(rng.uniform(np.log(0.01), np.log(5.0), m)))
+    cases = np.array(_kernel_cases()).T
+    return [np.concatenate((col, new)) for col, new in zip(cases, (a, t1, b, t2))]
+
+
+def test_kernels_respect_their_row_floors():
+    # BacklogBound.evaluate drops a grid row whose floor passes an attained
+    # value by more than the slack, so each kernel must stay at or above
+    # min(1, floor) up to that slack wherever its value is a normal float;
+    # a case is a one-point row, so its floor is the point's own
+    a, t1, b, t2 = _floor_cases()
+    grid = bounds._Grid(theta1=t1, theta2=t2, r_a=np.full((a.size, 1), 0.5),
+                        a_f=a[:, None], a_g=b[:, None])
+    for kernel in (_minplus_vec, _indep_vec):
+        terms = grid.floor_terms(kernel)
+        for x in [*range(301), 1000, 3000, 10 ** 4, 3 * 10 ** 4, 10 ** 5]:
+            floor = np.exp(np.minimum(0.0, np.max([c - d * x for c, d in terms], axis=0)))
+            vals = kernel(a, t1, b, t2, float(x))
+            normal = vals >= sys.float_info.min
+            assert np.all(floor[normal] * (1.0 - _REL_SLACK) <= vals[normal]), (kernel, x)
