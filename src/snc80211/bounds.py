@@ -454,21 +454,6 @@ def _search(p: float):
     return hi
 
 
-def quantile(bound: BacklogBound, p: float) -> int:
-    """Smallest integer x with bound.evaluate(x) <= p, found by _search.
-
-    Raises ValueError unless p lies in [sys.float_info.min, 1), and
-    InfeasibleBoundError if the bound stays above p up to X_MAX.
-    """
-    search = _search(p)
-    x = next(search)
-    while True:
-        try:
-            x = search.send(bound.evaluate(x))
-        except StopIteration as done:
-            return done.value
-
-
 def _lockstep(bound: BacklogBound, p_list) -> dict:
     """{p: quantile, or the error its search raised} for each distinct p of
     p_list. The searches run in lockstep: each round computes every x that
@@ -491,6 +476,19 @@ def _lockstep(bound: BacklogBound, p_list) -> dict:
     return out
 
 
+def quantile(bound: BacklogBound, p: float) -> int:
+    """Smallest integer x with bound.evaluate(x) <= p, the one-p call of
+    _lockstep.
+
+    Raises ValueError unless p lies in [sys.float_info.min, 1), and
+    InfeasibleBoundError if the bound stays above p up to X_MAX.
+    """
+    q = _lockstep(bound, [p])[p]
+    if isinstance(q, Exception):
+        raise q
+    return q
+
+
 def quantile_table(arrival, impairment: ImpairmentModel, p_list,
                    variants=VARIANTS, options: GridOptions | None = None):
     """Rows of {p, variant -> quantile} for each p, as one quantile() call
@@ -499,16 +497,12 @@ def quantile_table(arrival, impairment: ImpairmentModel, p_list,
     at most two grids are built; each variant runs all its searches in
     lockstep, and its bound is released when they end."""
     p_list = list(p_list)
-    bounds, grids = {}, {}  # grids: one per arrival tail, martingale or not
+    columns, grids = {}, {}  # grids: one per arrival tail, martingale or not
     for v in variants:
         martingale = _form(v)[0]
-        grid = grids.get(martingale)
-        bounds[v] = (build_bound(v, arrival, impairment, options) if grid is None
-                     else BacklogBound(v, grid))
-        grids[martingale] = bounds[v]._grid
-    columns = {}
-    for v in list(bounds):
-        columns[v] = _lockstep(bounds.pop(v), p_list)
+        if martingale not in grids:
+            grids[martingale] = build_bound(v, arrival, impairment, options)._grid
+        columns[v] = _lockstep(BacklogBound(v, grids[martingale]), p_list)
     for p in p_list:
         for v in variants:
             if isinstance(columns[v][p], Exception):

@@ -61,7 +61,11 @@ def poisson_sigma_rho(lam: float, theta: float) -> SigmaRho:
     _check_rate(lam)
     if not 0.0 < theta < math.inf:
         raise ValueError("theta must be positive and finite")
-    rho = lam * math.expm1(theta) / theta
+    try:
+        rho = lam * math.expm1(theta) / theta
+    except OverflowError:
+        # as for the impairment MGF: no float envelope to fit at this theta
+        raise FitConvergenceError(f"Poisson MGF overflows a float at theta={theta}") from None
     return SigmaRho(theta=theta, sigma=0.0, rho=rho)
 
 

@@ -88,10 +88,6 @@ def _parse_float_list(text: str):
 
 def cmd_fixed_point(args, cfg) -> int:
     params = cfg.sim.params
-    if args.n is not None:
-        params = replace(params, n_nodes=args.n)
-    if args.payload is not None:
-        params = replace(params, payload=args.payload)
     fp = solve_fixed_point(params)
     row = {"n": params.n_nodes, "payload": params.payload, "L": fp.L,
            "tau": fp.tau, "eta": fp.eta, "p_nt": fp.p_nt, "p_t": fp.p_t,
@@ -239,8 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("fixed-point", parents=[common],
                         help="attempt-rate / collision-probability fixed point")
-    sp.add_argument("--n", type=int, help="number of contending nodes")
-    sp.add_argument("--payload", type=int, help="payload bytes")
     sp.set_defaults(func=cmd_fixed_point)
 
     sp = sub.add_parser("characterize", parents=[common],

@@ -206,16 +206,12 @@ def solve_fixed_point(params: Params80211) -> DcfFixedPoint:
         # the mean backoff of cw/2 slots per stage is under one slot at cw = 1
         raise ValueError(f"cw_min = {params.cw_min} with n_nodes = {n} solves to an "
                          f"attempt rate tau = {tau:.4g} per slot, outside (0, 1]")
-    return _fixed_point_from(tau, eta, n, slot_length(params))
-
-
-def _fixed_point_from(tau, eta, n, L) -> DcfFixedPoint:
     p_nt = (1.0 - tau) ** n
     p_t = 1.0 - p_nt
     p_s = tau * (1.0 - eta)
     p_s_cond = p_s / p_t if p_t > 0 else 0.0
     return DcfFixedPoint(tau=tau, eta=eta, p_nt=p_nt, p_t=p_t, p_s=p_s,
-                         p_s_cond=p_s_cond, L=L)
+                         p_s_cond=p_s_cond, L=slot_length(params))
 
 
 def stable_rate_threshold(fp: DcfFixedPoint) -> float:

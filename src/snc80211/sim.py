@@ -46,6 +46,15 @@ _SATURATED_QUEUE = 1 << 40
 _INF = float("inf")
 _NEVER = 1 << 62  # expiry of an empty queue, past any horizon
 _POOL_MIN_SLOTS = 4_000_000  # replications x horizon slots worth forking for
+_NODES_MAX = 2007  # association IDs 1..2007: the stations one 802.11 AP serves
+# A run holds every replication's seed and stats until it aggregates them:
+# 840 B per replication plus 53-58 B per node per replication (tracemalloc
+# peak over 0.001 s runs of 20,000 replications at 1, 2 and 10 nodes and
+# 2,000 at 201), and up to 112 B per node once its counts pass 256 (two
+# lists of int objects and a row of float throughputs).
+_REP_BYTES = 840
+_NODE_BYTES = 112
+_RUN_BYTES_MAX = 10 ** 9
 
 
 @dataclass(frozen=True)
@@ -97,10 +106,22 @@ def _horizon_slots(config: SimConfig) -> int:
 
 
 def _check_runnable(config: SimConfig) -> None:
-    """Refuse a Poisson rate above L packets per slot, one arrival per idle
-    slot per node on average and far past saturation: the event loop stops
-    at every arrival, so its cost grows with the rate without bound. Only
-    the simulator has this limit; the analysis takes any finite rate."""
+    """Refuse, before any replication is seeded, a run past the simulator's
+    limits, which the analysis does not share: more nodes than one access
+    point can associate; replications whose results would hold more than
+    about _RUN_BYTES_MAX; and a Poisson rate above L packets per slot, one
+    arrival per idle slot per node on average and far past saturation,
+    where the event loop, which stops at every arrival, slows without
+    bound."""
+    n, reps = config.params.n_nodes, config.replications
+    if n > _NODES_MAX:
+        raise ValueError(f"n_nodes = {n} exceeds the simulator's limit of {_NODES_MAX} "
+                         "(the 802.11 association-ID range)")
+    held = reps * (_REP_BYTES + _NODE_BYTES * n)
+    if held > _RUN_BYTES_MAX:
+        raise ValueError(f"replications = {reps} with n_nodes = {n} would hold about "
+                         f"{held / 1e9:.3g} GB of results, past the simulator's limit "
+                         f"of {_RUN_BYTES_MAX / 1e9:g} GB")
     L = slot_length(config.params)
     if config.traffic == "poisson" and config.rate > L:
         raise ValueError(f"rate {config.rate} exceeds the simulator's limit of {L} "

@@ -230,23 +230,25 @@ def test_grid_specs_are_feasible(impairment):
                 assert spec.r_i > impairment.sigma_rho(spec.theta2).rho
 
 
-class _Fake:
-    def __init__(self, fn):
-        self._fn = fn
-
-    def evaluate(self, x):
-        return self._fn(x)
+def _one_point(a_f, theta):
+    # a bound1 grid of one point with no service tail: its value at x is
+    # min(1, a_f e^{-theta x}), e^{-x} exactly at a_f = theta = 1 and the
+    # constant a_f at theta = 1e-300
+    grid = _Grid(theta1=np.array([theta]), theta2=np.array([theta]), r_a=np.array([[0.5]]),
+                 a_f=np.array([[a_f]]), a_g=np.array([[0.0]]))
+    return BacklogBound("bound1", grid)
 
 
 def test_quantile_bisection():
-    b = _Fake(lambda x: math.exp(-x))
+    b = _one_point(1.0, 1.0)
+    assert [b.evaluate(x) for x in range(4)] == [math.exp(-x) for x in range(4)]
     assert quantile(b, 0.05) == 3      # e^-3 = 0.0498
     assert quantile(b, 0.5) == 1
-    assert quantile(_Fake(lambda x: 0.3), 0.5) == 0
+    assert quantile(_one_point(0.3, 1e-300), 0.5) == 0
 
 
 def test_quantile_p_validation():
-    b = _Fake(lambda x: math.exp(-x))
+    b = _one_point(1.0, 1.0)
     for p in (0.0, 1.0, -0.5, 2.0):
         with pytest.raises(ValueError):
             quantile(b, p)
@@ -254,7 +256,21 @@ def test_quantile_p_validation():
 
 def test_quantile_never_crosses():
     with pytest.raises(InfeasibleBoundError):
-        quantile(_Fake(lambda x: 0.5), 0.1)
+        quantile(_one_point(0.5, 1e-300), 0.1)
+
+
+@pytest.mark.parametrize("rate", [0.02, 0.07])
+def test_quantile_is_the_smallest_crossing(rate, impairment):
+    # the search must return the smallest x with value <= p, which a linear
+    # scan from 0 finds; the values are memoized, so the scan costs little
+    arrival = PoissonTraffic(rate)
+    for v in VARIANTS:
+        b = build_bound(v, arrival, impairment)
+        for p in P_LIST + (1e-3,):
+            x = 0
+            while b.evaluate(x) > p:
+                x += 1
+            assert quantile(b, p) == x, (v, p)
 
 
 # quantile tables at the benchmark's bound rates, for P_LIST + DEEP_P:

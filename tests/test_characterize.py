@@ -1,5 +1,6 @@
 """Poisson envelopes and the slope-stabilization fitter."""
 import math
+import re
 
 import pytest
 
@@ -26,6 +27,17 @@ def test_poisson_sigma_rho_edge_cases():
         poisson_sigma_rho(-0.1, 1.0)
     with pytest.raises(ValueError):
         poisson_sigma_rho(0.1, 0.0)
+
+
+def test_poisson_mgf_overflow_is_nonconvergence():
+    # e^theta - 1 leaves the float range past theta = 709.78, as the
+    # impairment MGF does, so bounds --config with [grid] theta_max = 1e308
+    # exits 4 instead of an OverflowError traceback
+    assert math.isfinite(poisson_sigma_rho(0.04, 709.0).rho)
+    for theta in (710.0, 1e308):
+        message = f"Poisson MGF overflows a float at theta={theta}"
+        with pytest.raises(FitConvergenceError, match=f"^{re.escape(message)}$"):
+            poisson_sigma_rho(0.04, theta)
 
 
 def test_fit_reads_each_envelope_point_once():

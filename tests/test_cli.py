@@ -3,8 +3,10 @@ import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -43,14 +45,15 @@ def test_fixed_point_table(capsys):
     assert float(row["eta"]) == pytest.approx(0.2917908, abs=1e-6)
 
 
-def test_fixed_point_json(capsys):
+def test_fixed_point_json(tmp_path, capsys):
     assert main(["fixed-point", "--format", "json"]) == 0
     payload = _json_out(capsys)
     row = payload["rows"][0]
     assert row["n"] == 10
     assert row["L"] == 39
     assert row["tau"] == pytest.approx(0.037609599546, abs=1e-9)
-    assert main(["fixed-point", "--payload", "512", "--format", "json"]) == 0
+    cfgfile = _write(tmp_path, "payload.ini", "[mac]\npayload = 512\n")
+    assert main(["fixed-point", "--config", cfgfile, "--format", "json"]) == 0
     assert _json_out(capsys)["rows"][0]["L"] == 49
 
 
@@ -69,8 +72,9 @@ def test_fixed_point_csv(capsys):
     assert float(data["p_s_cond"]) == pytest.approx(0.083647, abs=1e-5)
 
 
-def test_fixed_point_more_nodes_collide_more(capsys):
-    assert main(["fixed-point", "--n", "20", "--format", "json"]) == 0
+def test_fixed_point_more_nodes_collide_more(tmp_path, capsys):
+    cfgfile = _write(tmp_path, "nodes.ini", "[mac]\nn_nodes = 20\n")
+    assert main(["fixed-point", "--config", cfgfile, "--format", "json"]) == 0
     row20 = _json_out(capsys)["rows"][0]
     assert row20["n"] == 20
     assert row20["eta"] > 0.2917908
@@ -534,3 +538,105 @@ def test_internal_check_failure_is_an_error_not_nonconvergence(capsys, monkeypat
     err = capsys.readouterr().err
     assert err.startswith("error: node 3")
     assert "did not converge" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("body, flags, name", [
+    ("[mac]\nn_nodes = 1000000000\n", [], "n_nodes = 1000000000"),
+    ("", ["--replications", "1000000000"], "replications = 1000000000"),
+])
+def test_simulator_refuses_what_it_cannot_hold(tmp_path, capsys, command, body, flags, name):
+    # refused before a replication is seeded: spawning 10**5 seeds alone
+    # takes seconds, so 10**9 would take hours and tens of GB
+    argv = [command, "--rate", "0.04", "--config", _write(tmp_path, "run.ini", body), *flags]
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {name} ")
+
+
+@pytest.mark.parametrize("command", ["fixed-point", "characterize", "bounds", "stability"])
+def test_analysis_keeps_the_simulator_only_limits(tmp_path, capsys, command):
+    # the node and replication limits bound what the simulator holds; the
+    # analysis takes the same settings as before
+    cfgfile = _write(tmp_path, "run.ini", "[mac]\nn_nodes = 2008\n[sim]\nreplications = 1000000000\n")
+    assert main([command, "--config", cfgfile]) == 0
+    assert capsys.readouterr().err == ""
+
+
+# The CLI input sweep: every INI key and every flag of every subcommand
+# takes each value of an edge list, one setting at a time over a tiny
+# simulator run, then seeded pairs of settings. A huge L here is one past
+# the model's limit, which the config refuses; an L just under it
+# ([mac] idle_slot = 0.001, L = 762,546) runs, in about 5 s per
+# characterize or bounds, too slow to sweep.
+_EDGES = ["0", "-1", "nan", "inf", "1e308", str(2 ** 63), ""]
+_HUGE = {"n_nodes": "1000000000", "replications": "1000000000",
+         "idle_slot": "1e-6"}  # huge L: 7.6e8 idle slots
+_INI_KEYS = {
+    "mac": ["basic_rate", "data_rate", "phy_header", "ack_header", "mac_header", "sifs",
+            "difs", "idle_slot", "cw_min", "cw_max", "retry_limit", "payload", "n_nodes"],
+    "grid": ["theta_points", "theta_min", "theta_max", "r_points"],
+    "traffic": ["mode", "rate"],
+    "sim": ["duration", "replications", "sample_time", "collision_mode", "seed"],
+}
+_SIM_FLAGS = ["--rate", "--duration", "--replications", "--sample-time", "--collision-mode"]
+_FLAGS = {
+    "fixed-point": ["--seed"],
+    "characterize": ["--seed", "--thetas"],
+    "bounds": ["--seed", "--rate", "--p-list", "--variants"],
+    "stability": ["--seed", "--rate"],
+    "simulate": ["--seed", *_SIM_FLAGS],
+    "compare": ["--seed", *_SIM_FLAGS, "--p-list"],
+}
+_TINY_RUN = {("sim", "duration"): "0.01", ("sim", "sample_time"): "0.005",
+             ("sim", "replications"): "2", ("traffic", "rate"): "0.04"}
+
+
+def _sweep_cases(seed=2107, pairs=300):
+    ini = [(s, k) for s, keys in _INI_KEYS.items() for k in keys]
+    cases = []
+    for command, flags in _FLAGS.items():
+        for setting in ini + flags:
+            name = setting[1] if isinstance(setting, tuple) else setting[2:].replace("-", "_")
+            for value in _EDGES + ([_HUGE[name]] if name in _HUGE else []):
+                cases.append((command, [(setting, value)]))
+    rng = random.Random(seed)
+    for _ in range(pairs):
+        command = rng.choice(list(_FLAGS))
+        settings = rng.sample(ini + _FLAGS[command], 2)
+        cases.append((command, [(s, rng.choice(_EDGES)) for s in settings]))
+    return cases
+
+
+def test_cli_input_sweep(tmp_path, capsys):
+    # every exit is a documented code and no input reaches a traceback; a
+    # value that would allocate or loop without bound is refused before it
+    # runs, so each case ends fast
+    exits = {}
+    for command, settings in _sweep_cases():
+        ini, flags = dict(_TINY_RUN), []
+        for setting, value in settings:
+            if isinstance(setting, tuple):
+                ini[setting] = value
+            else:
+                flags += [setting, value]
+        sections = {}
+        for (section, key), value in ini.items():
+            sections.setdefault(section, []).append(f"{key} = {value}\n")
+        body = "".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items())
+        argv = [command, "--config", _write(tmp_path, "sweep.ini", body), *flags]
+        start = time.perf_counter()
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse usage error
+            code = e.code
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (argv, err)
+        assert "Traceback" not in err, argv
+        assert elapsed < 5.0, argv
+        exits[code] = exits.get(code, 0) + 1
+    assert set(exits) == {0, 2, 3, 4}

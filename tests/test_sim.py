@@ -60,6 +60,21 @@ def test_horizon_and_rate_limits_name_the_setting():
         run(replace(cfg, rate=L + 0.5))
 
 
+def test_node_and_replication_limits_name_the_setting():
+    # refused before any replication is seeded: at most the 2007 stations
+    # of the association-ID range, and replications whose seeds and stats
+    # would hold past 1 GB at 840 B each plus 112 B per node
+    check = sim._check_runnable
+    check(SimConfig(params=Params80211(n_nodes=2007), rate=0.04))
+    with pytest.raises(ValueError, match=r"^n_nodes = 2008 exceeds the simulator's limit of 2007 "):
+        check(SimConfig(params=Params80211(n_nodes=2008), rate=0.04))
+    check(SimConfig(rate=0.04, replications=510_204))  # 10 nodes: 0.99999984 GB
+    with pytest.raises(ValueError, match=r"^replications = 510205 with n_nodes = 10 would hold "):
+        check(SimConfig(rate=0.04, replications=510_205))
+    with pytest.raises(ValueError, match=r"^replications = 5000 with n_nodes = 2007 would hold "):
+        check(SimConfig(params=Params80211(n_nodes=2007), rate=0.04, replications=5000))
+
+
 def test_deterministic_replay():
     cfg = SimConfig(traffic="poisson", rate=0.09, duration=5.0,
                     replications=8, sample_time=5.0, seed=123)
