@@ -3,8 +3,9 @@ grid optimization of the free parameters, and quantile queries.
 
 Variants differ along two axes. The arrival tail is either the general
 sup-window (vb) bound with geometric prefactor e^{th*sigma}/(1-e^{th(rho-r)}),
-or the prefactor-free martingale bound e^{-th*x} (valid only for arrivals with
-independent per-slot increments and r >= rho+sigma). The combination with the
+or the prefactor-free martingale bound e^{-th*x} (valid for arrivals with
+independent per-slot increments and r >= rho+sigma). For Poisson arrivals,
+whose sigma is 0, both tails admit the same grid. The combination with the
 service tail is either the min-plus convolution (no independence assumed) or
 the complemented convolution that exploits independence of arrivals and
 channel impairment. Each combination is one closed-form kernel on the two
@@ -24,11 +25,12 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
+from .characterize import PoissonTraffic
 from .dcf import ImpairmentModel, slot_length
 
 __all__ = [
@@ -223,30 +225,13 @@ class _Grid:
     """Feasible grid with precomputed tail prefactors, one row per feasible
     (theta1, theta2) pair: theta1 and theta2 hold each row's pair, and r_a,
     a_f and a_g are rows x r_points arrays. Point i is column i % r_points
-    of row i // r_points (row-major). row_a_f and row_a_g are each row's
-    smallest prefactors, which bound every point of the row from below."""
+    of row i // r_points (row-major)."""
 
     theta1: np.ndarray
     theta2: np.ndarray
     r_a: np.ndarray
-    a_f: np.ndarray  # arrival tail prefactor
+    a_f: np.ndarray  # general (vb) arrival tail prefactor
     a_g: np.ndarray  # service tail prefactor
-
-    # fmin skips a nan prefactor, whose point cannot win anyway
-    @property
-    def row_a_f(self) -> np.ndarray:
-        return np.fmin.reduce(self.a_f, axis=1)
-
-    @property
-    def row_a_g(self) -> np.ndarray:
-        return np.fmin.reduce(self.a_g, axis=1)
-
-    def floor_terms(self, kernel):
-        """The x-independent terms (c, d) of each row's floor under kernel:
-        min(1, exp(max(c - d x))) over the terms is at most every value of
-        the row at x, up to rounding."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return _FLOORS[kernel](self.row_a_f, self.theta1, self.row_a_g, self.theta2)
 
     def __len__(self):
         return self.r_a.size
@@ -257,17 +242,19 @@ class _Grid:
                          theta2=float(self.theta2[k]), r_a=float(self.r_a.flat[i]))
 
 
-def _build_grid(martingale: bool, arrival, impairment, options: GridOptions) -> _Grid:
-    """The feasible grid for one arrival tail: the general vb tail, or the
-    martingale tail when martingale is true. Both compositions share it.
+def _build_grid(arrival, impairment, options: GridOptions) -> _Grid:
+    """The feasible grid of all four variants: with sigma = 0 at every
+    theta, the general tail's r_a > rho and the martingale tail's
+    r_a >= rho + sigma agree. Raises ValueError for any other arrival,
+    before the impairment is fitted.
 
     Rows run in row-major (theta1, theta2) order, r_a along each row."""
     thetas = options.thetas()
     sig_a, rho_a = np.array([(s.sigma, s.rho) for s in map(arrival.sigma_rho, thetas)]).T
+    if np.any(sig_a != 0.0):
+        raise ValueError("the bounds take burst-free arrivals, with sigma = 0 at every theta")
     sig_i, rho_i = np.array([(s.sigma, s.rho) for s in map(impairment.sigma_rho, thetas)]).T
-    # the martingale tail needs r_a >= rho + sigma, the general one r_a > rho
-    lo = rho_a + sig_a if martingale else rho_a
-    width = (CAPACITY - rho_i)[None, :] - lo[:, None]
+    width = (CAPACITY - rho_i)[None, :] - rho_a[:, None]
     i1, i2 = np.nonzero(width > 0)
     if not i1.size:
         raise InfeasibleBoundError(
@@ -275,9 +262,8 @@ def _build_grid(martingale: bool, arrival, impairment, options: GridOptions) -> 
             "is too close to capacity for every theta")
     fracs = np.arange(1, options.r_points + 1) / (options.r_points + 1)
     j1, j2 = i1[:, None], i2[:, None]  # one row of r_a per (theta1, theta2)
-    r_a = lo[j1] + width[j1, j2] * fracs
-    a_f = (np.ones_like(r_a) if martingale
-           else _vb_prefactor(thetas[j1], sig_a[j1], rho_a[j1], r_a))
+    r_a = rho_a[j1] + width[j1, j2] * fracs
+    a_f = _vb_prefactor(thetas[j1], sig_a[j1], rho_a[j1], r_a)
     a_g = _vb_prefactor(thetas[j2], sig_i[j2], rho_i[j2], CAPACITY - r_a)
     return _Grid(theta1=thetas[i1], theta2=thetas[i2], r_a=r_a, a_f=a_f, a_g=a_g)
 
@@ -291,10 +277,11 @@ class BacklogBound:
     are memoized in meta["best"]. _evaluate_many computes a batch of x
     that way, and evaluate(x) is its one-x call.
 
-    The kernel runs only on the rows of the grid that can still win. Each
-    row has a floor from _Grid.floor_terms that decays at the kernel's
-    own rate, and every value of the row is at least min(1, floor). The
-    memoized winner of the nearest x evaluated below 1, run at x, bounds
+    A martingale variant holds the grid with a unit arrival prefactor in
+    place of a_f. The kernel runs only on the rows of the grid that can
+    still win. Each row has a floor from _floor_terms that decays at the
+    kernel's own rate, and every value of the row is at least min(1,
+    floor). The memoized winner of the nearest x evaluated below 1, run at x, bounds
     the minimum by ub (1 when there is none). A row is dropped when its
     floor passes the cut ub (1 + _REL_SLACK), so none of its points can
     attain the minimum, and every point of a kept row is run: the result
@@ -304,14 +291,21 @@ class BacklogBound:
     """
 
     def __init__(self, variant: str, grid: _Grid):
-        _form(variant)  # rejects an unknown variant
+        martingale = _form(variant)[0]  # rejects an unknown variant
         self.variant = variant
-        self._grid = grid
+        self._grid = (replace(grid, a_f=np.broadcast_to(1.0, grid.a_f.shape)) if martingale
+                      else grid)
         self.meta = {"grid_points": len(grid), "best": {}}
 
     @cached_property
     def _floor_terms(self):
-        return self._grid.floor_terms(_FORMS[self.variant][1])
+        """Terms (c, d) with min(1, exp(max(c - d x))) at most every value of
+        the row at x, up to rounding, from the row's smallest prefactors."""
+        g = self._grid
+        # fmin skips a nan prefactor, whose point cannot win anyway
+        row_a_f, row_a_g = (np.fmin.reduce(a, axis=1) for a in (g.a_f, g.a_g))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _FLOORS[_FORMS[self.variant][1]](row_a_f, g.theta1, row_a_g, g.theta2)
 
     def evaluate(self, x: int) -> float:
         if x < 0:
@@ -384,30 +378,26 @@ class BacklogBound:
         return [self._grid.spec(i, self.variant) for i in range(len(self._grid))]
 
 
-def build_bound(variant: str, arrival, impairment: ImpairmentModel,
+def build_bound(variant: str, arrival: PoissonTraffic, impairment: ImpairmentModel,
                 options: GridOptions | None = None) -> BacklogBound:
     """Assemble the per-x optimized bound of one variant.
 
-    arrival must expose sigma_rho(theta), average_rate() and, for the
-    martingale variants, martingale_ok=True (independent per-slot
-    increments; cannot be verified here, it is a documented contract).
-    Raises InfeasibleBoundError when the mean arrival rate reaches the
-    sustainable rate: every envelope rate is at least its mean rate, so no
-    grid point could be feasible.
+    arrival must be a PoissonTraffic with sigma = 0 at every grid theta,
+    or ValueError is raised before the impairment is fitted. Raises
+    InfeasibleBoundError where stability says not-derivable: every
+    envelope rate is at least its mean rate, so no grid point is feasible.
     """
-    martingale = _form(variant)[0]
-    if martingale and not getattr(arrival, "martingale_ok", False):
-        raise ValueError(
-            f"{variant} uses the martingale arrival tail, which needs "
-            "independent per-slot increments; this arrival does not declare them")
+    _form(variant)  # rejects an unknown variant before any fit
+    if not isinstance(arrival, PoissonTraffic):
+        raise ValueError(f"the bounds take Poisson arrivals, not {type(arrival).__name__}")
     options = options or GridOptions()
     a_a = arrival.average_rate()
-    a_i = impairment.average_rate()
-    if a_a >= CAPACITY - a_i:
+    threshold = impairment.sustainable_rate()
+    if not a_a < threshold:
         raise InfeasibleBoundError(
-            f"arrival rate {a_a:.4g} >= sustainable rate {CAPACITY - a_i:.4g}; "
+            f"arrival rate {a_a:.4g} >= sustainable rate {threshold:.4g}; "
             "no finite bound exists")
-    return BacklogBound(variant, _build_grid(martingale, arrival, impairment, options))
+    return BacklogBound(variant, _build_grid(arrival, impairment, options))
 
 
 def _runs(counts, limit):
@@ -489,20 +479,16 @@ def quantile(bound: BacklogBound, p: float) -> int:
     return q
 
 
-def quantile_table(arrival, impairment: ImpairmentModel, p_list,
+def quantile_table(arrival: PoissonTraffic, impairment: ImpairmentModel, p_list,
                    variants=VARIANTS, options: GridOptions | None = None):
     """Rows of {p, variant -> quantile} for each p, as one quantile() call
     per p and variant gives them, raising what the first of those calls
-    to fail would. Variants with the same arrival tail share one grid, so
-    at most two grids are built; each variant runs all its searches in
-    lockstep, and its bound is released when they end."""
+    to fail would. One build_bound call builds the grid that every variant
+    shares, and each variant runs all its searches in lockstep."""
     p_list = list(p_list)
-    columns, grids = {}, {}  # grids: one per arrival tail, martingale or not
-    for v in variants:
-        martingale = _form(v)[0]
-        if martingale not in grids:
-            grids[martingale] = build_bound(v, arrival, impairment, options)._grid
-        columns[v] = _lockstep(BacklogBound(v, grids[martingale]), p_list)
+    # a general-tail bound holds the shared grid itself, its a_f included
+    grid = build_bound("bound1", arrival, impairment, options)._grid
+    columns = {v: _lockstep(BacklogBound(v, grid), p_list) for v in variants}
     for p in p_list:
         for v in variants:
             if isinstance(columns[v][p], Exception):

@@ -104,11 +104,10 @@ class PoissonTraffic:
     """Poisson arrivals at ``rate`` packets per slot.
 
     Per-slot increments are independent, so the martingale (prefactor-1)
-    arrival bound applies.
+    arrival bound applies, and the envelope has no burst (sigma = 0).
     """
 
     rate: float
-    martingale_ok = True
 
     def __post_init__(self):
         _check_rate(self.rate)

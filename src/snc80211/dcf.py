@@ -181,7 +181,8 @@ def solve_fixed_point(params: Params80211) -> DcfFixedPoint:
     """Solve tau = attempts/backoff-slots jointly with eta = 1-(1-tau)^(n-1).
 
     Bisection on eta: the residual 1-(1-tau(eta))^(n-1) - eta is positive at
-    eta=0 and negative at eta=1, and the composed map is monotone.
+    eta=0 and negative at eta=1 (or 0, rounded, at many nodes), and the
+    composed map is monotone.
     """
     n = params.n_nodes
     stages = params.retry_limit
@@ -192,7 +193,7 @@ def solve_fixed_point(params: Params80211) -> DcfFixedPoint:
             return 1.0 - (1.0 - tau) ** (n - 1) - eta
 
         lo, hi = 0.0, 1.0
-        if resid(lo) <= 0 or resid(hi) >= 0:
+        if resid(lo) <= 0 or resid(hi) > 0:
             raise FitConvergenceError("fixed-point residual failed to bracket a root")
         while hi - lo > _FIXED_POINT_TOL:
             mid = 0.5 * (lo + hi)
@@ -446,6 +447,10 @@ class ImpairmentModel:
 
         return y
 
+    def sustainable_rate(self) -> float:
+        """The stability threshold: a finite bound exists strictly below it."""
+        return stable_rate_threshold(self.fixed_point)
+
     def average_rate(self) -> float:
         """Long-run impairment rate a_I = 1 - sustainable service rate."""
-        return 1.0 - stable_rate_threshold(self.fixed_point)
+        return 1.0 - self.sustainable_rate()

@@ -14,7 +14,7 @@ import pytest
 
 import snc80211
 from snc80211.bounds import BoundSpec, quantile
-from snc80211.characterize import fit_sigma_rho
+from snc80211.characterize import PoissonTraffic, fit_sigma_rho
 from snc80211.cli import main
 from snc80211.dcf import ImpairmentModel, impairment_mgf, impairment_sigma_rho, solve_fixed_point
 from snc80211.config import RunConfig
@@ -58,6 +58,7 @@ def test_deleted_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(f"snc80211.{module}"), name)
     assert not hasattr(snc80211, name)
     assert not hasattr(ImpairmentModel, "service_curve")
+    assert not hasattr(PoissonTraffic, "martingale_ok")
 
 
 def test_curves_module_is_gone():

@@ -15,7 +15,9 @@ from snc80211.bounds import (
     GridOptions,
     InfeasibleBoundError,
     _Grid,
+    _indep_floor,
     _indep_vec,
+    _minplus_floor,
     _minplus_vec,
     _vb_prefactor,
     build_bound,
@@ -153,8 +155,12 @@ def test_block_pruning_matches_full_pass_on_hand_built_grids():
         a_g = np.where(rng.random(shape) < 0.3, 0.0, np.exp(rng.normal(1.0, 1.5, shape)))
         grid = _Grid(theta1=thetas[pairs[:, 0]], theta2=thetas[pairs[:, 1]],
                      r_a=np.full(shape, 0.5), a_f=a_f, a_g=a_g)
-        assert np.array_equal(grid.row_a_f, a_f.min(axis=1))
-        assert np.array_equal(grid.row_a_g, a_g.min(axis=1))
+        # each row's floor takes the row's smallest prefactors
+        with np.errstate(divide="ignore"):
+            for v, floor in (("bound1", _minplus_floor), ("bound3", _indep_floor)):
+                assert np.array_equal(BacklogBound(v, grid)._floor_terms,
+                                      floor(a_f.min(axis=1), grid.theta1, a_g.min(axis=1),
+                                            grid.theta2))
         for v in ("bound1", "bound3"):
             _assert_pruned_matches_full_pass(BacklogBound(v, grid),
                                              rng.permutation(np.arange(0, 120, 3)))
@@ -208,10 +214,24 @@ class _BurstyPoisson(PoissonTraffic):
         return SigmaRho(theta, 0.01, super().sigma_rho(theta).rho)
 
 
+class _UnfittedImpairment:
+    """An impairment's stability threshold, with no envelope to fit."""
+
+    def __init__(self, impairment):
+        self.sustainable_rate = impairment.sustainable_rate
+
+    def sigma_rho(self, theta):
+        raise AssertionError("the impairment is fitted")
+
+
 def test_grid_specs_are_feasible(impairment):
     # bound2 has the martingale tail: r_a >= rho + sigma, no arrival prefactor;
     # the grid holds each feasible pair once, its r_a points along the row
-    for arrival in (PoissonTraffic(0.04), PoissonTraffic(0.075), _BurstyPoisson(0.04)):
+    for variant in ("bound1", "bound2"):
+        # a burst would give the two tails different grids: refused unfitted
+        with pytest.raises(ValueError, match="sigma = 0"):
+            build_bound(variant, _BurstyPoisson(0.04), _UnfittedImpairment(impairment))
+    for arrival in (PoissonTraffic(0.04), PoissonTraffic(0.075)):
         for variant in ("bound1", "bound2"):
             bound = build_bound(variant, arrival, impairment)
             grid, martingale = bound._grid, variant == "bound2"
@@ -219,7 +239,9 @@ def test_grid_specs_are_feasible(impairment):
             for k in ("theta1", "theta2", "r_a", "a_f", "a_g"):
                 assert np.array_equal(getattr(grid, k), ref[k]), (arrival, variant, k)
             if martingale:
-                assert np.all(grid.r_a >= ref["floor"]) and np.all(grid.a_f == 1.0)
+                # the bound's own unit prefactor, a view of 1.0 over the grid
+                assert np.all(grid.r_a >= ref["floor"]) and grid.a_f.strides == (0, 0)
+                assert np.all(grid.a_f == 1.0)
             specs = bound.grid_specs()
             assert len(specs) == bound.meta["grid_points"]
             # spec i is column i % r_points of row i // r_points
@@ -355,14 +377,36 @@ def test_near_threshold_rate_fails_without_warning(impairment):
         build_bound("bound1", PoissonTraffic(0.0785), impairment)
 
 
-def test_martingale_variants_need_declared_independence(impairment):
-    class NoDeclaration:
+def test_bounds_refuse_non_poisson_arrivals(impairment):
+    class NotPoisson:
         def sigma_rho(self, theta):
             raise AssertionError("should reject before touching curves")
 
-    for v in ("bound2", "bound4"):
-        with pytest.raises(ValueError, match="martingale"):
-            build_bound(v, NoDeclaration(), impairment)
+    unfitted = _UnfittedImpairment(impairment)
+    for v in VARIANTS:
+        with pytest.raises(ValueError, match="^the bounds take Poisson arrivals, not NotPoisson$"):
+            build_bound(v, NotPoisson(), unfitted)
+    for variants in (VARIANTS, ("bound4",)):
+        with pytest.raises(ValueError, match="Poisson arrivals"):
+            quantile_table(NotPoisson(), unfitted, [0.5], variants=variants)
+
+
+@pytest.mark.parametrize("variants", [VARIANTS, VARIANTS[::-1], *((v,) for v in VARIANTS)])
+def test_quantile_table_builds_one_grid(variants, monkeypatch, arr04, impairment):
+    # one build_bound call builds the grid, and every variant's bound holds
+    # it: a martingale bound swaps in only its unit arrival prefactor
+    builds, bounds = [], []
+    build_grid, lockstep = bounds_module._build_grid, bounds_module._lockstep
+    monkeypatch.setattr(bounds_module, "_build_grid",
+                        lambda *args: builds.append(build_grid(*args)) or builds[-1])
+    monkeypatch.setattr(bounds_module, "_lockstep",
+                        lambda bound, p_list: bounds.append(bound) or lockstep(bound, p_list))
+    quantile_table(arr04, impairment, [0.5, 1e-3], variants=variants)
+    assert len(builds) == 1 and [b.variant for b in bounds] == list(variants)
+    for b in bounds:
+        for k in ("theta1", "theta2", "r_a", "a_g"):
+            assert getattr(b._grid, k) is getattr(builds[0], k), (b.variant, k)
+        assert (b._grid.a_f is builds[0].a_f) == (b.variant in ("bound1", "bound3"))
 
 
 def test_unknown_variant_rejected(arr04, impairment):
@@ -417,6 +461,18 @@ def test_stability_check(params, fixed_point, impairment):
         PoissonTraffic(-0.01)
 
 
+def test_build_bound_uses_the_stability_threshold(fixed_point, impairment):
+    # 1 - (1 - threshold) rounds to this float, one below the threshold:
+    # stability calls it derivable, so the grid is what fails here
+    threshold, rate = stable_rate_threshold(fixed_point), 0.0792952096919044
+    assert rate < threshold and 1.0 - impairment.average_rate() == rate
+    assert impairment.sustainable_rate() == threshold
+    with pytest.raises(InfeasibleBoundError, match="^no feasible"):
+        build_bound("bound1", PoissonTraffic(rate), impairment)
+    with pytest.raises(InfeasibleBoundError, match="no finite bound"):
+        build_bound("bound1", PoissonTraffic(threshold), impairment)
+
+
 def test_rate_to_mbps(params):
     # one packet per 39-slot unit: 256*8 bits / 780 us
     assert rate_to_mbps(1.0, params) == pytest.approx(256 * 8 / 780.0, rel=1e-12)
@@ -448,6 +504,9 @@ class _FlatImpairment:
         return SigmaRho(theta, 0.0, 0.5)
 
     def average_rate(self):
+        return 0.5
+
+    def sustainable_rate(self):
         return 0.5
 
 

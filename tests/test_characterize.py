@@ -101,7 +101,6 @@ def test_average_rate_dispatch(impairment):
 
 def test_poisson_traffic_model():
     tr = PoissonTraffic(0.04)
-    assert tr.martingale_ok
     assert tr.sigma_rho(1.0).rho == pytest.approx(0.04 * (math.e - 1.0))
     with pytest.raises(ValueError):
         PoissonTraffic(-1.0)

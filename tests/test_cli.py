@@ -193,6 +193,18 @@ def test_stability_verdicts(capsys):
         "error: rate must be finite and nonnegative, got -0.01\n")
 
 
+def test_bounds_and_stability_agree_at_the_threshold_float(capsys):
+    # one float below the threshold: stability calls it derivable, so bounds
+    # fails on the grid, not on the rate
+    rate = "0.0792952096919044"
+    assert main(["stability", "--rate", rate, "--format", "json"]) == 0
+    assert _json_out(capsys)["rows"][0]["verdict"] == "stable-bound-derivable"
+    assert main(["bounds", "--rate", rate]) == 3
+    assert capsys.readouterr().err == (
+        "infeasible: no feasible (theta1, theta2, r_a) grid point: the arrival "
+        "rate is too close to capacity for every theta\n")
+
+
 def test_simulate_rows_and_summary(capsys):
     assert main(["simulate", "--rate", "0.05", "--duration", "2",
                  "--replications", "5", "--sample-time", "1",
@@ -524,6 +536,16 @@ def test_degenerate_fixed_point_exits_nonconvergent(tmp_path, capsys):
                      "[mac]\ncw_min = 1\ncw_max = 1\nn_nodes = 3\n")
     assert main(["fixed-point", "--config", cfgfile]) == 4
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_fixed_point_solves_at_twenty_thousand_nodes(tmp_path, capsys):
+    # the residual at eta = 1 rounds to 0 past about 10,700 nodes
+    cfgfile = _write(tmp_path, "many.ini", "[mac]\nn_nodes = 20000\n")
+    for argv in (["fixed-point"], ["stability"], ["characterize", "--thetas", "0.1,1"]):
+        assert main([*argv, "--config", cfgfile, "--format", "json"]) == 0, argv
+        assert capsys.readouterr().err == ""
+    assert main(["fixed-point", "--config", cfgfile, "--format", "json"]) == 0
+    assert 0.0 < 1.0 - _json_out(capsys)["rows"][0]["eta"] <= 1e-10
 
 
 def test_internal_check_failure_is_an_error_not_nonconvergence(capsys, monkeypatch):

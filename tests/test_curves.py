@@ -327,8 +327,8 @@ def test_kernels_respect_their_row_floors():
     a, t1, b, t2 = _floor_cases()
     grid = bounds._Grid(theta1=t1, theta2=t2, r_a=np.full((a.size, 1), 0.5),
                         a_f=a[:, None], a_g=b[:, None])
-    for kernel in (_minplus_vec, _indep_vec):
-        terms = grid.floor_terms(kernel)
+    for variant, kernel in (("bound1", _minplus_vec), ("bound3", _indep_vec)):
+        terms = bounds.BacklogBound(variant, grid)._floor_terms
         for x in [*range(301), 1000, 3000, 10 ** 4, 3 * 10 ** 4, 10 ** 5]:
             floor = np.exp(np.minimum(0.0, np.max([c - d * x for c, d in terms], axis=0)))
             vals = kernel(a, t1, b, t2, float(x))

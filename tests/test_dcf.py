@@ -94,6 +94,16 @@ def test_fixed_point_refuses_an_attempt_rate_past_one(params):
         assert solve_fixed_point(replace(one, n_nodes=n)).tau == pytest.approx(tau, abs=1e-4)
 
 
+@pytest.mark.parametrize("n", [20_000, 10 ** 6])
+def test_fixed_point_solves_where_the_residual_at_one_rounds_to_zero(params, n):
+    # at eta = 1 the residual -(1 - tau)^(n-1) rounds to 0 here, which still
+    # brackets the root; 1 - eta is then set by the bisection tolerance
+    fp = solve_fixed_point(replace(params, n_nodes=n))
+    assert 0.0 < 1.0 - fp.eta <= 1e-10
+    assert fp.tau == pytest.approx(0.0034448818899698, rel=1e-12)
+    assert 0.0 < stable_rate_threshold(fp) < 1e-12
+
+
 def test_fixed_point_monotone_in_n(params):
     fps = [solve_fixed_point(replace(params, n_nodes=n)) for n in (10, 20, 100)]
     taus = [fp.tau for fp in fps]
