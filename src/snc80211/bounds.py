@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .characterize import PoissonTraffic
+from .characterize import PoissonTraffic, poisson_sigma_rho
 from .dcf import ImpairmentModel, slot_length
 
 __all__ = [
@@ -242,17 +242,14 @@ class _Grid:
                          theta2=float(self.theta2[k]), r_a=float(self.r_a.flat[i]))
 
 
-def _build_grid(arrival, impairment, options: GridOptions) -> _Grid:
-    """The feasible grid of all four variants: with sigma = 0 at every
-    theta, the general tail's r_a > rho and the martingale tail's
-    r_a >= rho + sigma agree. Raises ValueError for any other arrival,
-    before the impairment is fitted.
+def _build_grid(rate: float, impairment, options: GridOptions) -> _Grid:
+    """The feasible grid of all four variants for Poisson arrivals at rate,
+    whose envelope has sigma_A = 0: the general tail's r_a > rho_A and the
+    martingale tail's r_a >= rho_A + sigma_A agree.
 
     Rows run in row-major (theta1, theta2) order, r_a along each row."""
     thetas = options.thetas()
-    sig_a, rho_a = np.array([(s.sigma, s.rho) for s in map(arrival.sigma_rho, thetas)]).T
-    if np.any(sig_a != 0.0):
-        raise ValueError("the bounds take burst-free arrivals, with sigma = 0 at every theta")
+    rho_a = np.array([poisson_sigma_rho(rate, th).rho for th in thetas])
     sig_i, rho_i = np.array([(s.sigma, s.rho) for s in map(impairment.sigma_rho, thetas)]).T
     width = (CAPACITY - rho_i)[None, :] - rho_a[:, None]
     i1, i2 = np.nonzero(width > 0)
@@ -263,7 +260,7 @@ def _build_grid(arrival, impairment, options: GridOptions) -> _Grid:
     fracs = np.arange(1, options.r_points + 1) / (options.r_points + 1)
     j1, j2 = i1[:, None], i2[:, None]  # one row of r_a per (theta1, theta2)
     r_a = rho_a[j1] + width[j1, j2] * fracs
-    a_f = _vb_prefactor(thetas[j1], sig_a[j1], rho_a[j1], r_a)
+    a_f = _vb_prefactor(thetas[j1], 0.0, rho_a[j1], r_a)
     a_g = _vb_prefactor(thetas[j2], sig_i[j2], rho_i[j2], CAPACITY - r_a)
     return _Grid(theta1=thetas[i1], theta2=thetas[i2], r_a=r_a, a_f=a_f, a_g=a_g)
 
@@ -382,22 +379,25 @@ def build_bound(variant: str, arrival: PoissonTraffic, impairment: ImpairmentMod
                 options: GridOptions | None = None) -> BacklogBound:
     """Assemble the per-x optimized bound of one variant.
 
-    arrival must be a PoissonTraffic with sigma = 0 at every grid theta,
-    or ValueError is raised before the impairment is fitted. Raises
+    arrival must be a PoissonTraffic, of which only the rate is read, or
+    ValueError is raised before the impairment is fitted. Raises
     InfeasibleBoundError where stability says not-derivable: every
     envelope rate is at least its mean rate, so no grid point is feasible.
     """
     _form(variant)  # rejects an unknown variant before any fit
-    if not isinstance(arrival, PoissonTraffic):
-        raise ValueError(f"the bounds take Poisson arrivals, not {type(arrival).__name__}")
-    options = options or GridOptions()
-    a_a = arrival.average_rate()
+    rate = _poisson_rate(arrival)
     threshold = impairment.sustainable_rate()
-    if not a_a < threshold:
+    if not rate < threshold:
         raise InfeasibleBoundError(
-            f"arrival rate {a_a:.4g} >= sustainable rate {threshold:.4g}; "
+            f"arrival rate {rate:.4g} >= sustainable rate {threshold:.4g}; "
             "no finite bound exists")
-    return BacklogBound(variant, _build_grid(arrival, impairment, options))
+    return BacklogBound(variant, _build_grid(rate, impairment, options or GridOptions()))
+
+
+def _poisson_rate(arrival: PoissonTraffic) -> float:
+    if not isinstance(arrival, PoissonTraffic):  # the one arrival the bounds take
+        raise ValueError(f"the bounds take Poisson arrivals, not {type(arrival).__name__}")
+    return arrival.rate
 
 
 def _runs(counts, limit):
@@ -486,6 +486,7 @@ def quantile_table(arrival: PoissonTraffic, impairment: ImpairmentModel, p_list,
     to fail would. One build_bound call builds the grid that every variant
     shares, and each variant runs all its searches in lockstep."""
     p_list = list(p_list)
+    list(map(_form, variants))  # rejects an unknown variant before any fit
     # a general-tail bound holds the shared grid itself, its a_f included
     grid = build_bound("bound1", arrival, impairment, options)._grid
     columns = {v: _lockstep(BacklogBound(v, grid), p_list) for v in variants}
@@ -509,10 +510,11 @@ def rate_to_mbps(rate_pkts_per_slot: float, params) -> float:
     return mbps
 
 
-def point_tail_value(spec: BoundSpec, arrival, impairment: ImpairmentModel,
+def point_tail_value(spec: BoundSpec, arrival: PoissonTraffic, impairment: ImpairmentModel,
                      x: int, route: str = "direct") -> float:
     """Tail value of a single grid point, assembled from the (sigma, rho)
-    pairs at its thetas.
+    pairs at its thetas: a PoissonTraffic arrival's at theta1 (ValueError,
+    before any fit, for any other arrival), the impairment's at theta2.
 
     route="direct" takes both sup-window (vb) prefactors
     e^{th*sigma}/(1-e^{th(rho-r)}) as the grid does; route="aggregated"
@@ -533,7 +535,7 @@ def point_tail_value(spec: BoundSpec, arrival, impairment: ImpairmentModel,
     if x < 0:
         raise ValueError("x must be nonnegative")
     prefactors = []
-    for sr, r in ((arrival.sigma_rho(spec.theta1), spec.r_a),
+    for sr, r in ((poisson_sigma_rho(_poisson_rate(arrival), spec.theta1), spec.r_a),
                   (impairment.sigma_rho(spec.theta2), spec.r_i)):
         if not r > sr.rho:
             raise ValueError(f"a vb tail needs rate r > rho, got r={r}, rho={sr.rho}")

@@ -104,16 +104,10 @@ class PoissonTraffic:
     """Poisson arrivals at ``rate`` packets per slot.
 
     Per-slot increments are independent, so the martingale (prefactor-1)
-    arrival bound applies, and the envelope has no burst (sigma = 0).
+    arrival bound applies; its envelope poisson_sigma_rho has sigma = 0.
     """
 
     rate: float
 
     def __post_init__(self):
         _check_rate(self.rate)
-
-    def sigma_rho(self, theta: float) -> SigmaRho:
-        return poisson_sigma_rho(self.rate, theta)
-
-    def average_rate(self) -> float:
-        return self.rate

@@ -411,8 +411,8 @@ def impairment_sigma_rho(params: Params80211, theta: float) -> SigmaRho:
 
 class ImpairmentModel:
     """Impairment view of one node: fixed point, per-theta (sigma, rho) cache
-    and average rate. The envelope fit is the expensive step, so sigma_rho
-    results are cached per theta."""
+    and stability threshold. The envelope fit is the expensive step, so
+    sigma_rho results are cached per theta."""
 
     def __init__(self, params: Params80211):
         self.fixed_point = solve_fixed_point(params)
@@ -424,7 +424,7 @@ class ImpairmentModel:
             sr = fit_sigma_rho(theta, self._envelope(theta))
             # rho(theta) of a valid envelope is at least the mean rate; a fit
             # below it (y(t) rounded away at tiny theta) fails for large t
-            mean = self.average_rate()
+            mean = 1.0 - self.sustainable_rate()
             if sr.rho < mean:
                 raise FitConvergenceError(
                     f"fitted rho={sr.rho} at theta={theta} is below the "
@@ -450,7 +450,3 @@ class ImpairmentModel:
     def sustainable_rate(self) -> float:
         """The stability threshold: a finite bound exists strictly below it."""
         return stable_rate_threshold(self.fixed_point)
-
-    def average_rate(self) -> float:
-        """Long-run impairment rate a_I = 1 - sustainable service rate."""
-        return 1.0 - self.sustainable_rate()

@@ -58,7 +58,9 @@ def test_deleted_names_are_gone(module, name):
     assert not hasattr(importlib.import_module(f"snc80211.{module}"), name)
     assert not hasattr(snc80211, name)
     assert not hasattr(ImpairmentModel, "service_curve")
-    assert not hasattr(PoissonTraffic, "martingale_ok")
+    for cls, method in ((PoissonTraffic, "martingale_ok"), (PoissonTraffic, "sigma_rho"),
+                        (PoissonTraffic, "average_rate"), (ImpairmentModel, "average_rate")):
+        assert not hasattr(cls, method)
 
 
 def test_curves_module_is_gone():

@@ -26,7 +26,7 @@ from snc80211.bounds import (
     quantile_table,
     rate_to_mbps,
 )
-from snc80211.characterize import PoissonTraffic, SigmaRho
+from snc80211.characterize import PoissonTraffic, SigmaRho, poisson_sigma_rho
 from snc80211.dcf import stable_rate_threshold
 
 P_LIST = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05)
@@ -185,7 +185,7 @@ def _reference_grid(martingale, arrival, impairment, opts):
     each of its points, one list per pair."""
     ref = {k: [] for k in ("theta1", "theta2", "r_a", "a_f", "a_g", "floor")}
     for th1 in opts.thetas():
-        sa = arrival.sigma_rho(th1)
+        sa = poisson_sigma_rho(arrival.rate, th1)
         lo = sa.rho + sa.sigma if martingale else sa.rho
         for th2 in opts.thetas():
             si = impairment.sigma_rho(th2)
@@ -206,14 +206,6 @@ def _reference_grid(martingale, arrival, impairment, opts):
     return ref
 
 
-class _BurstyPoisson(PoissonTraffic):
-    """Poisson envelope plus a burst term, so that the martingale tail's
-    floor rho + sigma lies above rho."""
-
-    def sigma_rho(self, theta):
-        return SigmaRho(theta, 0.01, super().sigma_rho(theta).rho)
-
-
 class _UnfittedImpairment:
     """An impairment's stability threshold, with no envelope to fit."""
 
@@ -227,10 +219,6 @@ class _UnfittedImpairment:
 def test_grid_specs_are_feasible(impairment):
     # bound2 has the martingale tail: r_a >= rho + sigma, no arrival prefactor;
     # the grid holds each feasible pair once, its r_a points along the row
-    for variant in ("bound1", "bound2"):
-        # a burst would give the two tails different grids: refused unfitted
-        with pytest.raises(ValueError, match="sigma = 0"):
-            build_bound(variant, _BurstyPoisson(0.04), _UnfittedImpairment(impairment))
     for arrival in (PoissonTraffic(0.04), PoissonTraffic(0.075)):
         for variant in ("bound1", "bound2"):
             bound = build_bound(variant, arrival, impairment)
@@ -344,9 +332,8 @@ def test_quantile_table_poisson(rate, impairment):
 
 @pytest.mark.parametrize("rate", [0.02, 0.075])
 def test_quantile_table_shares_grids_correctly(rate, impairment):
-    # the table builds one grid per arrival tail and lends it to the other
-    # variant of that tail; in either order, each column must equal the
-    # quantiles of that variant's own bound
+    # the table builds one grid and lends it to every variant; in either
+    # order, each column must equal the quantiles of that variant's own bound
     arrival, p_list = PoissonTraffic(rate), P_LIST + DEEP_P
     own = {v: [quantile(build_bound(v, arrival, impairment), p) for p in p_list]
            for v in VARIANTS}
@@ -389,6 +376,8 @@ def test_bounds_refuse_non_poisson_arrivals(impairment):
     for variants in (VARIANTS, ("bound4",)):
         with pytest.raises(ValueError, match="Poisson arrivals"):
             quantile_table(NotPoisson(), unfitted, [0.5], variants=variants)
+    with pytest.raises(ValueError, match="^the bounds take Poisson arrivals, not NotPoisson$"):
+        point_tail_value(BoundSpec("bound1", 0.1, 0.1, 0.5), NotPoisson(), unfitted, 5)
 
 
 @pytest.mark.parametrize("variants", [VARIANTS, VARIANTS[::-1], *((v,) for v in VARIANTS)])
@@ -412,9 +401,11 @@ def test_quantile_table_builds_one_grid(variants, monkeypatch, arr04, impairment
 def test_unknown_variant_rejected(arr04, impairment):
     with pytest.raises(ValueError, match="unknown variant"):
         build_bound("bound5", arr04, impairment)
-    # a variant after the first of its arrival tail reuses that grid
-    with pytest.raises(ValueError, match="unknown variant 'bogus'"):
-        quantile_table(arr04, impairment, [0.5], variants=("bound1", "bogus"))
+    # every variant is checked before the shared grid is built, so an
+    # unknown one is refused before the impairment is fitted
+    for model in (impairment, _UnfittedImpairment(impairment)):
+        with pytest.raises(ValueError, match="unknown variant 'bogus'"):
+            quantile_table(arr04, model, [0.5], variants=("bound1", "bogus"))
 
 
 def test_point_tail_value_routes_agree(bounds04, arr04, impairment):
@@ -465,7 +456,7 @@ def test_build_bound_uses_the_stability_threshold(fixed_point, impairment):
     # 1 - (1 - threshold) rounds to this float, one below the threshold:
     # stability calls it derivable, so the grid is what fails here
     threshold, rate = stable_rate_threshold(fixed_point), 0.0792952096919044
-    assert rate < threshold and 1.0 - impairment.average_rate() == rate
+    assert rate < threshold and 1.0 - (1.0 - impairment.sustainable_rate()) == rate
     assert impairment.sustainable_rate() == threshold
     with pytest.raises(InfeasibleBoundError, match="^no feasible"):
         build_bound("bound1", PoissonTraffic(rate), impairment)
@@ -502,9 +493,6 @@ class _FlatImpairment:
 
     def sigma_rho(self, theta):
         return SigmaRho(theta, 0.0, 0.5)
-
-    def average_rate(self):
-        return 0.5
 
     def sustainable_rate(self):
         return 0.5

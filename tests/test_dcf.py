@@ -115,7 +115,7 @@ def test_fixed_point_monotone_in_n(params):
 def test_stable_rate_threshold(params, fixed_point):
     thr = stable_rate_threshold(fixed_point)
     assert thr == pytest.approx(0.079295209692, abs=1e-9)
-    assert ImpairmentModel(params).average_rate() == pytest.approx(1.0 - thr, rel=1e-12)
+    assert 1.0 - ImpairmentModel(params).sustainable_rate() == pytest.approx(1.0 - thr, rel=1e-12)
 
 
 def test_threshold_formula_edges():
@@ -404,7 +404,7 @@ def test_impairment_sigma_rho_sweep(params):
 
 
 def test_impairment_rho_approaches_average_rate(params):
-    a_i = ImpairmentModel(params).average_rate()
+    a_i = 1.0 - ImpairmentModel(params).sustainable_rate()
     assert abs(impairment_sigma_rho(params, 0.01).rho - a_i) < 0.01
 
 
@@ -420,7 +420,7 @@ def test_impairment_model_caches(params):
     a = model.sigma_rho(0.1)
     b = model.sigma_rho(0.1)
     assert a is b
-    assert model.average_rate() == pytest.approx(0.920704790308, abs=1e-9)
+    assert 1.0 - model.sustainable_rate() == pytest.approx(0.920704790308, abs=1e-9)
 
 
 def test_model_and_direct_sigma_rho_agree(params, impairment):
