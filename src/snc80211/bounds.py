@@ -250,7 +250,7 @@ def _build_grid(rate: float, impairment, options: GridOptions) -> _Grid:
     Rows run in row-major (theta1, theta2) order, r_a along each row."""
     thetas = options.thetas()
     rho_a = np.array([poisson_sigma_rho(rate, th).rho for th in thetas])
-    sig_i, rho_i = np.array([(s.sigma, s.rho) for s in map(impairment.sigma_rho, thetas)]).T
+    sig_i, rho_i = np.array([(s.sigma, s.rho) for s in impairment.sigma_rho_table(thetas)]).T
     width = (CAPACITY - rho_i)[None, :] - rho_a[:, None]
     i1, i2 = np.nonzero(width > 0)
     if not i1.size:

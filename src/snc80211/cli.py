@@ -105,11 +105,8 @@ def cmd_characterize(args, cfg) -> int:
         raise ValueError("empty theta grid")
     if any(th <= 0 for th in thetas):
         raise ValueError("theta values must be positive")
-    model = ImpairmentModel(cfg.sim.params)
-    rows = []
-    for th in thetas:
-        sr = model.sigma_rho(th)
-        rows.append({"theta": th, "sigma": sr.sigma, "rho": sr.rho})
+    srs = ImpairmentModel(cfg.sim.params).sigma_rho_table(thetas)
+    rows = [{"theta": th, "sigma": sr.sigma, "rho": sr.rho} for th, sr in zip(thetas, srs)]
     _emit(rows, ["theta", "sigma", "rho"], args)
     return EXIT_OK
 

@@ -1,15 +1,19 @@
 """802.11 DCF modeling: slot geometry, the attempt-rate fixed point, and the
-moment generating function of the channel impairment seen by one node.
+moment generating function of the channel impairment seen by one node, with
+its (sigma, rho) envelope fits.
 
 Time is measured in network-calculus slots of L idle slots each, where L is
 the number of idle-slot quanta one successful packet exchange occupies. All
-combinatorial sums run in log space to survive large t.
+combinatorial sums run in log space to survive large t. The envelopes of a
+table of thetas are fitted in lockstep (ImpairmentModel.sigma_rho_table):
+one enumeration pass over a few t serves every theta still to be fitted,
+and each (theta, t) gets the bits of a lone impairment_mgf call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,7 +43,8 @@ ORACLE_SLOT_CAP = 64
 _L_MAX = 1 << 20
 _FIXED_POINT_TOL = 1e-10  # bisection stops once the eta bracket is this narrow
 _log_fact = np.zeros(0)  # log(n!) at index n, grown on first use by _log_factorials
-_CHUNK_TERMS = 1 << 18  # about the most log-MGF terms one chunk of an envelope holds
+_PASS_T = 2  # the most t one log-MGF pass of an envelope table computes
+_PASS_TERMS = 1 << 15  # about the most theta x log-MGF terms one pass holds
 # cephes lgam, which scipy.special.gammaln calls: log(sqrt(2 pi)), and the
 # coefficients of its Stirling correction for 13 <= x < 1000
 _LS2PI = 0.91893853320467274178
@@ -237,58 +242,73 @@ def impairment_mgf(fp: DcfFixedPoint, theta: float, t: int) -> float:
         raise ValueError("t must be at least 1")
     if t > DEFAULT_T_CAP:
         raise ValueError(f"t={t} beyond cap {DEFAULT_T_CAP}")
-    return _exp_or_diverge(float(_log_mgfs(fp, theta, t, t)[0]), theta, t)
+    return _exp_or_diverge(float(_log_mgfs(fp, [theta], t, t)[0, 0]), theta, t)
 
 
-def _log_mgfs(fp: DcfFixedPoint, theta: float, t_lo: int, t_hi: int) -> np.ndarray:
-    """log M_I(t) for t = t_lo..t_hi, each the float impairment_mgf takes the
-    exp of. The terms of every t sit in one flat array, per t in the order
-    case I (rows i, columns k), then case II; each t sums its own contiguous
-    slice, so every t gets the bits of a lone call."""
+def _check_theta(theta: float, t: int) -> None:
     if not 0.0 < theta < math.inf:
         raise ValueError(f"theta must be positive and finite, got {theta}")
     # the first slot is busy, so M_I(t) >= e^theta: past the float range of
-    # exp every t overflows (and at p_s_cond = 1, log_w below is log 0)
-    _exp_or_diverge(theta, theta, t_lo)
+    # exp every t overflows (and at p_s_cond = 1, _log_mgfs's log_w is log 0)
+    _exp_or_diverge(theta, theta, t)
+
+
+def _log_mgfs(fp: DcfFixedPoint, thetas, t_lo: int, t_hi: int) -> np.ndarray:
+    """log M_I(t) of each theta (rows) for t = t_lo..t_hi (columns), each
+    the float impairment_mgf takes the exp of, raising for the first theta
+    that it would raise for.
+
+    A row holds the terms of every t side by side, per t in the order case I
+    (rows i, columns k), then case II, and each t sums its own contiguous
+    segment, so every (theta, t) gets the bits of a lone call. The theta-free
+    part of each term is built once per t and shared by every row; each row
+    then adds its theta terms in a lone call's order of operations."""
+    for theta in thetas:
+        _check_theta(theta, t_lo)
     L = fp.L
     p_t, p_nt, ps_c = fp.p_t, fp.p_nt, fp.p_s_cond
     log_pt = math.log(p_t) if p_t > 0 else -math.inf
     log_pnt = math.log(p_nt) if p_nt > 0 else -math.inf
+    th = np.array(thetas, dtype=np.float64)[:, None]
     # log of the own-success credit factor per complete transmission
-    log_w = math.log(ps_c * math.exp(-theta) + (1.0 - ps_c))
+    log_w = np.array([[math.log(ps_c * math.exp(-theta) + (1.0 - ps_c))] for theta in thetas])
+    cols = L - 1 if p_t > 0 else 0  # case I has no columns k when p_t = 0
+    k = np.arange(1, L)
+    with np.errstate(over="ignore"):  # -theta * k past the float range is -inf
+        log_wk = np.log(ps_c * np.exp(-th * k / L) + (1.0 - ps_c))[:, None, :cols]
     lf = _log_factorials((t_hi - 1) * L, DEFAULT_T_CAP * L)
-    # one row (t, i) per case II term, i in [0, t-1]; case I has every row
-    # but each t's last, times L-1 columns k (none when p_t = 0)
     ts = np.arange(t_lo, t_hi + 1)
-    t2 = np.repeat(ts, ts)
-    i2 = np.arange(t2.size) - np.repeat(np.cumsum(ts) - ts, ts)
-    cols = L - 1 if p_t > 0 else 0
     size = (ts - 1) * cols + ts  # terms of each t
     start = np.cumsum(size) - size
-    two = np.repeat(start + (ts - 1) * cols, ts) + i2  # where case II terms go
-    lt = np.empty(size.sum())
-    one = np.ones(lt.size, dtype=bool)
-    one[two] = False
-
-    if cols:
-        # case I: last transmission cut off after k in [1, L-1] idle slots
-        # (columns), i complete transmissions before it, i in [0, t-2] (rows)
-        row = i2 < t2 - 1
-        t, i = t2[row, None], i2[row, None]
-        k = np.arange(1, L)
-        idle = (t - i - 1) * L - k
-        log_comb = lf[idle + i] - lf[i] - lf[idle]
-        with np.errstate(over="ignore"):  # -theta * k past the float range is -inf
-            log_wk = np.log(ps_c * np.exp(-theta * k / L) + (1.0 - ps_c))
-        lt[one] = (log_pt + log_comb + i * log_pt + _xlogy(idle, log_pnt)
-                   + log_wk + i * log_w + theta * t).ravel()
-
-    # case II: horizon ends on idle slots or a complete transmission,
-    # i complete transmissions in [0, t-1]
-    idle2 = (t2 - i2 - 1) * L
-    log_comb2 = lf[idle2 + i2] - lf[i2] - lf[idle2]
-    lt[two] = (log_comb2 + _xlogy(i2, log_pt) + _xlogy(idle2, log_pnt)
-               + i2 * log_w + theta * t2)
+    lt = np.empty((len(th), size.sum()))
+    for t, s in zip(ts.tolist(), start.tolist()):
+        i = np.arange(t)
+        one = (t - 1) * cols
+        if one:
+            # case I: last transmission cut off after k in [1, L-1] idle
+            # slots (columns), i complete transmissions before it, i in
+            # [0, t-2] (rows)
+            # each term is ((log_pt + log_comb + i log_pt + xlogy(idle)) +
+            # log_wk) + i log_w + theta t, summed in place in that order
+            i1 = i[:-1, None]
+            idle = (t - i1 - 1) * L - k
+            base = lf[idle + i1]
+            base -= lf[i1]
+            base -= lf[idle]
+            base += log_pt
+            base += i1 * log_pt
+            base += _xlogy(idle, log_pnt)
+            case1 = lt[:, s:s + one].reshape(len(th), t - 1, cols)  # a view of lt
+            np.add(base, log_wk, out=case1)
+            case1 += (i1.T * log_w)[:, :, None]
+            case1 += th[:, :, None] * t
+        # case II: horizon ends on idle slots or a complete transmission,
+        # i complete transmissions in [0, t-1]
+        idle = (t - i - 1) * L
+        base = lf[idle + i] - lf[i] - lf[idle] + _xlogy(i, log_pt) + _xlogy(idle, log_pnt)
+        case2 = lt[:, s + one:s + one + t]
+        np.add(base, i * log_w, out=case2)
+        case2 += th * t
     return _segment_logsumexp(lt, start)
 
 
@@ -328,23 +348,27 @@ def _log_factorial(k: np.ndarray) -> np.ndarray:
 
 
 def _segment_logsumexp(a: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """scipy.special.logsumexp of each segment a[start[j]:start[j + 1]] of a
-    1-D float array (the last one runs to the end), in scipy 1.17's order of
-    operations, so bit-identical, without the array-API dispatch scipy pays
-    per call. Each segment sums its own contiguous slice, as scipy does:
-    np.add.reduceat adds in sequence, not pairwise, and rounds differently."""
-    end = np.append(start[1:], a.size)
+    """scipy.special.logsumexp of each segment a[..., start[j]:start[j + 1]]
+    along the last axis of a float array (the last one runs to the end), in
+    scipy 1.17's order of operations, so bit-identical, without the
+    array-API dispatch scipy pays per call. Each segment of each row sums
+    its own contiguous slice, as scipy does: np.add.reduceat adds in
+    sequence, not pairwise, and rounds differently."""
+    end = np.append(start[1:], a.shape[-1])
     size = end - start
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.maximum.reduceat(a, start)
-        a_max_each = np.repeat(a_max, size)
+        a_max = np.maximum.reduceat(a, start, axis=-1)
+        a_max_each = np.repeat(a_max, size, axis=-1)
         mask = a == a_max_each
-        m = np.add.reduceat(mask, start, dtype=np.intp)
-        e = np.exp(np.where(mask, -np.inf, a) - a_max_each)
-        s = np.array([e[b:c].sum() for b, c in zip(start.tolist(), end.tolist())])
+        m = np.add.reduceat(mask, start, axis=-1, dtype=np.intp)
+        e = np.where(mask, -np.inf, a)
+        e -= a_max_each
+        np.exp(e, out=e)
+        s = np.stack([e[..., b:c].sum(axis=-1) for b, c in zip(start.tolist(), end.tolist())],
+                     axis=-1)
         out = np.log1p(np.where(s != 0, s / m, s)) + np.log(m) + a_max
-        for j in np.flatnonzero(~np.isfinite(out)):  # scipy's fallback, the direct formula
-            out[j] = np.log(np.exp(a[start[j]:end[j]]).sum())
+        for *row, j in zip(*np.nonzero(~np.isfinite(out))):  # scipy's fallback, the direct formula
+            out[(*row, j)] = np.log(np.exp(a[(*row, slice(start[j], end[j]))]).sum())
     return out
 
 
@@ -412,16 +436,26 @@ def impairment_sigma_rho(params: Params80211, theta: float) -> SigmaRho:
 class ImpairmentModel:
     """Impairment view of one node: fixed point, per-theta (sigma, rho) cache
     and stability threshold. The envelope fit is the expensive step, so
-    sigma_rho results are cached per theta."""
+    sigma_rho_table fits every theta of a table in lockstep, and results
+    are cached per theta; sigma_rho(theta) is its one-theta call."""
 
     def __init__(self, params: Params80211):
         self.fixed_point = solve_fixed_point(params)
         self._cache: dict = {}
 
     def sigma_rho(self, theta: float) -> SigmaRho:
-        sr = self._cache.get(theta)
-        if sr is None:
-            sr = fit_sigma_rho(theta, self._envelope(theta))
+        """The (sigma, rho) fit at theta: sigma_rho_table's one-theta call."""
+        return self.sigma_rho_table([theta])[0]
+
+    def sigma_rho_table(self, thetas) -> list:
+        """The (sigma, rho) fit at each theta, as a fit_sigma_rho call per
+        theta in table order gives it (a repeated theta reuses its first
+        fit), raising what the first failing call raises. The envelopes of
+        the thetas still to fit share their log-MGF passes (_envelopes)."""
+        thetas = list(thetas)
+        todo = list(dict.fromkeys(th for th in thetas if th not in self._cache))
+        for theta, y in zip(todo, self._envelopes(todo)):
+            sr = fit_sigma_rho(theta, y)
             # rho(theta) of a valid envelope is at least the mean rate; a fit
             # below it (y(t) rounded away at tiny theta) fails for large t
             mean = 1.0 - self.sustainable_rate()
@@ -430,23 +464,50 @@ class ImpairmentModel:
                     f"fitted rho={sr.rho} at theta={theta} is below the "
                     f"impairment's mean rate {mean}")
             self._cache[theta] = sr
-        return sr
+        return [self._cache[th] for th in thetas]
 
-    def _envelope(self, theta: float):
-        """y(t) = (1/theta) log M_I(t), as math.log(impairment_mgf(...)) /
-        theta gives it, raising where that call would. The log-MGFs come in
-        chunks of 16 t, fewer where a chunk would pass _CHUNK_TERMS terms."""
+    def _envelopes(self, thetas) -> list:
+        """y(t) = (1/theta) log M_I(t) of each theta, as math.log(
+        impairment_mgf(...)) / theta gives it, raising where that call would.
+
+        When one theta lacks a t, one _log_mgfs pass computes a chunk of at
+        most _PASS_T t from it, for that theta and every later one that
+        lacks it and passes _check_theta, at most _PASS_TERMS theta x terms
+        in all: t narrows first, then the later thetas are cut. A theta whose
+        one t alone passes the cap runs one t per pass."""
         fp = self.fixed_point
-        log_m = {}
+        log_m = [{} for _ in thetas]
+        joinable = [j for j, theta in enumerate(thetas) if _fits(theta)]
 
-        def y(t: int) -> float:
-            if t not in log_m:
-                hi = min(t + 15, t + _CHUNK_TERMS // (t * fp.L), DEFAULT_T_CAP)
-                log_m.update(zip(range(t, hi + 1), _log_mgfs(fp, theta, t, hi).tolist()))
-            return math.log(_exp_or_diverge(log_m[t], theta, t)) / theta
+        def y(j: int, t: int) -> float:
+            if t not in log_m[j]:  # one pass, from t
+                rows = [j, *(i for i in joinable if i > j and t not in log_m[i])]
+                hi = t
+                while (hi < min(t + _PASS_T - 1, DEFAULT_T_CAP)
+                       and len(rows) * _terms(fp.L, t, hi + 1) <= _PASS_TERMS):
+                    hi += 1
+                rows = rows[:max(1, _PASS_TERMS // _terms(fp.L, t, hi))]
+                out = _log_mgfs(fp, [thetas[i] for i in rows], t, hi).tolist()
+                for i, row in zip(rows, out):
+                    log_m[i].update(zip(range(t, hi + 1), row))
+            return math.log(_exp_or_diverge(log_m[j][t], thetas[j], t)) / thetas[j]
 
-        return y
+        return [partial(y, j) for j in range(len(thetas))]
 
     def sustainable_rate(self) -> float:
         """The stability threshold: a finite bound exists strictly below it."""
         return stable_rate_threshold(self.fixed_point)
+
+
+def _fits(theta: float) -> bool:
+    # whether _log_mgfs takes theta, so that it can join another theta's pass
+    try:
+        _check_theta(theta, 1)
+    except (ValueError, FitConvergenceError):
+        return False
+    return True
+
+
+def _terms(L: int, t_lo: int, t_hi: int) -> int:
+    # at least the log-MGF terms of t = t_lo..t_hi, about t L each
+    return L * (t_hi - t_lo + 1) * (t_lo + t_hi) // 2

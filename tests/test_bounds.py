@@ -215,6 +215,9 @@ class _UnfittedImpairment:
     def sigma_rho(self, theta):
         raise AssertionError("the impairment is fitted")
 
+    def sigma_rho_table(self, thetas):
+        raise AssertionError("the impairment is fitted")
+
 
 def test_grid_specs_are_feasible(impairment):
     # bound2 has the martingale tail: r_a >= rho + sigma, no arrival prefactor;
@@ -493,6 +496,9 @@ class _FlatImpairment:
 
     def sigma_rho(self, theta):
         return SigmaRho(theta, 0.0, 0.5)
+
+    def sigma_rho_table(self, thetas):
+        return list(map(self.sigma_rho, thetas))
 
     def sustainable_rate(self):
         return 0.5

@@ -419,6 +419,26 @@ def test_characterize_rho_below_mean_rate_is_nonconvergence(capsys, theta):
     assert f"at theta={float(theta)} is below the impairment's mean rate 0.92070" in captured.err
 
 
+_BELOW_MEAN = "is below the impairment's mean rate 0.9207047903080956\n"
+_RHO_AT_1E_12 = f"did not converge: fitted rho=0.8886225088309629 at theta=1e-12 {_BELOW_MEAN}"
+
+
+@pytest.mark.parametrize("thetas, code, err", [
+    ("1e-12,800", 4, _RHO_AT_1E_12),
+    ("1e-12,nan", 4, _RHO_AT_1E_12),
+    ("800,1e-12", 4, "did not converge: impairment MGF overflows a float at theta=800.0, t=1\n"),
+    ("0.1,800", 4, "did not converge: impairment MGF overflows a float at theta=800.0, t=1\n"),
+    ("5,50,700,708", 4, "did not converge: impairment MGF overflows a float at theta=700.0, t=2\n"),
+    ("0.1,nan", 2, "error: theta must be positive and finite, got nan\n"),
+    ("0.1,1e-300", 4, f"did not converge: fitted rho=0.0 at theta=1e-300 {_BELOW_MEAN}"),
+])
+def test_characterize_fails_at_the_first_theta_that_fails(capsys, thetas, code, err):
+    # the thetas of a table are fitted together, yet the error is the one a
+    # fit per theta, in the order given, meets first
+    assert main(["characterize", "--thetas", thetas, "--format", "json"]) == code
+    assert capsys.readouterr() == ("", err)
+
+
 SIM_1S = ["--duration", "1", "--replications", "1", "--sample-time", "1"]
 
 

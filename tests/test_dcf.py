@@ -7,6 +7,7 @@ import pytest
 from scipy.special import gammaln, logsumexp
 
 from snc80211 import dcf
+from snc80211.bounds import GridOptions
 from snc80211.characterize import DEFAULT_T_CAP, FitConvergenceError
 from snc80211.dcf import (
     DcfFixedPoint,
@@ -262,30 +263,34 @@ def test_impairment_mgf_is_bit_identical_to_the_scipy_enumeration(monkeypatch):
     assert len(dcf._log_fact) > max(before, 2344 * fp.L)
 
 
-def _assert_batch_matches_each_t(fp, theta, lo, hi):
-    log_m = dcf._log_mgfs(fp, theta, lo, hi)
-    assert log_m.shape == (hi - lo + 1,)
-    for t, v in zip(range(lo, hi + 1), log_m.tolist()):
-        assert dcf._exp_or_diverge(v, theta, t) == impairment_mgf(fp, theta, t), (fp, theta, lo, hi, t)
+def _assert_batch_matches_each_t(fp, thetas, lo, hi):
+    log_m = dcf._log_mgfs(fp, thetas, lo, hi)
+    assert log_m.shape == (len(thetas), hi - lo + 1)
+    for theta, row in zip(thetas, log_m.tolist()):
+        for t, v in zip(range(lo, hi + 1), row):
+            assert (dcf._exp_or_diverge(v, theta, t)
+                    == impairment_mgf(fp, theta, t)), (fp, theta, lo, hi, t)
 
 
 def test_batched_log_mgfs_equal_each_impairment_mgf(monkeypatch):
     # a range of t around each enumeration case, from an empty log-factorial
-    # table, so that some ranges start inside the table and end past it
+    # table, so that some ranges start inside the table and end past it; the
+    # case's theta alone, or first among up to two smaller ones
     monkeypatch.setattr(dcf, "_log_fact", np.zeros(0))
-    rng = np.random.default_rng(13)
+    rng, rng_theta = np.random.default_rng(13), np.random.default_rng(14)
     grew_across = 0
     for fp, theta, t in _enumeration_cases():
         lo = max(1, t - int(rng.integers(0, 16)))
         hi = min(t + int(rng.integers(0, 16)), int(700.0 / theta))
+        thetas = [theta, *(theta * rng_theta.uniform(1e-3, 1.0, int(rng_theta.integers(0, 3))))]
         before = len(dcf._log_fact)
-        _assert_batch_matches_each_t(fp, theta, lo, hi)
+        _assert_batch_matches_each_t(fp, thetas, lo, hi)
         grew_across += (lo - 1) * fp.L < before <= (hi - 1) * fp.L
     assert grew_across > 0
     # ranges ending at the t cap
     for fp in (_fp(0.37, 0.61, 2), _fp(1.0, 0.61, 3), solve_fixed_point(Params80211())):
-        _assert_batch_matches_each_t(fp, 0.05, DEFAULT_T_CAP - (20 if fp.L < 39 else 1),
-                                     DEFAULT_T_CAP)
+        _assert_batch_matches_each_t(fp, [0.05, 0.01, 0.05],
+                                     DEFAULT_T_CAP - (20 if fp.L < 39 else 1), DEFAULT_T_CAP)
 
 
 @pytest.mark.parametrize("payload", [256, 1500])
@@ -312,14 +317,18 @@ def test_log_factorial_is_bit_identical_to_gammaln_at_the_branch_edges():
 def test_envelope_chunks_equal_each_impairment_mgf(params):
     model = ImpairmentModel(params)
     fp = model.fixed_point
-    y = model._envelope(0.3)
+    thetas = (0.3, 2.0, 0.01)
+    ys = model._envelopes(thetas)
     for t in (1, 2, 16, 17, 40, 33, 90):  # first chunk, later ones, out of order
-        assert y(t) == math.log(impairment_mgf(fp, 0.3, t)) / 0.3, t
+        for theta, y in zip(thetas, ys):
+            assert y(t) == math.log(impairment_mgf(fp, theta, t)) / theta, (theta, t)
     # chunks cut short by the t cap
     model.fixed_point = fp = _fp(0.37, 0.61, 2)
-    y = model._envelope(0.05)
+    thetas = (0.05, 0.02)
+    ys = model._envelopes(thetas)
     for t in range(DEFAULT_T_CAP - 5, DEFAULT_T_CAP + 1):
-        assert y(t) == math.log(impairment_mgf(fp, 0.05, t)) / 0.05, t
+        for theta, y in zip(thetas, ys):
+            assert y(t) == math.log(impairment_mgf(fp, theta, t)) / theta, (theta, t)
 
 
 @pytest.mark.parametrize("theta, t_over", [(60.0, 12), (45.0, 17)])
@@ -344,9 +353,17 @@ def _bits(x):
 
 
 def _logsumexps(arrays):
-    # dcf._segment_logsumexp over the arrays laid end to end, one per segment
+    # dcf._segment_logsumexp over the arrays laid end to end, one per
+    # segment, in the first of two rows; the second row, the first one
+    # reversed, must get the bits it gets on its own
     sizes = np.array([a.size for a in arrays])
-    return dcf._segment_logsumexp(np.concatenate(arrays), np.cumsum(sizes) - sizes)
+    start = np.cumsum(sizes) - sizes
+    row = np.concatenate(arrays)
+    both = dcf._segment_logsumexp(np.stack([row, row[::-1]]), start)
+    assert both.shape == (2, len(arrays))
+    assert ([_bits(g) for g in both[1]]
+            == [_bits(g) for g in dcf._segment_logsumexp(row[::-1].copy(), start)])
+    return both[0]
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 1000])
@@ -421,6 +438,62 @@ def test_impairment_model_caches(params):
     b = model.sigma_rho(0.1)
     assert a is b
     assert 1.0 - model.sustainable_rate() == pytest.approx(0.920704790308, abs=1e-9)
+
+
+def _fits_or_error(fit):
+    try:
+        return fit()
+    except (FitConvergenceError, ValueError) as e:
+        return type(e), str(e)
+
+
+def _assert_table_is_the_one_theta_loop(params, thetas):
+    # a fresh model fits the table in lockstep; another fits one theta at a
+    # time, each a table of its own; both give the same floats or error
+    table = _fits_or_error(lambda: ImpairmentModel(params).sigma_rho_table(thetas))
+    single = ImpairmentModel(params)
+    loop = _fits_or_error(lambda: [single.sigma_rho(th) for th in thetas])
+    assert table == loop, (params, thetas)
+    return table
+
+
+@pytest.mark.parametrize("payload", [0, 256, 1500])
+@pytest.mark.parametrize("n_nodes", [1, 2, 10, 50])
+def test_table_fit_is_the_one_theta_loop(payload, n_nodes):
+    params = Params80211(payload=payload, n_nodes=n_nodes)
+    thetas = list(GridOptions().thetas())
+    table = _assert_table_is_the_one_theta_loop(params, thetas)
+    assert [sr.theta for sr in table] == thetas
+    if (payload, n_nodes) == (256, 10):
+        _assert_table_is_the_one_theta_loop(params, thetas[::-1])
+        # a repeated theta is fitted once and gets the same object
+        table = _assert_table_is_the_one_theta_loop(params, [0.3, 0.01, 0.3, 5.0, 0.01, 1.0])
+        assert table[0] is table[2] and table[1] is table[4]
+
+
+def test_table_fit_past_the_pass_cap_is_the_one_theta_loop(params, monkeypatch):
+    # 200 thetas pass _PASS_TERMS from the first pass on: passes cover fewer
+    # than _PASS_T t, and later thetas split off and start their own pass at
+    # a t that an earlier pass started at
+    thetas = list(np.geomspace(0.01, 5.0, 200))
+    passes = []
+    log_mgfs = dcf._log_mgfs
+
+    def recorded(fp, ths, lo, hi):
+        passes.append((len(ths), lo, hi))
+        return log_mgfs(fp, ths, lo, hi)
+
+    monkeypatch.setattr(dcf, "_log_mgfs", recorded)
+    table = ImpairmentModel(params).sigma_rho_table(thetas)
+    monkeypatch.undo()
+    single = ImpairmentModel(params)
+    assert table == [single.sigma_rho(th) for th in thetas]
+    L = single.fixed_point.L
+    assert all(n * dcf._terms(L, lo, hi) <= dcf._PASS_TERMS or (n, hi) == (1, lo)
+               for n, lo, hi in passes)
+    assert any(hi - lo + 1 < dcf._PASS_T for _, lo, hi in passes)
+    starts = [lo for _, lo, _ in passes]
+    assert len(set(starts)) < len(starts)
 
 
 def test_model_and_direct_sigma_rho_agree(params, impairment):
