@@ -472,9 +472,9 @@ def test_table_fit_is_the_one_theta_loop(payload, n_nodes):
 
 
 def test_table_fit_past_the_pass_cap_is_the_one_theta_loop(params, monkeypatch):
-    # 200 thetas pass _PASS_TERMS from the first pass on: passes cover fewer
-    # than _PASS_T t, and later thetas split off and start their own pass at
-    # a t that an earlier pass started at
+    # 200 thetas soon pass _PASS_TERMS: passes cover fewer than _PASS_T t,
+    # and later thetas split off and start their own pass at a t that an
+    # earlier pass started at
     thetas = list(np.geomspace(0.01, 5.0, 200))
     passes = []
     log_mgfs = dcf._log_mgfs
