@@ -20,6 +20,7 @@ __all__ = [
 ]
 
 _EPSILON = 1e-5  # relative band in which an envelope slope counts as settled
+_SLACK = 1e-9  # how far a fitted line may lie below a y(t) it covers
 DEFAULT_T_CAP = 10_000  # the largest t an envelope fit or the impairment MGF reaches
 
 
@@ -69,16 +70,22 @@ def poisson_sigma_rho(lam: float, theta: float) -> SigmaRho:
     return SigmaRho(theta=theta, sigma=0.0, rho=rho)
 
 
+def _settled(prev_s: float, s: float) -> bool:
+    # the one settle test of an envelope slope, shared by fit_sigma_rho and
+    # the impairment table walk that computes y(t) until it holds
+    return (1.0 - _EPSILON) * prev_s <= s <= (1.0 + _EPSILON) * prev_s
+
+
 def fit_sigma_rho(theta: float, y: Callable[[int], float]) -> SigmaRho:
     """Fit (sigma, rho) at theta to a log-MGF envelope y(t), t >= 1, with
     y(0) = 0 by definition, by slope stabilization.
 
     Walks t = 2, 3, ... and stops at the first t* where the slope
-    s(t) = y(t) - y(t-1) lies within the relative band
-    (1 - 1e-5) s(t-1) <= s(t) <= (1 + 1e-5) s(t-1). Then rho = s(t*) and
-    sigma lifts the line rho*t through the largest gap over t <= t*,
+    s(t) = y(t) - y(t-1) settles (_settled): it lies within the relative
+    band (1 - 1e-5) s(t-1) <= s(t) <= (1 + 1e-5) s(t-1). Then rho = s(t*)
+    and sigma lifts the line rho*t through the largest gap over t <= t*,
     so y(t) <= rho*t + sigma on the whole fitted range (checked). Each
-    y(t) is called once.
+    y(t) is called once, up to t* and no further.
 
     Raises FitConvergenceError if no t* is found up to DEFAULT_T_CAP.
     """
@@ -87,12 +94,12 @@ def fit_sigma_rho(theta: float, y: Callable[[int], float]) -> SigmaRho:
     for t in range(2, DEFAULT_T_CAP + 1):
         ys.append(y(t))
         s = ys[t] - ys[t - 1]
-        if (1.0 - _EPSILON) * prev_s <= s <= (1.0 + _EPSILON) * prev_s:
+        if _settled(prev_s, s):
             rho = s
             # sigma = max gap between y and the rate line, never below zero
             sigma = max(ys[i] - rho * i for i in range(t + 1))
             sigma = max(0.0, sigma)
-            if any(ys[i] > rho * i + sigma + 1e-9 for i in range(t + 1)):
+            if any(ys[i] > rho * i + sigma + _SLACK for i in range(t + 1)):
                 raise RuntimeError("fitted envelope violated")
             return SigmaRho(theta=theta, sigma=sigma, rho=rho)
         prev_s = s

@@ -6,19 +6,21 @@ Time is measured in network-calculus slots of L idle slots each, where L is
 the number of idle-slot quanta one successful packet exchange occupies. All
 combinatorial sums run in log space to survive large t. The envelopes of a
 table of thetas are fitted in lockstep (ImpairmentModel.sigma_rho_table):
-one enumeration pass over a few t serves every theta still to be fitted,
-and each (theta, t) gets the bits of a lone impairment_mgf call.
+it walks t = 1, 2, ... with one enumeration pass per t over the thetas
+whose envelope slope has not yet settled, and each (theta, t) gets the
+bits of a lone impairment_mgf call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache, partial
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
 
-from .characterize import DEFAULT_T_CAP, FitConvergenceError, SigmaRho, fit_sigma_rho
+from .characterize import (DEFAULT_T_CAP, _SLACK, FitConvergenceError, SigmaRho, _settled,
+                           fit_sigma_rho)
 
 __all__ = [
     "Params80211",
@@ -43,8 +45,7 @@ ORACLE_SLOT_CAP = 64
 _L_MAX = 1 << 20
 _FIXED_POINT_TOL = 1e-10  # bisection stops once the eta bracket is this narrow
 _log_fact = np.zeros(0)  # log(n!) at index n, grown on first use by _log_factorials
-_PASS_T = 2  # the most t one log-MGF pass of an envelope table computes
-_PASS_TERMS = 1 << 15  # about the most theta x log-MGF terms one pass holds
+_PASS_TERMS = 1 << 15  # most theta x log-MGF terms a pass holds, unless one theta has more
 # cephes lgam, which scipy.special.gammaln calls: log(sqrt(2 pi)), and the
 # coefficients of its Stirling correction for 13 <= x < 1000
 _LS2PI = 0.91893853320467274178
@@ -242,7 +243,7 @@ def impairment_mgf(fp: DcfFixedPoint, theta: float, t: int) -> float:
         raise ValueError("t must be at least 1")
     if t > DEFAULT_T_CAP:
         raise ValueError(f"t={t} beyond cap {DEFAULT_T_CAP}")
-    return _exp_or_diverge(float(_log_mgfs(fp, [theta], t, t)[0, 0]), theta, t)
+    return _exp_or_diverge(float(_log_mgfs(fp, [theta], t)[0]), theta, t)
 
 
 def _check_theta(theta: float, t: int) -> None:
@@ -253,18 +254,16 @@ def _check_theta(theta: float, t: int) -> None:
     _exp_or_diverge(theta, theta, t)
 
 
-def _log_mgfs(fp: DcfFixedPoint, thetas, t_lo: int, t_hi: int) -> np.ndarray:
-    """log M_I(t) of each theta (rows) for t = t_lo..t_hi (columns), each
-    the float impairment_mgf takes the exp of, raising for the first theta
-    that it would raise for.
+def _log_mgfs(fp: DcfFixedPoint, thetas, t: int) -> np.ndarray:
+    """log M_I(t) of each theta, the float impairment_mgf takes the exp of,
+    raising for the first theta that it would raise for.
 
-    A row holds the terms of every t side by side, per t in the order case I
-    (rows i, columns k), then case II, and each t sums its own contiguous
-    segment, so every (theta, t) gets the bits of a lone call. The theta-free
-    part of each term is built once per t and shared by every row; each row
-    then adds its theta terms in a lone call's order of operations."""
+    Each row holds one theta's terms in a lone call's order: case I (rows i,
+    columns k), then case II. The theta-free part of each term is built once
+    and shared by every row; each row then adds its theta terms in a lone
+    call's order of operations and sums on its own (_logsumexp)."""
     for theta in thetas:
-        _check_theta(theta, t_lo)
+        _check_theta(theta, t)
     L = fp.L
     p_t, p_nt, ps_c = fp.p_t, fp.p_nt, fp.p_s_cond
     log_pt = math.log(p_t) if p_t > 0 else -math.inf
@@ -273,43 +272,38 @@ def _log_mgfs(fp: DcfFixedPoint, thetas, t_lo: int, t_hi: int) -> np.ndarray:
     # log of the own-success credit factor per complete transmission
     log_w = np.array([[math.log(ps_c * math.exp(-theta) + (1.0 - ps_c))] for theta in thetas])
     cols = L - 1 if p_t > 0 else 0  # case I has no columns k when p_t = 0
-    k = np.arange(1, L)
-    with np.errstate(over="ignore"):  # -theta * k past the float range is -inf
-        log_wk = np.log(ps_c * np.exp(-th * k / L) + (1.0 - ps_c))[:, None, :cols]
-    lf = _log_factorials((t_hi - 1) * L, DEFAULT_T_CAP * L)
-    ts = np.arange(t_lo, t_hi + 1)
-    size = (ts - 1) * cols + ts  # terms of each t
-    start = np.cumsum(size) - size
-    lt = np.empty((len(th), size.sum()))
-    for t, s in zip(ts.tolist(), start.tolist()):
-        i = np.arange(t)
-        one = (t - 1) * cols
-        if one:
-            # case I: last transmission cut off after k in [1, L-1] idle
-            # slots (columns), i complete transmissions before it, i in
-            # [0, t-2] (rows)
-            # each term is ((log_pt + log_comb + i log_pt + xlogy(idle)) +
-            # log_wk) + i log_w + theta t, summed in place in that order
-            i1 = i[:-1, None]
-            idle = (t - i1 - 1) * L - k
-            base = lf[idle + i1]
-            base -= lf[i1]
-            base -= lf[idle]
-            base += log_pt
-            base += i1 * log_pt
-            base += _xlogy(idle, log_pnt)
-            case1 = lt[:, s:s + one].reshape(len(th), t - 1, cols)  # a view of lt
-            np.add(base, log_wk, out=case1)
-            case1 += (i1.T * log_w)[:, :, None]
-            case1 += th[:, :, None] * t
-        # case II: horizon ends on idle slots or a complete transmission,
-        # i complete transmissions in [0, t-1]
-        idle = (t - i - 1) * L
-        base = lf[idle + i] - lf[i] - lf[idle] + _xlogy(i, log_pt) + _xlogy(idle, log_pnt)
-        case2 = lt[:, s + one:s + one + t]
-        np.add(base, i * log_w, out=case2)
-        case2 += th * t
-    return _segment_logsumexp(lt, start)
+    lf = _log_factorials((t - 1) * L, DEFAULT_T_CAP * L)
+    i = np.arange(t)
+    one = (t - 1) * cols
+    lt = np.empty((len(th), one + t))
+    if one:
+        # case I: last transmission cut off after k in [1, L-1] idle slots
+        # (columns), i complete transmissions before it, i in [0, t-2] (rows)
+        # each term is ((log_pt + log_comb + i log_pt + xlogy(idle)) +
+        # log_wk) + i log_w + theta t, summed in place in that order
+        k = np.arange(1, L)
+        with np.errstate(over="ignore"):  # -theta * k past the float range is -inf
+            log_wk = np.log(ps_c * np.exp(-th * k / L) + (1.0 - ps_c))[:, None, :]
+        i1 = i[:-1, None]
+        idle = (t - i1 - 1) * L - k
+        base = lf[idle + i1]
+        base -= lf[i1]
+        base -= lf[idle]
+        base += log_pt
+        base += i1 * log_pt
+        base += _xlogy(idle, log_pnt)
+        case1 = lt[:, :one].reshape(len(th), t - 1, cols)  # a view of lt
+        np.add(base, log_wk, out=case1)
+        case1 += (i1.T * log_w)[:, :, None]
+        case1 += th[:, :, None] * t
+    # case II: horizon ends on idle slots or a complete transmission,
+    # i complete transmissions in [0, t-1]
+    idle = (t - i - 1) * L
+    base = lf[idle + i] - lf[i] - lf[idle] + _xlogy(i, log_pt) + _xlogy(idle, log_pnt)
+    case2 = lt[:, one:]
+    np.add(base, i * log_w, out=case2)
+    case2 += th * t
+    return _logsumexp(lt)
 
 
 def _log_factorials(n_max: int, n_cap: int) -> np.ndarray:
@@ -347,28 +341,21 @@ def _log_factorial(k: np.ndarray) -> np.ndarray:
     return out
 
 
-def _segment_logsumexp(a: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """scipy.special.logsumexp of each segment a[..., start[j]:start[j + 1]]
-    along the last axis of a float array (the last one runs to the end), in
-    scipy 1.17's order of operations, so bit-identical, without the
-    array-API dispatch scipy pays per call. Each segment of each row sums
-    its own contiguous slice, as scipy does: np.add.reduceat adds in
-    sequence, not pairwise, and rounds differently."""
-    end = np.append(start[1:], a.shape[-1])
-    size = end - start
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """scipy.special.logsumexp of each row of a 2-D float array, bit for bit:
+    each row sums on its own in scipy 1.17's order of operations, without
+    the array-API dispatch scipy pays per call."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a_max = np.maximum.reduceat(a, start, axis=-1)
-        a_max_each = np.repeat(a_max, size, axis=-1)
-        mask = a == a_max_each
-        m = np.add.reduceat(mask, start, axis=-1, dtype=np.intp)
+        a_max = a.max(axis=-1, keepdims=True)
+        mask = a == a_max
+        m = mask.sum(axis=-1, keepdims=True)
         e = np.where(mask, -np.inf, a)
-        e -= a_max_each
+        e -= a_max
         np.exp(e, out=e)
-        s = np.stack([e[..., b:c].sum(axis=-1) for b, c in zip(start.tolist(), end.tolist())],
-                     axis=-1)
-        out = np.log1p(np.where(s != 0, s / m, s)) + np.log(m) + a_max
-        for *row, j in zip(*np.nonzero(~np.isfinite(out))):  # scipy's fallback, the direct formula
-            out[(*row, j)] = np.log(np.exp(a[(*row, slice(start[j], end[j]))]).sum())
+        s = e.sum(axis=-1, keepdims=True)
+        out = (np.log1p(np.where(s != 0, s / m, s)) + np.log(m) + a_max)[:, 0]
+        for row in np.flatnonzero(~np.isfinite(out)):  # scipy's fallback, the direct formula
+            out[row] = np.log(np.exp(a[row]).sum())
     return out
 
 
@@ -450,64 +437,68 @@ class ImpairmentModel:
     def sigma_rho_table(self, thetas) -> list:
         """The (sigma, rho) fit at each theta, as a fit_sigma_rho call per
         theta in table order gives it (a repeated theta reuses its first
-        fit), raising what the first failing call raises. The envelopes of
-        the thetas still to fit share their log-MGF passes (_envelopes)."""
+        fit), raising what the first failing call raises. Each fit reads
+        the y(t) that one walk over t stored for every theta (_envelopes)."""
         thetas = list(thetas)
         todo = list(dict.fromkeys(th for th in thetas if th not in self._cache))
-        for theta, y in zip(todo, self._envelopes(todo)):
-            sr = fit_sigma_rho(theta, y)
+        mean = 1.0 - self.sustainable_rate()
+        for theta, ys in zip(todo, self._envelopes(todo)):
+            sr = fit_sigma_rho(theta, lambda t: _stored(ys[t]))
             # rho(theta) of a valid envelope is at least the mean rate; a fit
             # below it (y(t) rounded away at tiny theta) fails for large t
-            mean = 1.0 - self.sustainable_rate()
             if sr.rho < mean:
                 raise FitConvergenceError(
                     f"fitted rho={sr.rho} at theta={theta} is below the "
                     f"impairment's mean rate {mean}")
+            # y(1) = 1 exactly (the first slot is busy); a line below it is
+            # y(t) rounded down at tiny theta
+            if sr.rho + sr.sigma + _SLACK < 1.0:
+                raise FitConvergenceError(
+                    f"fitted rho + sigma = {sr.rho + sr.sigma} at theta={theta} is "
+                    f"below the first slot's impairment 1")
             self._cache[theta] = sr
         return [self._cache[th] for th in thetas]
 
     def _envelopes(self, thetas) -> list:
-        """y(t) = (1/theta) log M_I(t) of each theta, as math.log(
-        impairment_mgf(...)) / theta gives it, raising where that call would.
-
-        When one theta lacks a t, one _log_mgfs pass computes a chunk of at
-        most _PASS_T t from it, for that theta and every later one that
-        lacks it and passes _check_theta, at most _PASS_TERMS theta x terms
-        in all: t narrows first, then the later thetas are cut. A theta whose
-        one t alone passes the cap runs one t per pass."""
+        """[0, y(1), y(2), ...] of each theta, y(t) = math.log(impairment_mgf(
+        ...)) / theta bit for bit, up to the t where fit_sigma_rho stops: the
+        first t whose slope settles, or whose y fails and holds the error.
+        Each t is one _log_mgfs pass over the thetas still fitting, split so
+        that a pass holds at most _PASS_TERMS terms or one theta."""
         fp = self.fixed_point
-        log_m = [{} for _ in thetas]
-        joinable = [j for j, theta in enumerate(thetas) if _fits(theta)]
-
-        def y(j: int, t: int) -> float:
-            if t not in log_m[j]:  # one pass, from t
-                rows = [j, *(i for i in joinable if i > j and t not in log_m[i])]
-                hi = t
-                while (hi < min(t + _PASS_T - 1, DEFAULT_T_CAP)
-                       and len(rows) * _terms(fp.L, t, hi + 1) <= _PASS_TERMS):
-                    hi += 1
-                rows = rows[:max(1, _PASS_TERMS // _terms(fp.L, t, hi))]
-                out = _log_mgfs(fp, [thetas[i] for i in rows], t, hi).tolist()
-                for i, row in zip(rows, out):
-                    log_m[i].update(zip(range(t, hi + 1), row))
-            return math.log(_exp_or_diverge(log_m[j][t], thetas[j], t)) / thetas[j]
-
-        return [partial(y, j) for j in range(len(thetas))]
+        ys, fitting = [[0.0] for _ in thetas], []
+        for j, theta in enumerate(thetas):
+            try:
+                _check_theta(theta, 1)
+                fitting.append(j)
+            except (ValueError, FitConvergenceError) as e:
+                ys[j].append(e)
+        for t in range(1, DEFAULT_T_CAP + 1):
+            if not fitting:
+                break
+            n = max(1, _PASS_TERMS // (t * fp.L))
+            log_m = [m for b in range(0, len(fitting), n)
+                     for m in _log_mgfs(fp, [thetas[j] for j in fitting[b:b + n]], t).tolist()]
+            still = []
+            for j, lm in zip(fitting, log_m):
+                y = ys[j]
+                try:
+                    y.append(math.log(_exp_or_diverge(lm, thetas[j], t)) / thetas[j])
+                except FitConvergenceError as e:
+                    y.append(e)
+                    continue
+                if t == 1 or not _settled(y[-2] - y[-3], y[-1] - y[-2]):
+                    still.append(j)
+            fitting = still
+        return ys
 
     def sustainable_rate(self) -> float:
         """The stability threshold: a finite bound exists strictly below it."""
         return stable_rate_threshold(self.fixed_point)
 
 
-def _fits(theta: float) -> bool:
-    # whether _log_mgfs takes theta, so that it can join another theta's pass
-    try:
-        _check_theta(theta, 1)
-    except (ValueError, FitConvergenceError):
-        return False
-    return True
-
-
-def _terms(L: int, t_lo: int, t_hi: int) -> int:
-    # at least the log-MGF terms of t = t_lo..t_hi, about t L each
-    return L * (t_hi - t_lo + 1) * (t_lo + t_hi) // 2
+def _stored(y):
+    # a y(t) the table walk stored: its value, or the error computing it raised
+    if isinstance(y, Exception):
+        raise y
+    return y

@@ -419,6 +419,19 @@ def test_characterize_rho_below_mean_rate_is_nonconvergence(capsys, theta):
     assert f"at theta={float(theta)} is below the impairment's mean rate 0.92070" in captured.err
 
 
+@pytest.mark.parametrize("theta", ["1e-14", "2e-14", "5e-14"])
+def test_characterize_line_below_the_first_slot_is_nonconvergence(capsys, theta):
+    # y(1) = 1 exactly, since the first slot is busy, but y(t)'s exp -> log
+    # round trip loses about 2.2e-16 / theta: the fit clears the mean rate
+    # with rho + sigma near 0.9992, which no valid envelope can
+    assert main(["characterize", "--thetas", theta]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("did not converge: fitted rho + sigma = 0.9992")
+    assert captured.err.endswith(
+        f" at theta={float(theta)} is below the first slot's impairment 1\n")
+
+
 _BELOW_MEAN = "is below the impairment's mean rate 0.9207047903080956\n"
 _RHO_AT_1E_12 = f"did not converge: fitted rho=0.8886225088309629 at theta=1e-12 {_BELOW_MEAN}"
 

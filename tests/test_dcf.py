@@ -8,7 +8,7 @@ from scipy.special import gammaln, logsumexp
 
 from snc80211 import dcf
 from snc80211.bounds import GridOptions
-from snc80211.characterize import DEFAULT_T_CAP, FitConvergenceError
+from snc80211.characterize import DEFAULT_T_CAP, FitConvergenceError, fit_sigma_rho
 from snc80211.dcf import (
     DcfFixedPoint,
     ImpairmentModel,
@@ -263,34 +263,29 @@ def test_impairment_mgf_is_bit_identical_to_the_scipy_enumeration(monkeypatch):
     assert len(dcf._log_fact) > max(before, 2344 * fp.L)
 
 
-def _assert_batch_matches_each_t(fp, thetas, lo, hi):
-    log_m = dcf._log_mgfs(fp, thetas, lo, hi)
-    assert log_m.shape == (len(thetas), hi - lo + 1)
-    for theta, row in zip(thetas, log_m.tolist()):
-        for t, v in zip(range(lo, hi + 1), row):
-            assert (dcf._exp_or_diverge(v, theta, t)
-                    == impairment_mgf(fp, theta, t)), (fp, theta, lo, hi, t)
+def _assert_pass_matches_each_call(fp, thetas, t):
+    log_m = dcf._log_mgfs(fp, thetas, t)
+    assert log_m.shape == (len(thetas),)
+    for theta, v in zip(thetas, log_m.tolist()):
+        assert dcf._exp_or_diverge(v, theta, t) == impairment_mgf(fp, theta, t), (fp, theta, t)
 
 
 def test_batched_log_mgfs_equal_each_impairment_mgf(monkeypatch):
-    # a range of t around each enumeration case, from an empty log-factorial
-    # table, so that some ranges start inside the table and end past it; the
+    # one pass at each enumeration case's t, from an empty log-factorial
+    # table, so that some passes start past the table and grow it; the
     # case's theta alone, or first among up to two smaller ones
     monkeypatch.setattr(dcf, "_log_fact", np.zeros(0))
-    rng, rng_theta = np.random.default_rng(13), np.random.default_rng(14)
-    grew_across = 0
+    rng = np.random.default_rng(14)
+    grew = 0
     for fp, theta, t in _enumeration_cases():
-        lo = max(1, t - int(rng.integers(0, 16)))
-        hi = min(t + int(rng.integers(0, 16)), int(700.0 / theta))
-        thetas = [theta, *(theta * rng_theta.uniform(1e-3, 1.0, int(rng_theta.integers(0, 3))))]
+        thetas = [theta, *(theta * rng.uniform(1e-3, 1.0, int(rng.integers(0, 3))))]
         before = len(dcf._log_fact)
-        _assert_batch_matches_each_t(fp, thetas, lo, hi)
-        grew_across += (lo - 1) * fp.L < before <= (hi - 1) * fp.L
-    assert grew_across > 0
-    # ranges ending at the t cap
+        _assert_pass_matches_each_call(fp, thetas, t)
+        grew += len(thetas) > 1 and before <= (t - 1) * fp.L
+    assert grew > 0
+    # passes at the t cap
     for fp in (_fp(0.37, 0.61, 2), _fp(1.0, 0.61, 3), solve_fixed_point(Params80211())):
-        _assert_batch_matches_each_t(fp, [0.05, 0.01, 0.05],
-                                     DEFAULT_T_CAP - (20 if fp.L < 39 else 1), DEFAULT_T_CAP)
+        _assert_pass_matches_each_call(fp, [0.05, 0.01, 0.05], DEFAULT_T_CAP)
 
 
 @pytest.mark.parametrize("payload", [256, 1500])
@@ -314,21 +309,38 @@ def test_log_factorial_is_bit_identical_to_gammaln_at_the_branch_edges():
     np.testing.assert_array_equal(got.view(np.int64), gammaln(x).view(np.int64))
 
 
-def test_envelope_chunks_equal_each_impairment_mgf(params):
+def _assert_stored_y_is_each_call(fp, thetas, envelopes):
+    for theta, ys in zip(thetas, envelopes):
+        assert ys[0] == 0.0
+        for t, y in enumerate(ys[1:], start=1):
+            assert y == math.log(impairment_mgf(fp, theta, t)) / theta, (theta, t)
+
+
+def test_stored_envelopes_equal_each_impairment_mgf(params, monkeypatch):
     model = ImpairmentModel(params)
-    fp = model.fixed_point
     thetas = (0.3, 2.0, 0.01)
-    ys = model._envelopes(thetas)
-    for t in (1, 2, 16, 17, 40, 33, 90):  # first chunk, later ones, out of order
-        for theta, y in zip(thetas, ys):
-            assert y(t) == math.log(impairment_mgf(fp, theta, t)) / theta, (theta, t)
-    # chunks cut short by the t cap
-    model.fixed_point = fp = _fp(0.37, 0.61, 2)
+    envelopes = model._envelopes(thetas)
+    assert [len(ys) for ys in envelopes] == [13, 27, 4]  # each up to the t its fit stops at
+    _assert_stored_y_is_each_call(model.fixed_point, thetas, envelopes)
+    # a theta that fails stores its error at the t it fails, the others go on
+    model.fixed_point = _fp(0.9, 0.61, 3)
+    thetas = (60.0, 800.0, 0.3)
+    envelopes = model._envelopes(thetas)
+    for theta, t_fail, ys in zip(thetas, (12, 1, None), envelopes):
+        if t_fail:
+            assert len(ys) == t_fail + 1 and isinstance(ys[-1], FitConvergenceError)
+            with pytest.raises(FitConvergenceError, match=f"theta={theta}, t={t_fail}$"):
+                impairment_mgf(model.fixed_point, theta, t_fail)
+            ys = ys[:-1]
+        _assert_stored_y_is_each_call(model.fixed_point, [theta], [ys])
+    # slopes that never settle are walked to the t cap (here 60) and no further
+    monkeypatch.setattr(dcf, "_settled", lambda prev_s, s: False)
+    monkeypatch.setattr(dcf, "DEFAULT_T_CAP", 60)
+    model.fixed_point = _fp(0.37, 0.61, 2)
     thetas = (0.05, 0.02)
-    ys = model._envelopes(thetas)
-    for t in range(DEFAULT_T_CAP - 5, DEFAULT_T_CAP + 1):
-        for theta, y in zip(thetas, ys):
-            assert y(t) == math.log(impairment_mgf(fp, theta, t)) / theta, (theta, t)
+    envelopes = model._envelopes(thetas)
+    assert [len(ys) for ys in envelopes] == [61, 61]
+    _assert_stored_y_is_each_call(model.fixed_point, thetas, envelopes)
 
 
 @pytest.mark.parametrize("theta, t_over", [(60.0, 12), (45.0, 17)])
@@ -352,18 +364,13 @@ def _bits(x):
     return np.float64(x).tobytes()
 
 
-def _logsumexps(arrays):
-    # dcf._segment_logsumexp over the arrays laid end to end, one per
-    # segment, in the first of two rows; the second row, the first one
-    # reversed, must get the bits it gets on its own
-    sizes = np.array([a.size for a in arrays])
-    start = np.cumsum(sizes) - sizes
-    row = np.concatenate(arrays)
-    both = dcf._segment_logsumexp(np.stack([row, row[::-1]]), start)
-    assert both.shape == (2, len(arrays))
-    assert ([_bits(g) for g in both[1]]
-            == [_bits(g) for g in dcf._segment_logsumexp(row[::-1].copy(), start)])
-    return both[0]
+def _logsumexps(rows):
+    # dcf._logsumexp of the rows stacked; each row must get the bits it
+    # gets on its own
+    got = dcf._logsumexp(np.stack(rows))
+    assert got.shape == (len(rows),)
+    assert [_bits(g) for g in got] == [_bits(dcf._logsumexp(r[None])[0]) for r in rows]
+    return got
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 1000])
@@ -381,15 +388,15 @@ def test_logsumexp_is_bit_identical_to_scipy(n):
         arrays.append(ninf)
         for arr in arrays:
             assert _bits(_logsumexps([arr])[0]) == _bits(logsumexp(arr)), (scale, arr)
-        # segments of several lengths side by side, each on its own
-        arrays += [arr[: n // 3 + 1] for arr in arrays]
-        rng.shuffle(arrays)
-        got = _logsumexps(arrays)
-        assert [_bits(g) for g in got] == [_bits(logsumexp(arr)) for arr in arrays], scale
-    # scipy's fallback: all terms -inf, or a +inf term
-    for arr in (np.full(n, -np.inf), np.r_[np.zeros(n - 1), np.inf]):
-        assert _bits(_logsumexps([arr])[0]) == _bits(logsumexp(arr))
+        # rows side by side, and shorter ones, each on its own
+        for rows in (arrays, [arr[: n // 3 + 1] for arr in arrays]):
+            rng.shuffle(rows)
+            got = _logsumexps(rows)
+            assert [_bits(g) for g in got] == [_bits(logsumexp(arr)) for arr in rows], scale
+    # scipy's fallback: all terms -inf, or a +inf term, alone and beside finite rows
     fallback = [np.full(n, -np.inf), np.zeros(n), np.r_[np.zeros(n - 1), np.inf]]
+    for arr in fallback:
+        assert _bits(_logsumexps([arr])[0]) == _bits(logsumexp(arr))
     assert ([_bits(g) for g in _logsumexps(fallback)]
             == [_bits(logsumexp(arr)) for arr in fallback])
 
@@ -471,29 +478,57 @@ def test_table_fit_is_the_one_theta_loop(payload, n_nodes):
         assert table[0] is table[2] and table[1] is table[4]
 
 
-def test_table_fit_past_the_pass_cap_is_the_one_theta_loop(params, monkeypatch):
-    # 200 thetas soon pass _PASS_TERMS: passes cover fewer than _PASS_T t,
-    # and later thetas split off and start their own pass at a t that an
-    # earlier pass started at
-    thetas = list(np.geomspace(0.01, 5.0, 200))
+def _recorded_passes(monkeypatch):
+    # (theta, t) of every pass of dcf._log_mgfs, one list per pass
     passes = []
     log_mgfs = dcf._log_mgfs
 
-    def recorded(fp, ths, lo, hi):
-        passes.append((len(ths), lo, hi))
-        return log_mgfs(fp, ths, lo, hi)
+    def recorded(fp, thetas, t):
+        passes.append([(theta, t) for theta in thetas])
+        return log_mgfs(fp, thetas, t)
 
     monkeypatch.setattr(dcf, "_log_mgfs", recorded)
+    return passes
+
+
+def _terms(fp, t):
+    # log-MGF terms of one theta at t: case I's (t - 1) x (L - 1), case II's t
+    return (t - 1) * (fp.L - 1 if fp.p_t > 0 else 0) + t
+
+
+def test_table_fit_past_the_pass_cap_is_the_one_theta_loop(params, monkeypatch):
+    # 200 thetas soon pass _PASS_TERMS, and the thetas still fitting at one
+    # t split across several passes
+    thetas = list(np.geomspace(0.01, 5.0, 200))
+    passes = _recorded_passes(monkeypatch)
     table = ImpairmentModel(params).sigma_rho_table(thetas)
     monkeypatch.undo()
     single = ImpairmentModel(params)
     assert table == [single.sigma_rho(th) for th in thetas]
-    L = single.fixed_point.L
-    assert all(n * dcf._terms(L, lo, hi) <= dcf._PASS_TERMS or (n, hi) == (1, lo)
-               for n, lo, hi in passes)
-    assert any(hi - lo + 1 < dcf._PASS_T for _, lo, hi in passes)
-    starts = [lo for _, lo, _ in passes]
-    assert len(set(starts)) < len(starts)
+    fp = single.fixed_point
+    assert all(len(p) * _terms(fp, p[0][1]) <= dcf._PASS_TERMS or len(p) == 1 for p in passes)
+    ts = [p[0][1] for p in passes]
+    assert len(set(ts)) < len(ts)
+
+
+def test_table_computes_only_what_the_fits_read(params, monkeypatch):
+    # every (theta, t) one log-MGF pass computes for the default grid is one
+    # that a fit_sigma_rho call per theta reads, and the reverse
+    thetas = list(GridOptions().thetas())
+    passes = _recorded_passes(monkeypatch)
+    model = ImpairmentModel(params)
+    model.sigma_rho_table(thetas)
+    computed = sorted(pair for p in passes for pair in p)
+    fp, read = model.fixed_point, []
+    for theta in thetas:
+        fit_sigma_rho(theta, lambda t: read.append((theta, t))
+                      or math.log(impairment_mgf(fp, theta, t)) / theta)
+    assert computed == sorted(read)
+    assert sum(_terms(fp, t) for _, t in computed) == 135_331
+    # a theta already fitted costs no pass
+    passes.clear()
+    model.sigma_rho_table(thetas[::-1])
+    assert passes == []
 
 
 def test_model_and_direct_sigma_rho_agree(params, impairment):

@@ -25,8 +25,9 @@ import pytest
 
 from snc80211.bounds import VARIANTS, build_bound, quantile
 from snc80211.characterize import PoissonTraffic
+from snc80211.dcf import ImpairmentModel, Params80211
 
-_K = 40  # arrivals per step past this have probability below 1e-90 at rate 0.08
+_K = 40  # arrivals per step past this have probability below 1e-50 at any rate up to 1
 
 
 def _step_law(fp, rate):
@@ -48,13 +49,19 @@ def _step_law(fp, rate):
 def _stationary(a, n_min):
     """pi_0..pi_N by the cut equation, N past n_min and far enough that
     pi_N is below 1e-25 of the mass: the levels past N, whose mass falls
-    geometrically, are left out."""
-    abar = np.cumsum(a[::-1])[::-1][2:].tolist()  # Abar_2, Abar_3, ...
-    pi, total = [1.0], 1.0
-    while len(pi) <= n_min or pi[-1] > 1e-25 * total:
-        pi.append(sum(p * q for p, q in zip(reversed(pi), abar)) / a[0])
-        total += pi[-1]
-    return np.array(pi) / total
+    geometrically, are left out. Each level is one dot product of the
+    levels below it, latest first, with Abar_2, Abar_3, ..."""
+    abar = np.cumsum(a[::-1])[::-1][2:]
+    pi, n, total = np.zeros(1024), 0, 1.0
+    pi[0] = 1.0
+    while n < n_min or pi[n] > 1e-25 * total:
+        if n + 1 == pi.size:
+            pi = np.concatenate((pi, np.zeros(pi.size)))
+        lo = max(0, n + 1 - abar.size)
+        n += 1
+        pi[n] = pi[n - 1:lo - 1 if lo else None:-1] @ abar[:n - lo] / a[0]
+        total += pi[n]
+    return pi[:n + 1] / total
 
 
 def _model_tail(fp, rate, x_max):
@@ -87,11 +94,29 @@ def test_model_quantiles(fixed_point, rate, p, q):
     assert int(np.argmax(tail <= p)) == q
 
 
-@pytest.mark.parametrize("rate", [0.02, 0.04, 0.07, 0.075])
-def test_every_bound_lies_on_or_above_the_model_tail(impairment, rate):
+def _assert_every_bound_on_or_above_the_model_tail(impairment, rate):
+    # every x up to each variant's 1e-6 quantile
     bounds = {v: build_bound(v, PoissonTraffic(rate), impairment) for v in VARIANTS}
     reach = {v: quantile(b, 1e-6) for v, b in bounds.items()}
     tail = _model_tail(impairment.fixed_point, rate, max(reach.values()))
     for v, bound in bounds.items():
         below = [x for x in range(reach[v] + 1) if bound.evaluate(x) < tail[x]]
         assert not below, f"{v} at rate {rate} lies below the model tail at x = {below[:5]}"
+
+
+@pytest.mark.parametrize("rate", [0.02, 0.04, 0.07, 0.075])
+def test_every_bound_lies_on_or_above_the_model_tail(impairment, rate):
+    _assert_every_bound_on_or_above_the_model_tail(impairment, rate)
+
+
+@pytest.mark.parametrize("cw_min", [16, 32])
+@pytest.mark.parametrize("payload", [0, 1500])
+@pytest.mark.parametrize("n_nodes", [2, 5, 20, 50])
+def test_every_bound_lies_on_or_above_the_model_tail_across_the_mac(n_nodes, payload, cw_min):
+    # the soundness sweep: few to many nodes, short and long L, two window
+    # ladders, at light, high and near-threshold load
+    impairment = ImpairmentModel(Params80211(n_nodes=n_nodes, payload=payload,
+                                             cw_min=cw_min, cw_max=32 * cw_min))
+    for load in (0.3, 0.7, 0.9):
+        _assert_every_bound_on_or_above_the_model_tail(
+            impairment, load * impairment.sustainable_rate())
