@@ -4,8 +4,8 @@ grid optimization of the free parameters, and quantile queries.
 Variants differ along two axes. The arrival tail is either the general
 sup-window (vb) bound with geometric prefactor e^{th*sigma}/(1-e^{th(rho-r)}),
 or the prefactor-free martingale bound e^{-th*x} (valid for arrivals with
-independent per-slot increments and r >= rho+sigma). For Poisson arrivals,
-whose sigma is 0, both tails admit the same grid. The combination with the
+independent per-slot increments and r >= rho+sigma, whose one grid point per
+(theta1, theta2) is the best r = rho+sigma). The combination with the
 service tail is either the min-plus convolution (no independence assumed) or
 the complemented convolution that exploits independence of arrivals and
 channel impairment. Each combination is one closed-form kernel on the two
@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -147,20 +147,19 @@ CAPACITY = 1.0  # packets per slot, split between r_a and r_i
 # margin for the rounding of the kernels' exp and sums
 _REL_SLACK = 1e-9
 _TINY = sys.float_info.min  # smallest normal float
-# Largest theta_points**2 * r_points, about ten times the default 96,000. A
-# grid holds three floats per point, and a kernel call, which takes at most
-# one grid pass of points, a dozen per point: bounds --rate 0.02 peaks at
-# 147 MB resident in 1.0-1.1 s with theta_points = 1000, r_points = 1 (one
-# row per point), at 93 MB in 0.3-0.4 s with 40 and 625, and at 37 MB by
-# default.
+# Largest theta_points**2 * r_points (the general tail's grid), ten times the
+# default 96,000. A grid holds three floats per point, an _evaluate_many pass
+# as many row floors, and a kernel call (one grid pass of points at most) a
+# dozen per point: bounds --rate 0.02 peaks at 116 MB resident in 0.6-0.8 s
+# with theta_points = 1000, r_points = 1, at 61 MB in 0.05-0.06 s with 40 and
+# 625, and at 34 MB by default.
 _GRID_POINTS_MAX = 10 ** 6
 
 
 def _form(variant: str):
-    try:
-        return _FORMS[variant]
-    except KeyError:
-        raise ValueError(f"unknown variant {variant!r}") from None
+    if variant not in _FORMS:
+        raise ValueError(f"unknown variant {variant!r}")
+    return _FORMS[variant]
 
 
 class InfeasibleBoundError(RuntimeError):
@@ -171,9 +170,9 @@ class InfeasibleBoundError(RuntimeError):
 class GridOptions:
     """Search grid for the free parameters.
 
-    theta1/theta2 range over log-spaced points; r_a takes interior points of
-    the feasible interval (rho_a-side lower end, 1 - rho_i upper end) at
-    j/(r_points+1) fractions, j = 1..r_points.
+    theta1/theta2 range over log-spaced points; on the general arrival tail's
+    grid (bound1, bound3), r_a takes interior points of the feasible interval
+    (rho_a lower end, 1 - rho_i upper end) at j/(r_points+1), j = 1..r_points.
     """
 
     theta_points: int = 40
@@ -208,8 +207,7 @@ class BoundSpec:
     r_a: float
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
+        _form(self.variant)  # rejects an unknown variant
         if not (0 < self.theta1 < math.inf and 0 < self.theta2 < math.inf):
             raise ValueError("theta1 and theta2 must be positive and finite")
         if not math.isfinite(self.r_a):
@@ -224,13 +222,13 @@ class BoundSpec:
 class _Grid:
     """Feasible grid with precomputed tail prefactors, one row per feasible
     (theta1, theta2) pair: theta1 and theta2 hold each row's pair, and r_a,
-    a_f and a_g are rows x r_points arrays. Point i is column i % r_points
-    of row i // r_points (row-major)."""
+    a_f and a_g are rows x n arrays (n = r_points, or 1 on the martingale
+    tail). Point i is column i % n of row i // n (row-major)."""
 
     theta1: np.ndarray
     theta2: np.ndarray
     r_a: np.ndarray
-    a_f: np.ndarray  # general (vb) arrival tail prefactor
+    a_f: np.ndarray  # arrival tail prefactor, 1 on the martingale tail
     a_g: np.ndarray  # service tail prefactor
 
     def __len__(self):
@@ -242,25 +240,27 @@ class _Grid:
                          theta2=float(self.theta2[k]), r_a=float(self.r_a.flat[i]))
 
 
-def _build_grid(rate: float, impairment, options: GridOptions) -> _Grid:
-    """The feasible grid of all four variants for Poisson arrivals at rate,
-    whose envelope has sigma_A = 0: the general tail's r_a > rho_A and the
-    martingale tail's r_a >= rho_A + sigma_A agree.
-
-    Rows run in row-major (theta1, theta2) order, r_a along each row."""
+def _build_grid(rate: float, impairment, options: GridOptions, martingale: bool) -> _Grid:
+    """One arrival tail's feasible grid for Poisson arrivals at rate (sigma_A =
+    0): a row per (theta1, theta2) with rho_A < 1 - rho_I, row-major. The
+    general tail takes GridOptions' interior r_a > rho_A along each row. The
+    martingale tail (a_f = 1) holds for every r_a >= rho_A + sigma_A = rho_A,
+    where e^{theta1 (A(t) - rho_A t)} is a martingale (Ville's inequality).
+    a_g = e^{theta2 sigma_I}/(1 - e^{theta2 (rho_I - (1 - r_a))}) grows with
+    r_a and both kernels are nondecreasing in each prefactor, so its one
+    column, r_a = rho_A, is each row's best point."""
     thetas = options.thetas()
     rho_a = np.array([poisson_sigma_rho(rate, th).rho for th in thetas])
     sig_i, rho_i = np.array([(s.sigma, s.rho) for s in impairment.sigma_rho_table(thetas)]).T
     width = (CAPACITY - rho_i)[None, :] - rho_a[:, None]
     i1, i2 = np.nonzero(width > 0)
     if not i1.size:
-        raise InfeasibleBoundError(
-            "no feasible (theta1, theta2, r_a) grid point: the arrival rate "
-            "is too close to capacity for every theta")
+        raise InfeasibleBoundError("no feasible (theta1, theta2, r_a) grid point: the arrival "
+                                   "rate is too close to capacity for every theta")
     fracs = np.arange(1, options.r_points + 1) / (options.r_points + 1)
     j1, j2 = i1[:, None], i2[:, None]  # one row of r_a per (theta1, theta2)
-    r_a = rho_a[j1] + width[j1, j2] * fracs
-    a_f = _vb_prefactor(thetas[j1], 0.0, rho_a[j1], r_a)
+    r_a = rho_a[j1] if martingale else rho_a[j1] + width[j1, j2] * fracs
+    a_f = np.ones_like(r_a) if martingale else _vb_prefactor(thetas[j1], 0.0, rho_a[j1], r_a)
     a_g = _vb_prefactor(thetas[j2], sig_i[j2], rho_i[j2], CAPACITY - r_a)
     return _Grid(theta1=thetas[i1], theta2=thetas[i2], r_a=r_a, a_f=a_f, a_g=a_g)
 
@@ -274,24 +274,22 @@ class BacklogBound:
     are memoized in meta["best"]. _evaluate_many computes a batch of x
     that way, and evaluate(x) is its one-x call.
 
-    A martingale variant holds the grid with a unit arrival prefactor in
-    place of a_f. The kernel runs only on the rows of the grid that can
-    still win. Each row has a floor from _floor_terms that decays at the
-    kernel's own rate, and every value of the row is at least min(1,
-    floor). The memoized winner of the nearest x evaluated below 1, run at x, bounds
-    the minimum by ub (1 when there is none). A row is dropped when its
-    floor passes the cut ub (1 + _REL_SLACK), so none of its points can
-    attain the minimum, and every point of a kept row is run: the result
-    is the full pass's. If no point falls below 1, every value is 1 and
-    the full pass's argmin is index 0. A cut below the smallest normal
-    float keeps every row, as the relative slack covers no rounding there.
+    grid is the variant's arrival tail's grid (_build_grid), which may be
+    shared. The kernel runs only on the rows of the grid that can still
+    win. Each row has a floor from _floor_terms that decays at the kernel's
+    own rate, and every value of the row is at least min(1, floor). The
+    memoized winner of the nearest x evaluated below 1, run at x, bounds the
+    minimum by ub (1 when there is none). A row is dropped when its floor
+    passes the cut ub (1 + _REL_SLACK), so none of its points can attain
+    the minimum, and every point of a kept row is run: the result is the
+    full pass's. If no point falls below 1, every value is 1 and the full
+    pass's argmin is index 0. A cut below the smallest normal float keeps
+    every row, as the relative slack covers no rounding there.
     """
 
     def __init__(self, variant: str, grid: _Grid):
-        martingale = _form(variant)[0]  # rejects an unknown variant
-        self.variant = variant
-        self._grid = (replace(grid, a_f=np.broadcast_to(1.0, grid.a_f.shape)) if martingale
-                      else grid)
+        _form(variant)  # rejects an unknown variant
+        self.variant, self._grid = variant, grid
         self.meta = {"grid_points": len(grid), "best": {}}
 
     @cached_property
@@ -314,15 +312,14 @@ class BacklogBound:
 
     def _evaluate_many(self, xs):
         """Memoize the minimum and its first index at each x of xs, distinct
-        nonnegative integers not memoized yet. A pass takes up to r_points
-        of them, so that its floors and seed values hold at most one value
-        per grid point; each kernel call takes whole x and at most one grid
-        pass of points."""
-        g, best = self._grid, self.meta["best"]
-        kernel = _FORMS[self.variant][1]
+        nonnegative integers not memoized yet. A pass takes as many x as keep
+        its row floors within _GRID_POINTS_MAX values and its seed values within
+        one per grid point; a kernel call takes whole x, one grid of points at most."""
+        g, best, kernel = self._grid, self.meta["best"], _FORMS[self.variant][1]
         rows, n = g.r_a.shape
-        for s in range(0, len(xs), n):
-            chunk = xs[s:s + n]
+        step = min(rows * n, _GRID_POINTS_MAX // rows)  # >= 1, as rows <= theta_points**2
+        for s in range(0, len(xs), step):
+            chunk = xs[s:s + step]
             xf = np.array(chunk, dtype=float)
             cut = self._upper_bounds(kernel, xf) * (1.0 + _REL_SLACK)
             floor = None  # log floor, one row per x
@@ -384,14 +381,15 @@ def build_bound(variant: str, arrival: PoissonTraffic, impairment: ImpairmentMod
     InfeasibleBoundError where stability says not-derivable: every
     envelope rate is at least its mean rate, so no grid point is feasible.
     """
-    _form(variant)  # rejects an unknown variant before any fit
+    martingale = _form(variant)[0]  # rejects an unknown variant before any fit
     rate = _poisson_rate(arrival)
     threshold = impairment.sustainable_rate()
     if not rate < threshold:
         raise InfeasibleBoundError(
             f"arrival rate {rate:.4g} >= sustainable rate {threshold:.4g}; "
             "no finite bound exists")
-    return BacklogBound(variant, _build_grid(rate, impairment, options or GridOptions()))
+    grid = _build_grid(rate, impairment, options or GridOptions(), martingale)
+    return BacklogBound(variant, grid)
 
 
 def _poisson_rate(arrival: PoissonTraffic) -> float:
@@ -483,17 +481,19 @@ def quantile_table(arrival: PoissonTraffic, impairment: ImpairmentModel, p_list,
                    variants=VARIANTS, options: GridOptions | None = None):
     """Rows of {p, variant -> quantile} for each p, as one quantile() call
     per p and variant gives them, raising what the first of those calls
-    to fail would. One build_bound call builds the grid that every variant
-    shares, and each variant runs all its searches in lockstep."""
+    to fail would. Each arrival tail's variants share the grid of one
+    build_bound call and run all their searches in lockstep."""
     p_list = list(p_list)
-    list(map(_form, variants))  # rejects an unknown variant before any fit
-    # a general-tail bound holds the shared grid itself, its a_f included
-    grid = build_bound("bound1", arrival, impairment, options)._grid
-    columns = {v: _lockstep(BacklogBound(v, grid), p_list) for v in variants}
-    for p in p_list:
-        for v in variants:
-            if isinstance(columns[v][p], Exception):
-                raise columns[v][p]
+    tails = {v: _form(v)[0] for v in variants}  # rejects an unknown variant before any fit
+    columns = {}
+    for tail in sorted(set(tails.values())):
+        same = [v for v in variants if tails[v] == tail]
+        grid = build_bound(same[0], arrival, impairment, options)._grid
+        columns.update((v, _lockstep(BacklogBound(v, grid), p_list)) for v in same)
+        del grid  # one grid alive at a time
+    for q in (columns[v][p] for p in p_list for v in variants):
+        if isinstance(q, Exception):
+            raise q
     return [{"p": p, **{v: columns[v][p] for v in variants}} for p in p_list]
 
 

@@ -1,7 +1,9 @@
 """Backlog bound variants, grid optimization and quantiles."""
+import dataclasses
 import math
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -168,22 +170,24 @@ def test_block_pruning_matches_full_pass_on_hand_built_grids():
 
 @pytest.mark.parametrize("options", [GridOptions(r_points=1), GridOptions(theta_points=1)])
 def test_block_pruning_matches_full_pass_on_thin_grids(options, impairment):
-    # r_points=1 makes every row a single point; theta_points=1 makes the
-    # whole grid one row
+    # r_points=1 makes every row a single point, as the martingale grid's
+    # rows always are; theta_points=1 makes the whole grid one row
     arrival = PoissonTraffic(0.04)
     for v in ("bound1", "bound2", "bound3", "bound4"):
         b = build_bound(v, arrival, impairment, options)
         rows, n = b._grid.a_f.shape
-        assert n == options.r_points and (rows == 1 or options.theta_points > 1)
+        assert n == (1 if v in ("bound2", "bound4") else options.r_points)
+        assert rows == 1 or options.theta_points > 1
         q = quantile(b, 1e-3)
         _assert_pruned_matches_full_pass(b, sorted(b.meta["best"]) + list(range(0, q + 2, 7)))
 
 
 def _reference_grid(martingale, arrival, impairment, opts):
     """The grid as a plain row-major loop over the scalar prefactor: the
-    thetas of each feasible pair, and r_a, a_f, a_g and rho_a + sigma_a of
-    each of its points, one list per pair."""
-    ref = {k: [] for k in ("theta1", "theta2", "r_a", "a_f", "a_g", "floor")}
+    thetas of each feasible pair, and r_a, a_f and a_g of each of its
+    points, one list per pair. The martingale tail's one point per pair
+    sits at r_a = rho_a + sigma_a, with no arrival prefactor."""
+    ref = {k: [] for k in ("theta1", "theta2", "r_a", "a_f", "a_g")}
     for th1 in opts.thetas():
         sa = poisson_sigma_rho(arrival.rate, th1)
         lo = sa.rho + sa.sigma if martingale else sa.rho
@@ -194,12 +198,12 @@ def _reference_grid(martingale, arrival, impairment, opts):
                 continue
             ref["theta1"].append(th1)
             ref["theta2"].append(th2)
-            row = {k: [] for k in ("r_a", "a_f", "a_g", "floor")}
-            for j in range(1, opts.r_points + 1):
-                r_a = lo + width * (j / (opts.r_points + 1))
+            row = {k: [] for k in ("r_a", "a_f", "a_g")}
+            fracs = [j / (opts.r_points + 1) for j in range(1, opts.r_points + 1)]
+            for r_a in [lo] if martingale else [lo + width * f for f in fracs]:
                 a_f = 1.0 if martingale else float(_vb_prefactor(th1, sa.sigma, sa.rho, r_a))
                 a_g = float(_vb_prefactor(th2, si.sigma, si.rho, 1.0 - r_a))
-                for k, v in zip(row, (r_a, a_f, a_g, sa.rho + sa.sigma)):
+                for k, v in zip(row, (r_a, a_f, a_g)):
                     row[k].append(v)
             for k, v in row.items():
                 ref[k].append(v)
@@ -220,8 +224,9 @@ class _UnfittedImpairment:
 
 
 def test_grid_specs_are_feasible(impairment):
-    # bound2 has the martingale tail: r_a >= rho + sigma, no arrival prefactor;
-    # the grid holds each feasible pair once, its r_a points along the row
+    # bound2 has the martingale tail: r_a >= rho + sigma, no arrival prefactor,
+    # and its grid holds only the end point r_a = rho_a; each grid holds each
+    # feasible pair once, its r_a points along the row
     for arrival in (PoissonTraffic(0.04), PoissonTraffic(0.075)):
         for variant in ("bound1", "bound2"):
             bound = build_bound(variant, arrival, impairment)
@@ -229,14 +234,14 @@ def test_grid_specs_are_feasible(impairment):
             ref = _reference_grid(martingale, arrival, impairment, GridOptions())
             for k in ("theta1", "theta2", "r_a", "a_f", "a_g"):
                 assert np.array_equal(getattr(grid, k), ref[k]), (arrival, variant, k)
+            n = 1 if martingale else GridOptions().r_points
+            assert grid.r_a.shape == (len(ref["theta1"]), n)
             if martingale:
-                # the bound's own unit prefactor, a view of 1.0 over the grid
-                assert np.all(grid.r_a >= ref["floor"]) and grid.a_f.strides == (0, 0)
-                assert np.all(grid.a_f == 1.0)
+                rho_a = [poisson_sigma_rho(arrival.rate, th).rho for th in grid.theta1]
+                assert np.array_equal(grid.r_a[:, 0], rho_a) and np.all(grid.a_f == 1.0)
             specs = bound.grid_specs()
             assert len(specs) == bound.meta["grid_points"]
-            # spec i is column i % r_points of row i // r_points
-            n = GridOptions().r_points
+            # spec i is column i % n of row i // n
             assert [(s.theta1, s.theta2, s.r_a) for s in specs] == list(zip(
                 np.repeat(ref["theta1"], n), np.repeat(ref["theta2"], n), np.ravel(ref["r_a"])))
             for spec in specs[:50] + specs[-50:]:
@@ -295,13 +300,13 @@ PINNED_TABLES = {
            [10, 10, 11, 11, 11, 11, 12, 12, 13, 14, 17, 23, 29],
            [3, 4, 4, 4, 5, 5, 5, 6, 7, 8, 11, 17, 23]),
     0.03: ([16, 16, 16, 17, 17, 18, 18, 19, 21, 22, 31, 46, 60],
-           [5, 6, 6, 7, 7, 8, 9, 10, 12, 13, 22, 37, 52],
+           [5, 6, 6, 7, 7, 8, 9, 10, 11, 13, 22, 37, 52],
            [15, 15, 16, 16, 16, 17, 17, 18, 19, 20, 25, 33, 41],
            [5, 5, 6, 6, 7, 7, 8, 9, 10, 11, 16, 25, 33]),
     0.04: ([24, 25, 25, 26, 26, 27, 28, 29, 31, 33, 46, 66, 86],
-           [8, 9, 10, 10, 11, 12, 13, 15, 17, 19, 31, 52, 73],
+           [8, 9, 10, 10, 11, 12, 13, 14, 17, 19, 31, 52, 73],
            [23, 23, 24, 24, 25, 25, 26, 27, 28, 30, 37, 49, 60],
-           [7, 8, 8, 9, 10, 11, 11, 13, 14, 16, 23, 35, 46]),
+           [7, 8, 8, 9, 10, 10, 11, 13, 14, 16, 23, 35, 46]),
     0.05: ([39, 39, 40, 41, 42, 43, 44, 46, 49, 53, 70, 101, 131],
            [13, 14, 15, 16, 17, 19, 20, 23, 26, 30, 48, 79, 109],
            [37, 38, 38, 39, 40, 40, 41, 43, 45, 47, 58, 74, 90],
@@ -313,11 +318,11 @@ PINNED_TABLES = {
     0.07: ([186, 188, 191, 193, 196, 200, 205, 212, 224, 236, 302, 419, 536],
            [60, 64, 68, 72, 78, 83, 89, 98, 112, 126, 195, 316, 436],
            [178, 180, 183, 185, 188, 191, 194, 199, 206, 214, 252, 317, 381],
-           [50, 54, 58, 63, 67, 72, 78, 84, 94, 105, 149, 218, 282]),
+           [50, 54, 58, 62, 67, 72, 78, 84, 94, 105, 149, 218, 282]),
     0.075: ([496, 501, 506, 512, 519, 527, 538, 553, 579, 605, 753, 1013, 1273],
-            [154, 164, 174, 185, 198, 210, 225, 246, 277, 309, 470, 737, 1003],
+            [154, 164, 174, 185, 198, 210, 225, 245, 277, 308, 470, 736, 1003],
             [475, 481, 486, 492, 498, 505, 513, 524, 540, 557, 642, 786, 927],
-            [130, 141, 151, 161, 173, 185, 197, 212, 237, 260, 366, 521, 662]),
+            [129, 140, 151, 161, 172, 185, 196, 212, 237, 260, 365, 521, 662]),
 }
 
 
@@ -385,20 +390,63 @@ def test_bounds_refuse_non_poisson_arrivals(impairment):
 
 @pytest.mark.parametrize("variants", [VARIANTS, VARIANTS[::-1], *((v,) for v in VARIANTS)])
 def test_quantile_table_builds_one_grid(variants, monkeypatch, arr04, impairment):
-    # one build_bound call builds the grid, and every variant's bound holds
-    # it: a martingale bound swaps in only its unit arrival prefactor
+    # one build_bound call per arrival tail builds that tail's grid, which
+    # both of its variants' bounds hold; the general tail's grid goes first,
+    # and it is freed before the martingale tail's grid is built
+    # builds: (martingale, weakref to the grid, grids alive when it was built);
+    # bounds: (variant, index of the build whose grid the bound holds)
     builds, bounds = [], []
     build_grid, lockstep = bounds_module._build_grid, bounds_module._lockstep
-    monkeypatch.setattr(bounds_module, "_build_grid",
-                        lambda *args: builds.append(build_grid(*args)) or builds[-1])
-    monkeypatch.setattr(bounds_module, "_lockstep",
-                        lambda bound, p_list: bounds.append(bound) or lockstep(bound, p_list))
+
+    def recording_build(*args):
+        alive = sum(ref() is not None for _, ref, _ in builds)
+        grid = build_grid(*args)
+        builds.append((args[-1], weakref.ref(grid), alive))
+        return grid
+
+    def recording_lockstep(bound, p_list):
+        index = next(i for i, (_, ref, _) in enumerate(builds) if ref() is bound._grid)
+        bounds.append((bound.variant, index))
+        return lockstep(bound, p_list)
+
+    monkeypatch.setattr(bounds_module, "_build_grid", recording_build)
+    monkeypatch.setattr(bounds_module, "_lockstep", recording_lockstep)
     quantile_table(arr04, impairment, [0.5, 1e-3], variants=variants)
-    assert len(builds) == 1 and [b.variant for b in bounds] == list(variants)
-    for b in bounds:
-        for k in ("theta1", "theta2", "r_a", "a_g"):
-            assert getattr(b._grid, k) is getattr(builds[0], k), (b.variant, k)
-        assert (b._grid.a_f is builds[0].a_f) == (b.variant in ("bound1", "bound3"))
+    tails = sorted({v in ("bound2", "bound4") for v in variants})
+    assert [(m, alive) for m, _, alive in builds] == [(m, 0) for m in tails]
+    assert sorted(v for v, _ in bounds) == sorted(variants)
+    for v, index in bounds:
+        assert builds[index][0] == (v in ("bound2", "bound4")), v
+
+
+@pytest.mark.parametrize("rate", [0.001, 0.04, 0.07, 0.078])
+def test_martingale_end_point_is_each_rows_optimum(rate, impairment):
+    # the martingale grid's one point per row, r_a = rho_a, against the grid
+    # the martingale variants searched before: the general grid's interior
+    # r_a with a unit arrival prefactor. a_g grows with r_a and both kernels
+    # grow with each prefactor, so the end point is each row's best point
+    # at every x, and no quantile of the martingale variants can rise
+    opts = GridOptions()
+    new = bounds_module._build_grid(rate, impairment, opts, True)
+    general = bounds_module._build_grid(rate, impairment, opts, False)
+    old = dataclasses.replace(general, a_f=np.ones_like(general.a_f))
+    # the rows pair up one to one, in the same order
+    assert np.array_equal(new.theta1, old.theta1) and np.array_equal(new.theta2, old.theta2)
+    assert new.r_a.shape == (old.r_a.shape[0], 1) and old.r_a.shape[1] == opts.r_points
+    assert np.all(new.r_a < old.r_a[:, :1])
+    n = opts.r_points
+    for v in ("bound2", "bound4"):
+        kernel = bounds_module._FORMS[v][1]
+        q = quantile(BacklogBound(v, old), 1e-9)
+        for x in np.unique(np.geomspace(1, q, 30).astype(int)).tolist() + [0]:
+            at_end = kernel(new.a_f[:, 0], new.theta1, new.a_g[:, 0], new.theta2, float(x))
+            interior = kernel(old.a_f.ravel(), np.repeat(old.theta1, n), old.a_g.ravel(),
+                              np.repeat(old.theta2, n), float(x)).reshape(-1, n)
+            assert np.all(at_end <= interior.min(axis=1)), (v, x)
+        p_list = P_LIST + DEEP_P
+        new_q = [quantile(BacklogBound(v, new), p) for p in p_list]
+        old_q = [quantile(BacklogBound(v, old), p) for p in p_list]
+        assert all(a <= b for a, b in zip(new_q, old_q)), (v, new_q, old_q)
 
 
 def test_unknown_variant_rejected(arr04, impairment):
