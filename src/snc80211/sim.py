@@ -15,15 +15,19 @@ O(n), to find the transmitters and the next expiry.
 
 Replication i draws from an independent stream spawned from the root seed,
 so results are bit-reproducible for a fixed (config, seed). A long enough
-run maps its replications over forked worker processes; results come back
-in replication order, so the output does not depend on the worker count.
+run splits its replications into one chunk per CPU: the calling process
+runs the first and a forked child each later one. Results come back in
+replication order, so the output does not depend on the process count.
 """
 from __future__ import annotations
 
+import contextlib
 import heapq
 import math
 import numbers
 import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -45,7 +49,7 @@ COLLISION_MODES = ("same-as-success", "data-plus-difs")
 _SATURATED_QUEUE = 1 << 40
 _INF = float("inf")
 _NEVER = 1 << 62  # expiry of an empty queue, past any horizon
-_POOL_MIN_SLOTS = 4_000_000  # replications x horizon slots worth forking for
+_POOL_MIN_SLOTS = 1_500_000  # replications x horizon slots worth forking for
 _NODES_MAX = 2007  # association IDs 1..2007: the stations one 802.11 AP serves
 # A run holds every replication's seed and stats until it aggregates them:
 # 840 B per replication plus 53-58 B per node per replication (tracemalloc
@@ -325,7 +329,9 @@ def _run_one(config: SimConfig, rng: np.random.Generator) -> _RepStats:
                 if d > tx_t:
                     expiry[j] -= d - tx_t
         delay += arm - tx_t
-        advance(b_end)
+        # advance does nothing unless an arrival or the sample is due
+        if arrivals[0][0] <= b_end or (b_end > s_slot and not sampled):
+            advance(b_end)
         for i in transmitters:
             if i == 0:
                 attempts0 += 1
@@ -382,22 +388,76 @@ def _workers(config: SimConfig) -> int:
 
 
 def _replicate(config: SimConfig, seed: np.random.SeedSequence) -> _RepStats:
-    # _run_one is looked up when called, so a forked worker calls the one
-    # the parent had at fork time
+    # _run_one is looked up when called, so a forked child calls the one
+    # the caller had at fork time
     return _run_one(config, np.random.default_rng(seed))
 
 
 def _map(fn, items: list, workers: int) -> list:
-    """[fn(x) for x in items], in order, over this many forked workers."""
-    if workers < 2:
-        return list(map(fn, items))
-    # imported here: the serial path and the other subcommands skip the cost
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    """[fn(x) for x in items], in order, in at most this many processes.
 
-    # for fork, the executor starts every worker before its helper threads
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fn, items, chunksize=-(-len(items) // workers)))
+    The items split into one contiguous chunk per process. The caller runs
+    the first chunk itself; each later chunk runs in a forked child that
+    pickles back its results, or the exception it raised, over a pipe. The
+    first failure in item order is raised, as the serial map would raise
+    it, and any child still running is killed and reaped first, also on
+    an interrupt, so no child outlives the call.
+    """
+    size = -(-len(items) // workers)
+    if size >= len(items):
+        return list(map(fn, items))
+    running = []  # (pid, read end, first item index) of each unreaped child
+    try:
+        for lo in range(size, len(items), size):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(r)
+                _child(fn, items[lo:lo + size], w)
+            os.close(w)
+            running.append((pid, r, lo))
+        out = list(map(fn, items[:size]))
+        while running:
+            pid, r, lo = running[0]
+            with open(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del running[0]
+            os.close(r)
+            if code != 0 or not data:
+                raise RuntimeError(f"the process running replications {lo}-"
+                                   f"{min(lo + size, len(items)) - 1} died "
+                                   f"(exit status {code})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            out += value
+        return out
+    finally:
+        for pid, r, _ in running:
+            # an interrupt may land between a child's reaping and its removal
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+            os.close(r)
+
+
+def _child(fn, items: list, w: int) -> None:
+    """Run a forked child's chunk, send (True, results) or (False, the
+    exception) to the write end w, and leave without returning to the
+    caller's stack, its exit handlers or its buffered output."""
+    status = 1
+    try:
+        try:
+            reply = True, list(map(fn, items))
+        except Exception as e:
+            reply = False, e
+        with os.fdopen(w, "wb") as fh:
+            fh.write(pickle.dumps(reply))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def run(config: SimConfig) -> SimResult:

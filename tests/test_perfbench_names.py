@@ -54,3 +54,12 @@ def test_traced_bounds_records_one_grid_build_per_arrival_tail():
     assert out["spans"].get("cli.main", 0) == 1
     assert out["spans"].get("bounds.quantile_table", 0) == 1
     assert out["spans"].get("bounds.build_bound", 0) == 2
+
+
+def test_traced_simulate_records_one_run():
+    # sim.run is wrapped at cli.run; the simulator metrics read 0 without it
+    out = _traced("simulate", "--rate", "0.04", "--duration", "1", "--replications", "2",
+                  "--format", "json")
+    assert out["code"] == 0
+    assert out["spans"].get("cli.main", 0) == 1
+    assert out["spans"].get("sim.run", 0) == 1

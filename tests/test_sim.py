@@ -7,7 +7,6 @@ re-arming, the sample barrier, busy periods running to completion, and the
 frozen final countdown window.
 """
 import math
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -413,85 +412,126 @@ def test_frozen_replication_at_workload_horizon(cfg, want):
             got.attempts0, got.colls0, got.ticks0) == want
 
 
-# Just above the pool threshold: 3 x 27 s is 4.05 million replication-slots.
-# Three replications over two workers make chunks of 2 and 1.
-_POOL_CFG = SimConfig(traffic="poisson", rate=0.04, duration=27.0, replications=3,
-                      sample_time=27.0, seed=5)
-_POOL_ARGV = ["--rate", "0.04", "--duration", "27", "--replications", "3",
-              "--sample-time", "27", "--seed", "5", "--format", "json"]
+# At the pool threshold: 5 x 6 s is 1.5 million replication-slots. Five
+# replications over two processes make chunks of 3 and 2, over three
+# processes chunks of 2, 2 and 1.
+_POOL_CFG = SimConfig(traffic="poisson", rate=0.04, duration=6.0, replications=5,
+                      sample_time=6.0, seed=5)
+_POOL_ARGV = ["--rate", "0.04", "--duration", "6", "--replications", "5",
+              "--sample-time", "6", "--seed", "5", "--format", "json"]
 
 
-def test_pool_gives_the_serial_result_for_any_worker_count(monkeypatch, capsys):
+def test_pool_gives_the_serial_result_for_any_worker_count(monkeypatch, capsys, tmp_path):
     assert _POOL_CFG.replications * sim._horizon_slots(_POOL_CFG) >= sim._POOL_MIN_SLOTS
-    parent, serial_run_one = os.getpid(), sim._run_one
+    caller, serial_replicate = os.getpid(), sim._replicate
+    log = tmp_path / "ran"
 
-    def run_one_in_a_worker(config, rng):
-        if os.getpid() == parent:
-            raise RuntimeError("a replication ran in the parent process")
-        return serial_run_one(config, rng)
+    def logged_replicate(config, seed):
+        # one short append per replication: which one ran, in which process
+        with open(log, "a") as fh:
+            fh.write(f"{seed.spawn_key[-1]} {os.getpid()}\n")
+        return serial_replicate(config, seed)
 
+    monkeypatch.setattr(sim, "_replicate", logged_replicate)
     results, outputs = {}, {}
-    for workers in (1, 2):
+    chunks = {1: ["01234"], 2: ["012", "34"], 3: ["01", "23", "4"]}
+    for workers in (1, 2, 3):
         monkeypatch.setattr(sim, "_workers", lambda config: workers)
-        if workers > 1:
-            monkeypatch.setattr(sim, "_run_one", run_one_in_a_worker)
+        log.write_text("")
         results[workers] = run(_POOL_CFG)
+        ran = dict(line.split() for line in log.read_text().splitlines())
+        assert sorted(ran) == list("01234")
+        # the caller runs the first chunk, and each later chunk has its own child
+        pids = [{int(ran[i]) for i in chunk} for chunk in chunks[workers]]
+        assert pids[0] == {caller}
+        children = [pid for chunk in pids[1:] for pid in chunk]
+        assert len(children) == len(set(children) - {caller}) == workers - 1
+        for pid in children:
+            # raised for a pid that is no child of this process, running or unreaped
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
         for command in ("simulate", "compare"):
             assert main([command, *_POOL_ARGV]) == 0
             outputs[workers, command] = capsys.readouterr().out
-        assert multiprocessing.active_children() == []
-    a, b = results[1], results[2]
-    assert np.array_equal(a.backlogs, b.backlogs)
-    assert np.array_equal(a.throughput_per_node, b.throughput_per_node)
-    assert (a.drops, a.tagged_attempt_rate, a.tagged_collision_fraction) == \
-        (b.drops, b.tagged_attempt_rate, b.tagged_collision_fraction)
-    for command in ("simulate", "compare"):
-        assert outputs[1, command] == outputs[2, command], command
+    a = results[1]
+    for workers in (2, 3):
+        b = results[workers]
+        assert np.array_equal(a.backlogs, b.backlogs)
+        assert np.array_equal(a.throughput_per_node, b.throughput_per_node)
+        assert (a.drops, a.tagged_attempt_rate, a.tagged_collision_fraction) == \
+            (b.drops, b.tagged_attempt_rate, b.tagged_collision_fraction)
+        for command in ("simulate", "compare"):
+            assert outputs[1, command] == outputs[workers, command], (workers, command)
 
 
 def test_worker_count_caps_at_cpus_and_replications(monkeypatch):
     # the rule alone, evaluated for CPU counts that no test may start
+    def no_fork():
+        raise AssertionError("_workers forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
     many = replace(_POOL_CFG, replications=40)
     short = replace(_POOL_CFG, duration=1.0, sample_time=1.0)
     assert sim._workers(short) == 1  # below the threshold: in process
     for cpus in (10 ** 6, 1):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: range(cpus))
         assert sim._workers(many) == min(cpus, 40)
-        assert sim._workers(_POOL_CFG) == min(cpus, 3)
+        assert sim._workers(_POOL_CFG) == min(cpus, 5)
     monkeypatch.delattr(os, "sched_getaffinity")
     for cpus in (10 ** 6, 1, None):  # os.cpu_count() may not know
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         assert sim._workers(many) == min(cpus or 1, 40)
     monkeypatch.delattr(os, "fork")
     assert sim._workers(many) == 1
-    assert multiprocessing.active_children() == []
 
 
 def test_import_and_serial_run_skip_the_pool_modules():
-    # importing them costs 8-23 ms, which set-up and the other subcommands
-    # must not pay
-    code = ("import sys\nfrom snc80211 import cli\n"
-            "cli.main(['simulate', '--rate', '0.04', '--duration', '1', '--replications', '2'])\n"
-            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
-    rc, out, err = _run_capped([sys.executable, "-c", code])
-    assert (rc, out.splitlines()[-1]) == (0, "[]"), err
+    # importing them costs 8-23 ms, which set-up, the other subcommands and
+    # a pooled run (2 x 50 s is 5 million slots, here over 2 processes even
+    # on one CPU) must not pay
+    for forced, duration in (("", "1"), ("sim._workers = lambda config: 2\n", "50")):
+        code = ("import sys\nfrom snc80211 import cli, sim\n" + forced +
+                "cli.main(['simulate', '--rate', '0.04', '--replications', '2', "
+                f"'--duration', '{duration}', '--sample-time', '1'])\n"
+                "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+                "if m in sys.modules))")
+        rc, out, err = _run_capped([sys.executable, "-c", code])
+        assert (rc, out.splitlines()[-1]) == (0, "[]"), err
 
 
-# Runs the CLI with _run_one replaced by a failure, over a forced worker
-# count, and prints how many child processes are left once main returns.
+# Runs the CLI over 4 replications and a forced process count (over 2
+# processes the caller runs replications 0-1 and one child 2-3). The
+# replications listed in `fail` raise `error`; in a child, `child` = exit
+# ends the process at once and hang sleeps first. Prints "left" if a child
+# process of the run is still there (running or unreaped) once main returns.
 _FAILING_RUN = """
-import multiprocessing, os, sys
+import builtins, os, sys, time
 from snc80211 import cli, sim
-workers, failure = int(sys.argv[1]), sys.argv[2]
-def failing_run_one(config, rng):
-    if failure == "exit":
-        os._exit(1)
-    raise RuntimeError("node 3: conservation violated")
+workers, fail, error, child = int(sys.argv[1]), sys.argv[2].split(","), sys.argv[3], sys.argv[4]
+caller, serial_replicate = os.getpid(), sim._replicate
+def replicate(config, seed):
+    i = seed.spawn_key[-1]
+    if os.getpid() != caller:
+        if child == "exit":
+            os._exit(1)
+        if child == "hang":
+            time.sleep(600)
+    if str(i) in fail:
+        raise getattr(builtins, error)(f"replication {i}: conservation violated")
+    return serial_replicate(config, seed)
 sim._workers = lambda config: workers
-sim._run_one = failing_run_one
-rc = cli.main(["simulate", "--rate", "0.04", "--duration", "1",
-               "--replications", "4", "--sample-time", "1"])
-print(len(multiprocessing.active_children()))
+sim._replicate = replicate
+try:
+    rc = cli.main(["simulate", "--rate", "0.04", "--duration", "1",
+                   "--replications", "4", "--sample-time", "1"])
+except KeyboardInterrupt:
+    print("interrupted")
+    rc = 130
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("left")
+except ChildProcessError:
+    pass
 sys.exit(rc)
 """
 
@@ -514,20 +554,40 @@ def _run_capped(argv, timeout: float = 60.0):
     return proc.returncode, out, err
 
 
-def _run_failing(workers: int, failure: str):
-    return _run_capped([sys.executable, "-c", _FAILING_RUN, str(workers), failure])
+def _run_failing(workers: int, fail: str, error: str = "RuntimeError", child: str = "run"):
+    return _run_capped([sys.executable, "-c", _FAILING_RUN, str(workers), fail, error, child])
 
 
 def test_check_failure_in_a_worker_exits_as_in_process():
-    # the same error line and exit code 4 whichever process raised it
-    serial, pooled = _run_failing(1, "raise"), _run_failing(2, "raise")
-    assert serial == pooled == (4, "0\n", "error: node 3: conservation violated\n")
+    # the first failure in replication order, with the same error line and
+    # exit code 4, whichever process raised it: here the caller's, though
+    # the child fails too
+    for fail, first in (("0,1,2,3", 0), ("1,3", 1)):
+        want = (4, "", f"error: replication {first}: conservation violated\n")
+        assert _run_failing(1, fail) == _run_failing(2, fail) == want, fail
+
+
+def test_check_failure_only_in_the_last_chunk_exits_as_in_process():
+    # replication 3 runs in the child, which sends its error back
+    want = (4, "", "error: replication 3: conservation violated\n")
+    assert _run_failing(1, "3") == _run_failing(2, "3") == want
+
+
+def test_caller_failure_kills_the_running_child():
+    # the caller's check fails while the child still sleeps: the run exits
+    # at once, as in process, and leaves no child behind
+    want = (4, "", "error: replication 0: conservation violated\n")
+    assert _run_failing(1, "0") == _run_failing(2, "0", child="hang") == want
+
+
+def test_interrupt_in_the_caller_kills_the_running_child():
+    rc, out, err = _run_failing(2, "0", error="KeyboardInterrupt", child="hang")
+    assert (rc, out, err) == (130, "interrupted\n", "")
 
 
 def test_worker_that_dies_breaks_the_pool_without_hanging():
-    # a worker that exits abruptly fails the run with BrokenProcessPool, a
-    # RuntimeError, and the pool's other worker is gone once main returns
-    rc, out, err = _run_failing(2, "exit")
-    assert (rc, out) == (4, "0\n"), err
-    assert err.startswith("error: A process in the process pool was terminated abruptly")
-    assert "Traceback" not in err
+    # a child that exits without sending its results fails the run with
+    # one RuntimeError line, exit 4, once the caller has reaped it
+    rc, out, err = _run_failing(2, "", child="exit")
+    assert (rc, out) == (4, ""), err
+    assert err == "error: the process running replications 2-3 died (exit status 1)\n"
