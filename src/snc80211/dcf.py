@@ -19,8 +19,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .characterize import (DEFAULT_T_CAP, _SLACK, FitConvergenceError, SigmaRho, _settled,
-                           fit_sigma_rho)
+from .characterize import FitConvergenceError, SigmaRho
 
 __all__ = [
     "Params80211",
@@ -38,6 +37,9 @@ __all__ = [
 ]
 
 ORACLE_SLOT_CAP = 64
+DEFAULT_T_CAP = 10_000  # the largest t an envelope walk or the impairment MGF reaches
+_EPSILON = 1e-5  # relative band in which an envelope slope counts as settled
+_SLACK = 1e-9  # how far a fitted line may lie below a y(t) it covers
 # Largest slot length L a config may give. The envelope fit holds O(L) terms
 # per network-calculus slot (about 130 bytes per unit of L at its peak), and
 # every 802.11 exchange is far shorter: L is 39 by default and about 2,100
@@ -415,6 +417,25 @@ def oracle_impairment_mgf(fp: DcfFixedPoint, theta: float, t: int) -> float:
     return math.exp(theta * t) * rest(L)
 
 
+def _settled(prev_s: float, s: float) -> bool:
+    return (1.0 - _EPSILON) * prev_s <= s <= (1.0 + _EPSILON) * prev_s
+
+
+# a module global called once per theta, in table order, so that perfbench's
+# traced run can wrap it (its characterize.fit_sigma_rho spans); not public
+def fit_sigma_rho(theta: float, ys: list) -> SigmaRho:
+    """(sigma, rho) at theta of a finished walk ys = [0, y(1), ..., y(t*)]
+    (ImpairmentModel._envelopes), or the error it stored last: rho is the
+    settled slope, and sigma >= 0 lifts the line rho*t over every y(t) (checked)."""
+    if isinstance(ys[-1], Exception):
+        raise ys[-1]
+    rho = ys[-1] - ys[-2]
+    sigma = max(0.0, max(y - rho * t for t, y in enumerate(ys)))
+    if any(y > rho * t + sigma + _SLACK for t, y in enumerate(ys)):
+        raise RuntimeError("fitted envelope violated")
+    return SigmaRho(theta=theta, sigma=sigma, rho=rho)
+
+
 def impairment_sigma_rho(params: Params80211, theta: float) -> SigmaRho:
     """(sigma_I, rho_I) of the impairment at this theta, by envelope fitting."""
     return ImpairmentModel(params).sigma_rho(theta)
@@ -435,15 +456,14 @@ class ImpairmentModel:
         return self.sigma_rho_table([theta])[0]
 
     def sigma_rho_table(self, thetas) -> list:
-        """The (sigma, rho) fit at each theta, as a fit_sigma_rho call per
-        theta in table order gives it (a repeated theta reuses its first
-        fit), raising what the first failing call raises. Each fit reads
-        the y(t) that one walk over t stored for every theta (_envelopes)."""
+        """The (sigma, rho) fit at each theta in table order (a repeated theta
+        reuses its first fit), raising what the first failing fit raises; the
+        fits read the y(t) one walk over t stored for every theta (_envelopes)."""
         thetas = list(thetas)
         todo = list(dict.fromkeys(th for th in thetas if th not in self._cache))
         mean = 1.0 - self.sustainable_rate()
         for theta, ys in zip(todo, self._envelopes(todo)):
-            sr = fit_sigma_rho(theta, lambda t: _stored(ys[t]))
+            sr = fit_sigma_rho(theta, ys)
             # rho(theta) of a valid envelope is at least the mean rate; a fit
             # below it (y(t) rounded away at tiny theta) fails for large t
             if sr.rho < mean:
@@ -461,10 +481,10 @@ class ImpairmentModel:
 
     def _envelopes(self, thetas) -> list:
         """[0, y(1), y(2), ...] of each theta, y(t) = math.log(impairment_mgf(
-        ...)) / theta bit for bit, up to the t where fit_sigma_rho stops: the
-        first t whose slope settles, or whose y fails and holds the error.
-        Each t is one _log_mgfs pass over the thetas still fitting, split so
-        that a pass holds at most _PASS_TERMS terms or one theta."""
+        ...)) / theta bit for bit, up to the first t whose slope y(t) - y(t-1)
+        settles (_settled), or ending in the error of a y(t) that fails or of
+        the t cap. Each t is one _log_mgfs pass over the thetas still fitting,
+        split so that a pass holds at most _PASS_TERMS terms or one theta."""
         fp = self.fixed_point
         ys, fitting = [[0.0] for _ in thetas], []
         for j, theta in enumerate(thetas):
@@ -490,15 +510,12 @@ class ImpairmentModel:
                 if t == 1 or not _settled(y[-2] - y[-3], y[-1] - y[-2]):
                     still.append(j)
             fitting = still
+        for j in fitting:  # unsettled at the t cap
+            ys[j].append(FitConvergenceError(
+                f"slope did not stabilize within t_cap={DEFAULT_T_CAP}"))
         return ys
 
     def sustainable_rate(self) -> float:
         """The stability threshold: a finite bound exists strictly below it."""
         return stable_rate_threshold(self.fixed_point)
 
-
-def _stored(y):
-    # a y(t) the table walk stored: its value, or the error computing it raised
-    if isinstance(y, Exception):
-        raise y
-    return y

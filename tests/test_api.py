@@ -14,9 +14,10 @@ import pytest
 
 import snc80211
 from snc80211.bounds import BoundSpec, quantile
-from snc80211.characterize import PoissonTraffic, fit_sigma_rho
+from snc80211.characterize import PoissonTraffic
 from snc80211.cli import main
-from snc80211.dcf import ImpairmentModel, impairment_mgf, impairment_sigma_rho, solve_fixed_point
+from snc80211.dcf import (ImpairmentModel, fit_sigma_rho, impairment_mgf, impairment_sigma_rho,
+                          solve_fixed_point)
 from snc80211.config import RunConfig
 from snc80211.sim import SimConfig, SimResult
 
@@ -41,6 +42,8 @@ def test_package_exports_the_union_of_module_exports():
     ("characterize", "trace_mgf_envelope"),
     ("characterize", "average_rate"),
     ("characterize", "DEFAULT_EPSILON"),
+    ("characterize", "fit_sigma_rho"),
+    ("characterize", "DEFAULT_T_CAP"),
     ("bounds", "average_rate"),
     ("dcf", "MgfEnvelope"),
     ("dcf", "impairment_mgf_envelope"),

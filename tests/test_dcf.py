@@ -8,8 +8,9 @@ from scipy.special import gammaln, logsumexp
 
 from snc80211 import dcf
 from snc80211.bounds import GridOptions
-from snc80211.characterize import DEFAULT_T_CAP, FitConvergenceError, fit_sigma_rho
+from snc80211.characterize import FitConvergenceError
 from snc80211.dcf import (
+    DEFAULT_T_CAP,
     DcfFixedPoint,
     ImpairmentModel,
     Params80211,
@@ -333,14 +334,18 @@ def test_stored_envelopes_equal_each_impairment_mgf(params, monkeypatch):
                 impairment_mgf(model.fixed_point, theta, t_fail)
             ys = ys[:-1]
         _assert_stored_y_is_each_call(model.fixed_point, [theta], [ys])
-    # slopes that never settle are walked to the t cap (here 60) and no further
+    # slopes that never settle are walked to the t cap (here 60) and no
+    # further, and end in the cap error
     monkeypatch.setattr(dcf, "_settled", lambda prev_s, s: False)
     monkeypatch.setattr(dcf, "DEFAULT_T_CAP", 60)
     model.fixed_point = _fp(0.37, 0.61, 2)
     thetas = (0.05, 0.02)
     envelopes = model._envelopes(thetas)
-    assert [len(ys) for ys in envelopes] == [61, 61]
-    _assert_stored_y_is_each_call(model.fixed_point, thetas, envelopes)
+    assert [len(ys) for ys in envelopes] == [62, 62]
+    for ys in envelopes:
+        assert isinstance(ys[-1], FitConvergenceError)
+        assert str(ys[-1]) == "slope did not stabilize within t_cap=60"
+    _assert_stored_y_is_each_call(model.fixed_point, thetas, [ys[:-1] for ys in envelopes])
 
 
 @pytest.mark.parametrize("theta, t_over", [(60.0, 12), (45.0, 17)])
@@ -513,18 +518,17 @@ def test_table_fit_past_the_pass_cap_is_the_one_theta_loop(params, monkeypatch):
 
 def test_table_computes_only_what_the_fits_read(params, monkeypatch):
     # every (theta, t) one log-MGF pass computes for the default grid is one
-    # that a fit_sigma_rho call per theta reads, and the reverse
+    # that a walk of that theta alone computes, and the reverse
     thetas = list(GridOptions().thetas())
     passes = _recorded_passes(monkeypatch)
     model = ImpairmentModel(params)
     model.sigma_rho_table(thetas)
     computed = sorted(pair for p in passes for pair in p)
-    fp, read = model.fixed_point, []
+    passes.clear()
     for theta in thetas:
-        fit_sigma_rho(theta, lambda t: read.append((theta, t))
-                      or math.log(impairment_mgf(fp, theta, t)) / theta)
-    assert computed == sorted(read)
-    assert sum(_terms(fp, t) for _, t in computed) == 135_331
+        ImpairmentModel(params)._envelopes([theta])
+    assert computed == sorted(pair for p in passes for pair in p)
+    assert sum(_terms(model.fixed_point, t) for _, t in computed) == 135_331
     # a theta already fitted costs no pass
     passes.clear()
     model.sigma_rho_table(thetas[::-1])
