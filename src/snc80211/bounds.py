@@ -10,7 +10,8 @@ service tail is either the min-plus convolution (no independence assumed) or
 the complemented convolution that exploits independence of arrivals and
 channel impairment. Each combination is one closed-form kernel on the two
 tails a e^{-theta x} (_minplus_vec, _indep_vec) that takes scalars or whole
-parameter grids; the grid optimizer and point_tail_value share it.
+parameter grids; the grid optimizer and point_tail_value share it. On the
+grid the min-plus kernel is min(1, e^{c - d x}), so its quantile needs no search.
 
   bound1: general arrival tail, min-plus combination
   bound2: martingale arrival tail, min-plus combination
@@ -54,21 +55,12 @@ def _vb_prefactor(theta, sigma, rho, r):
 
 
 def _minplus_vec(a, t1, b, t2, x):
-    # min over the split point y of a e^{-t1 y} + b e^{-t2 (x-y)}: endpoints
-    # plus the interior stationary point when it lands inside (0, x). A zero
-    # prefactor sends the stationary point to +-inf (or nan for two zeros),
-    # which the mask drops, so those lanes may go non-finite quietly. x may
-    # be a scalar or one value per lane.
-    a = np.asarray(a, dtype=float)
-    h0 = a + b * np.exp(-t2 * x)
-    hx = a * np.exp(-t1 * x) + b
-    vals = np.minimum(h0, hx)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ystar = (np.log(t1 * a / (t2 * b)) + t2 * x) / (t1 + t2)
-        hin = a * np.exp(-t1 * ystar) * (1.0 + t1 / t2)
-    ok = (ystar > 0.0) & (ystar < x)
-    vals = np.where(ok, np.minimum(vals, hin), vals)
-    return np.clip(vals, 0.0, 1.0)
+    """min over 0 <= y <= x of a e^{-t1 y} + b e^{-t2 (x-y)}, clamped at 1,
+    for prefactors a, b >= 1 (every vb prefactor, the martingale tail's a = 1):
+    both end values then exceed 1, so a value below 1 is the stationary one,
+    e^{c - d x} for _minplus_floor's term (c, d). x may be one value per lane."""
+    ((c, d),) = _minplus_floor(a, t1, b, t2)
+    return np.exp(np.minimum(c - d * x, 0.0))
 
 
 def _dead_zone(a, t):
@@ -111,15 +103,10 @@ def _indep_vec(a, t1, b, t2, x):
 
 
 def _minplus_floor(a, t1, b, t2):
-    """Terms (c, d) with max(c - d x) <= log _minplus_vec(a', t1, b', t2, x)
-    for all x >= 0 and all a' >= a, b' >= b, elementwise, until the kernel
-    clamps at 1: f = a e^{-t1 x} and g = b e^{-t2 x}, which each split term
-    covers, and the unconstrained minimum over the split point,
-    s = a e^{-t1 y} (1 + t1/t2) at the stationary y of _minplus_vec, which
-    decays at t1 t2 / (t1 + t2) and grows in both prefactors."""
-    la, lb = np.log(a), np.log(b)
-    ls = (t2 * la + t1 * lb + t1 * np.log(t2 / t1)) / (t1 + t2) + np.log1p(t1 / t2)
-    return (la, t1), (lb, t2), (ls, t1 * t2 / (t1 + t2))
+    """The min-plus kernel's term (c, d): its stationary value is e^{c - d x},
+    and c grows in both prefactors, so a' <= a, b' <= b give a floor at a, b."""
+    c = (t2 * np.log(a) + t1 * np.log(b) + t1 * np.log(t2 / t1)) / (t1 + t2) + np.log1p(t1 / t2)
+    return ((c, t1 * t2 / (t1 + t2)),)
 
 
 def _indep_floor(a, t1, b, t2):
@@ -141,7 +128,7 @@ _FORMS = {
 }
 _FLOORS = {_minplus_vec: _minplus_floor, _indep_vec: _indep_floor}  # kernel -> row floor
 VARIANTS = tuple(_FORMS)
-X_MAX = 10 ** 6  # quantile search cap
+X_MAX = 10 ** 6  # quantile cap
 CAPACITY = 1.0  # packets per slot, split between r_a and r_i
 # evaluate keeps a grid row while its floor is <= ub (1 + _REL_SLACK), a
 # margin for the rounding of the kernels' exp and sums
@@ -269,22 +256,17 @@ class BacklogBound:
     """Per-x optimized tail bound P{B > x} <= evaluate(x).
 
     evaluate(x) is the minimum of the variant's closed-form tail over the
-    whole feasible grid, at the first grid point attaining it, as a full
-    kernel pass with argmin gives it; the value and the winning index "i"
-    are memoized in meta["best"]. _evaluate_many computes a batch of x
-    that way, and evaluate(x) is its one-x call.
-
-    grid is the variant's arrival tail's grid (_build_grid), which may be
-    shared. The kernel runs only on the rows of the grid that can still
-    win. Each row has a floor from _floor_terms that decays at the kernel's
-    own rate, and every value of the row is at least min(1, floor). The
-    memoized winner of the nearest x evaluated below 1, run at x, bounds the
-    minimum by ub (1 when there is none). A row is dropped when its floor
-    passes the cut ub (1 + _REL_SLACK), so none of its points can attain
-    the minimum, and every point of a kept row is run: the result is the
-    full pass's. If no point falls below 1, every value is 1 and the full
-    pass's argmin is index 0. A cut below the smallest normal float keeps
-    every row, as the relative slack covers no rounding there.
+    whole feasible grid (_build_grid, maybe shared), at its first grid point
+    attaining it, as a full kernel pass with argmin gives it. It is the one-x
+    call of _evaluate_many, which memoizes each value and index "i" in
+    meta["best"] and runs the kernel only on the rows that can still win:
+    every value of a row is at least min(1, floor), its floor from
+    _floor_terms (on the min-plus kernel, the kernel's term at the row's
+    smallest prefactors). The memoized winner of the nearest x below 1, run
+    at x, gives ub (1 when there is none); a row whose floor passes ub (1 +
+    _REL_SLACK) is dropped, and every point of a kept row runs, so the result
+    is the full pass's, index 0 when all values are 1. A cut below the
+    smallest normal float keeps every row: the slack covers no rounding there.
     """
 
     def __init__(self, variant: str, grid: _Grid):
@@ -430,8 +412,7 @@ def _search(p: float):
     lo, hi = 0, 1
     while (yield hi) > p:
         if hi >= X_MAX:
-            raise InfeasibleBoundError(
-                f"bound stays above {p} for all x up to {X_MAX}")
+            raise _never_crosses(p)
         lo, hi = hi, min(hi * 2, X_MAX)
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -442,11 +423,30 @@ def _search(p: float):
     return hi
 
 
+def _never_crosses(p: float) -> InfeasibleBoundError:
+    return InfeasibleBoundError(f"bound stays above {p} for all x up to {X_MAX}")
+
+
 def _lockstep(bound: BacklogBound, p_list) -> dict:
     """{p: quantile, or the error its search raised} for each distinct p of
-    p_list. The searches run in lockstep: each round computes every x that
-    the unfinished ones ask for in one _evaluate_many call."""
+    p_list. A min-plus point is min(1, e^{c - d x}) with d constant along a
+    row: the quantile is max(0, ceil(min over rows of (c - log p)/d)). Else
+    the searches run in lockstep, one _evaluate_many call per round."""
     best, out = bound.meta["best"], {}
+    if _FORMS[bound.variant][1] is _minplus_vec:
+        g = bound._grid
+        ((c, d),) = _minplus_floor(g.a_f, g.theta1[:, None], g.a_g, g.theta2[:, None])
+        c, d = c.min(axis=1), d[:, 0]
+        for p in dict.fromkeys(p_list):
+            try:
+                _check_p(p)
+            except ValueError as e:
+                out[p] = e
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):  # d underflows at tiny theta
+                x = float(np.min(np.where(c > math.log(p), (c - math.log(p)) / d, 0.0)))
+            out[p] = math.ceil(x) if x <= X_MAX else _never_crosses(p)
+        return out
     searches = {p: _search(p) for p in dict.fromkeys(p_list)}
     values = dict.fromkeys(searches)  # what each search is sent next
     while searches:

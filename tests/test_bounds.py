@@ -117,18 +117,27 @@ def test_pruned_evaluate_matches_full_pass(rate, impairment):
 
 def test_pruning_keeps_the_lowest_index_among_ties():
     # points 3, 4 and 5 are one point, in two rows of the same pair, better
-    # than points 0-2 at every x > 0; with no service tail its value is its
-    # lower bound f(x), so any overstated lower bound prunes it. Point 2
-    # shares a row with 3 but its own lower bound passes the cut, so it
-    # reaches the kernel and loses there; the last row never beats 3.
-    a_f = np.array([[3.0, 3.0], [3.0, 2.0], [2.0, 2.0], [1.0, 1.0]])
-    a_g = np.array([[3.0, 3.0], [3.0, 0.0], [0.0, 0.0], [0.5, 0.5]])
-    th = np.array([0.2, 0.3, 0.3, 1e-3])
-    grid = _Grid(theta1=th, theta2=th, r_a=np.full((4, 2), 0.5), a_f=a_f, a_g=a_g)
-    for v in ("bound1", "bound3"):
+    # than points 0-2 at every x > 0. Point 3 holds both of its row's
+    # smallest prefactors, so its value is its row's floor, and any
+    # overstated floor prunes it: with no service tail (a_g = 0) on the
+    # independent kernel, with a_f = a_g = 1 on the min-plus kernel, which
+    # takes prefactors of at least 1. Point 2 shares a row with 3 but its
+    # own floor passes the cut, so it reaches the kernel and loses there;
+    # the last row never beats 3.
+    grids = {
+        "bound1": ([[3.0, 3.0], [3.0, 1.0], [1.0, 1.0], [1.0, 1.0]],
+                   [[3.0, 3.0], [3.0, 1.0], [1.0, 1.0], [1.0, 1.0]],
+                   [0.2, 0.3, 0.3, 1e-11], [0.2, 0.3, 0.3, 1.0]),
+        "bound3": ([[3.0, 3.0], [3.0, 2.0], [2.0, 2.0], [1.0, 1.0]],
+                   [[3.0, 3.0], [3.0, 0.0], [0.0, 0.0], [0.5, 0.5]],
+                   [0.2, 0.3, 0.3, 1e-3], [0.2, 0.3, 0.3, 1e-3]),
+    }
+    for v, (a_f, a_g, th1, th2) in grids.items():
+        grid = _Grid(theta1=np.array(th1), theta2=np.array(th2), r_a=np.full((4, 2), 0.5),
+                     a_f=np.array(a_f), a_g=np.array(a_g))
         b = BacklogBound(v, grid)
         # every value is 1 at x = 0 and the full pass's argmin is 0, although
-        # only the last row (lower bound exactly 1) reaches the kernel
+        # only the last row (floor within the slack of 1) reaches the kernel
         assert b.evaluate(0) == 1.0 and b.meta["best"][0]["i"] == 0
         for x in (60, 20, 40, 30, 25, 12):
             value, spec = _full_pass(b, x)
@@ -152,18 +161,20 @@ def test_block_pruning_matches_full_pass_on_hand_built_grids():
         pairs = rng.integers(0, 3, size=(30, 2))
         shape = (30, int(rng.integers(1, 5)))
         a_f = np.exp(rng.normal(1.0, 1.5, shape))
-        # with no service tail a point's value is its lower bound, so the
-        # pruning cut has only its slack to spare
+        # with no service tail a point's value is its floor on the independent
+        # kernel, so the pruning cut has only its slack to spare; the min-plus
+        # kernel takes prefactors of at least 1, and a point that holds both
+        # of its row's smallest ones is its floor there
         a_g = np.where(rng.random(shape) < 0.3, 0.0, np.exp(rng.normal(1.0, 1.5, shape)))
-        grid = _Grid(theta1=thetas[pairs[:, 0]], theta2=thetas[pairs[:, 1]],
-                     r_a=np.full(shape, 0.5), a_f=a_f, a_g=a_g)
-        # each row's floor takes the row's smallest prefactors
-        with np.errstate(divide="ignore"):
-            for v, floor in (("bound1", _minplus_floor), ("bound3", _indep_floor)):
+        for v, floor, (f, g) in (("bound1", _minplus_floor, np.maximum((a_f, a_g), 1.0)),
+                                 ("bound3", _indep_floor, (a_f, a_g))):
+            grid = _Grid(theta1=thetas[pairs[:, 0]], theta2=thetas[pairs[:, 1]],
+                         r_a=np.full(shape, 0.5), a_f=f, a_g=g)
+            # each row's floor takes the row's smallest prefactors
+            with np.errstate(divide="ignore"):
                 assert np.array_equal(BacklogBound(v, grid)._floor_terms,
-                                      floor(a_f.min(axis=1), grid.theta1, a_g.min(axis=1),
+                                      floor(f.min(axis=1), grid.theta1, g.min(axis=1),
                                             grid.theta2))
-        for v in ("bound1", "bound3"):
             _assert_pruned_matches_full_pass(BacklogBound(v, grid),
                                              rng.permutation(np.arange(0, 120, 3)))
 
@@ -248,13 +259,13 @@ def test_grid_specs_are_feasible(impairment):
                 assert spec.r_i > impairment.sigma_rho(spec.theta2).rho
 
 
-def _one_point(a_f, theta):
-    # a bound1 grid of one point with no service tail: its value at x is
-    # min(1, a_f e^{-theta x}), e^{-x} exactly at a_f = theta = 1 and the
-    # constant a_f at theta = 1e-300
+def _one_point(a_f, theta, variant="bound3", a_g=0.0):
+    # a grid of one point; by default a bound3 point with no service tail,
+    # whose value at x is min(1, a_f e^{-theta x}): e^{-x} exactly at
+    # a_f = theta = 1 and the constant a_f at theta = 1e-300
     grid = _Grid(theta1=np.array([theta]), theta2=np.array([theta]), r_a=np.array([[0.5]]),
-                 a_f=np.array([[a_f]]), a_g=np.array([[0.0]]))
-    return BacklogBound("bound1", grid)
+                 a_f=np.array([[a_f]]), a_g=np.array([[a_g]]))
+    return BacklogBound(variant, grid)
 
 
 def test_quantile_bisection():
@@ -266,29 +277,52 @@ def test_quantile_bisection():
 
 
 def test_quantile_p_validation():
-    b = _one_point(1.0, 1.0)
-    for p in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(ValueError):
-            quantile(b, p)
+    for b in (_one_point(1.0, 1.0), _one_point(1.0, 1.0, "bound1", 1.0)):
+        for p in (0.0, 1.0, -0.5, 2.0):
+            with pytest.raises(ValueError):
+                quantile(b, p)
 
 
 def test_quantile_never_crosses():
-    with pytest.raises(InfeasibleBoundError):
-        quantile(_one_point(0.5, 1e-300), 0.1)
+    # at theta = 1e-300 the min-plus decay theta1 theta2/(theta1 + theta2)
+    # underflows to 0, and every value stays at 1, which no p reaches
+    bounds = [_one_point(0.5, 1e-300)]
+    bounds += [_one_point(1.0, 1e-300, v, 1.0) for v in ("bound1", "bound2")]
+    for b in bounds:
+        with pytest.raises(InfeasibleBoundError,
+                           match=f"^bound stays above 0.1 for all x up to {X_MAX}$"):
+            quantile(b, 0.1)
+    for b in bounds[1:]:
+        assert b.evaluate(X_MAX) == 1.0
 
 
-@pytest.mark.parametrize("rate", [0.02, 0.07])
-def test_quantile_is_the_smallest_crossing(rate, impairment):
-    # the search must return the smallest x with value <= p, which a linear
-    # scan from 0 finds; the values are memoized, so the scan costs little
-    arrival = PoissonTraffic(rate)
+@pytest.mark.parametrize("rate", [0.001, 0.02, 0.07, 0.0783])
+def test_quantile_is_the_smallest_crossing(rate, monkeypatch, impairment):
+    # the closed form (bound1, bound2) and the search (bound3, bound4) must
+    # return the smallest x with value <= p, which a linear scan of evaluate
+    # from 0 finds; one batched pass memoizes the scanned x first
+    arrival, p_list = PoissonTraffic(rate), P_LIST + (1e-3, 1e-6)
     for v in VARIANTS:
         b = build_bound(v, arrival, impairment)
-        for p in P_LIST + (1e-3,):
+        got = [quantile(b, p) for p in p_list]
+        b._evaluate_many([x for x in range(max(got) + 1) if x not in b.meta["best"]])
+        for p, q in zip(p_list, got):
             x = 0
             while b.evaluate(x) > p:
                 x += 1
-            assert quantile(b, p) == x, (v, p)
+            assert q == x, (v, p)
+    # only the independent variants search, and only their quantiles evaluate
+    calls, search, evaluate_many = [], bounds_module._search, BacklogBound._evaluate_many
+    monkeypatch.setattr(bounds_module, "_search",
+                        lambda p: calls.append("_search") or search(p))
+    monkeypatch.setattr(BacklogBound, "_evaluate_many",
+                        lambda self, xs: calls.append("_evaluate_many") or evaluate_many(self, xs))
+    for v in VARIANTS:
+        calls.clear()
+        quantile_table(arrival, impairment, p_list, variants=(v,))
+        quantile(build_bound(v, arrival, impairment), 0.5)
+        searched = v in ("bound3", "bound4")
+        assert set(calls) == ({"_search", "_evaluate_many"} if searched else set()), v
 
 
 # quantile tables at the benchmark's bound rates, for P_LIST + DEEP_P:

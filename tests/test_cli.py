@@ -151,6 +151,17 @@ def test_bounds_unsustainable_rate_is_one_stderr_line():
                            "0.0793; no finite bound exists\n")
 
 
+def test_bounds_that_never_cross_p_are_one_stderr_line(tmp_path):
+    # on the one theta 5e-5 the min-plus bounds stay above 1e-6 up to X_MAX:
+    # their closed form says so in the search's words, in a process of its
+    # own, so a numpy warning would show too
+    cfgfile = _write(tmp_path, "slow.ini", "[grid]\ntheta_min = 5e-5\ntheta_max = 5e-5\n"
+                                           "theta_points = 1\nr_points = 3\n")
+    proc = _run_cli(["bounds", "--config", cfgfile, "--rate", "0.04", "--p-list", "0.5,1e-6"])
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, "", "infeasible: bound stays above 1e-06 for all x up to 1000000\n")
+
+
 def test_rate_past_the_float_range_in_mbps(capsys):
     # 1e308 packets per slot is finite, but its Mbps value is not: stability
     # refuses it by name, and bounds prints it in 4 significant digits

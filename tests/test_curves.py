@@ -207,8 +207,12 @@ def test_minplus_symmetric_exponentials():
 
 
 def test_minplus_with_zero_bound_returns_other():
+    # a service tail that decays at once, g = e^{-t2 x} with t2 = 1e9, is
+    # zero past x = 0, and the composition is the arrival tail, clamped;
+    # the kernel takes prefactors of at least 1
     for x in (0, 1, 5, 20):
-        assert _minplus_vec(0.7, 0.3, 0.0, 1.0, float(x)) == pytest.approx(0.7 * math.exp(-0.3 * x))
+        assert _minplus_vec(1.5, 0.3, 1.0, 1e9, float(x)) == pytest.approx(
+            min(1.0, 1.5 * math.exp(-0.3 * x)))
 
 
 def test_minplus_against_dense_grid():
@@ -221,7 +225,7 @@ def test_minplus_against_dense_grid():
 def test_minplus_is_symmetric():
     rng = np.random.default_rng(11)
     for _ in range(40):
-        a, b = (float(v) for v in rng.uniform(0, 5, 2))
+        a, b = (float(v) for v in rng.uniform(1, 5, 2))
         t1, t2 = (float(v) for v in rng.uniform(0.05, 3, 2))
         for x in (0.0, 1.0, 3.0, 17.0):
             assert abs(_minplus_vec(a, t1, b, t2, x) - _minplus_vec(b, t2, a, t1, x)) <= 1e-12
@@ -273,37 +277,68 @@ def _kernel_cases():
     return cases
 
 
+def _close(got, want):
+    return abs(got - want) <= 1e-12 + 1e-9 * abs(want)
+
+
+def _minplus_cases(cases):
+    """The cases the min-plus kernel takes: both prefactors at least 1."""
+    return [case for case in cases if case[0] >= 1.0 and case[2] >= 1.0]
+
+
 def test_kernels_match_scalar_oracles():
-    # both kernels run over all cases at once, the way the bound grid calls
-    # them, and once per case with scalars, the way point_tail_value calls
-    # them; the independence tail must also keep its relative precision
-    # against the direct sum down to where it turns subnormal
-    cases = _kernel_cases()
-    a, t1, b, t2 = (np.array(col) for col in zip(*cases))
-    for x in [*range(201), 400, 800, 1200]:
-        mp = _minplus_vec(a, t1, b, t2, float(x))
-        ind = _indep_vec(a, t1, b, t2, float(x))
-        for j, case in enumerate(cases):
-            want_mp = _minplus_oracle(*case, x)
-            want_ind = _independent_oracle(*case, x)
-            for got, want in ((mp[j], want_mp), (ind[j], want_ind),
-                              (_minplus_vec(*case, float(x)), want_mp),
-                              (_indep_vec(*case, float(x)), want_ind)):
-                assert abs(got - want) <= 1e-12 + 1e-9 * abs(want), (case, x, got, want)
-            tail = _direct_sum_oracle(*case, x)
-            if tail >= 1e-300:
-                for got in (ind[j], _indep_vec(*case, float(x))):
-                    assert abs(got - tail) <= 1e-9 * tail, (case, x, got, tail)
+    # both kernels run over all their cases at once, the way the bound grid
+    # calls them, and once per case with scalars, the way point_tail_value
+    # calls them; the independence tail must also keep its relative
+    # precision against the direct sum down to where it turns subnormal
+    for kernel, oracle, cases in ((_minplus_vec, _minplus_oracle, _minplus_cases(_kernel_cases())),
+                                  (_indep_vec, _independent_oracle, _kernel_cases())):
+        a, t1, b, t2 = (np.array(col) for col in zip(*cases))
+        for x in [*range(201), 400, 800, 1200]:
+            vals = kernel(a, t1, b, t2, float(x))
+            for j, case in enumerate(cases):
+                want = oracle(*case, x)
+                for got in (vals[j], kernel(*case, float(x))):
+                    assert _close(got, want), (kernel, case, x, got, want)
+                if kernel is _indep_vec and (tail := _direct_sum_oracle(*case, x)) >= 1e-300:
+                    for got in (vals[j], kernel(*case, float(x))):
+                        assert abs(got - tail) <= 1e-9 * tail, (case, x, got, tail)
+
+
+def test_minplus_line_matches_the_oracle_on_the_grids(impairment):
+    # the min-plus kernel is the line min(1, e^{c - d x}) only for prefactors
+    # of at least 1, which every grid point has: against the oracle on
+    # points sampled from both tails' default grids at three rates, with the
+    # unit arrival prefactor and the equal decays of diagonal pairs among them
+    rng = np.random.default_rng(15)
+    cols = []
+    for rate in (0.001, 0.04, 0.0783):
+        for martingale in (False, True):
+            g = bounds._build_grid(rate, impairment, bounds.GridOptions(), martingale)
+            rows, n = g.r_a.shape
+            diagonal = np.flatnonzero(g.theta1 == g.theta2) * n
+            pick = np.union1d(rng.choice(rows * n, min(rows * n, 500), replace=False), diagonal)
+            cols.append((g.a_f.flat[pick], g.theta1[pick // n],
+                         g.a_g.flat[pick], g.theta2[pick // n]))
+    a, t1, b, t2 = (np.concatenate(col) for col in zip(*cols))
+    assert a.size >= 2000 and np.any(a == 1.0) and np.any(t1 == t2)
+    assert min(a.min(), b.min()) >= 1.0
+    for x in [0, *np.unique(np.geomspace(1, 3000, 60).astype(int)).tolist()]:
+        vals = _minplus_vec(a, t1, b, t2, float(x))
+        for j in range(a.size):
+            want = _minplus_oracle(a[j], t1[j], b[j], t2[j], x)
+            assert _close(vals[j], want), (j, x, vals[j], want)
 
 
 def test_kernels_respect_the_pruning_lower_bound():
     # BacklogBound.evaluate skips every grid point whose max(f(x), g(x))
     # exceeds an attained value by more than its slack, so each kernel must
     # stay at or above min(1, max(f(x), g(x))) up to that slack
-    a, t1, b, t2 = (np.array(col) for col in zip(*_kernel_cases()))
-    for x in range(201):
-        lb = np.minimum(1.0, np.maximum(a * np.exp(-t1 * x), b * np.exp(-t2 * x)))
-        for kernel in (_minplus_vec, _indep_vec):
+    for kernel, cases in ((_minplus_vec, _minplus_cases(_kernel_cases())),
+                          (_indep_vec, _kernel_cases())):
+        a, t1, b, t2 = (np.array(col) for col in zip(*cases))
+        for x in range(201):
+            lb = np.minimum(1.0, np.maximum(a * np.exp(-t1 * x), b * np.exp(-t2 * x)))
             vals = kernel(a, t1, b, t2, float(x))
             assert np.all(lb <= vals * (1.0 + _REL_SLACK)), (kernel, x)
 
@@ -326,11 +361,15 @@ def test_kernels_respect_their_row_floors():
     # BacklogBound.evaluate drops a grid row whose floor passes an attained
     # value by more than the slack, so each kernel must stay at or above
     # min(1, floor) up to that slack wherever its value is a normal float;
-    # a case is a one-point row, so its floor is the point's own
-    a, t1, b, t2 = _floor_cases()
-    grid = bounds._Grid(theta1=t1, theta2=t2, r_a=np.full((a.size, 1), 0.5),
-                        a_f=a[:, None], a_g=b[:, None])
+    # a case is a one-point row, so its floor is the point's own, and the
+    # min-plus kernel takes the cases with both prefactors at least 1
+    cases = _floor_cases()
     for variant, kernel in (("bound1", _minplus_vec), ("bound3", _indep_vec)):
+        a, t1, b, t2 = cases
+        if kernel is _minplus_vec:
+            a, t1, b, t2 = (col[(a >= 1.0) & (b >= 1.0)] for col in cases)
+        grid = bounds._Grid(theta1=t1, theta2=t2, r_a=np.full((a.size, 1), 0.5),
+                            a_f=a[:, None], a_g=b[:, None])
         terms = bounds.BacklogBound(variant, grid)._floor_terms
         for x in [*range(301), 1000, 3000, 10 ** 4, 3 * 10 ** 4, 10 ** 5]:
             floor = np.exp(np.minimum(0.0, np.max([c - d * x for c, d in terms], axis=0)))
