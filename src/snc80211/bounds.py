@@ -295,11 +295,11 @@ class BacklogBound:
     def _evaluate_many(self, xs):
         """Memoize the minimum and its first index at each x of xs, distinct
         nonnegative integers not memoized yet. A pass takes as many x as keep
-        its row floors within _GRID_POINTS_MAX values and its seed values within
-        one per grid point; a kernel call takes whole x, one grid of points at most."""
+        its row floors within _GRID_POINTS_MAX values; a kernel call takes whole
+        x, at most one grid of points or one pass's x count, if that is more."""
         g, best, kernel = self._grid, self.meta["best"], _FORMS[self.variant][1]
         rows, n = g.r_a.shape
-        step = min(rows * n, _GRID_POINTS_MAX // rows)  # >= 1, as rows <= theta_points**2
+        step = _GRID_POINTS_MAX // rows  # >= 1, as rows <= theta_points**2
         for s in range(0, len(xs), step):
             chunk = xs[s:s + step]
             xf = np.array(chunk, dtype=float)
@@ -314,7 +314,7 @@ class BacklogBound:
             counts = np.count_nonzero(keep, axis=1).tolist()
             kept = np.flatnonzero(keep) % rows  # rows kept, x by x
             first = [0, *itertools.accumulate(counts)]  # x j's rows start here
-            for j0, j1 in _runs(counts, rows):
+            for j0, j1 in _runs(counts, max(rows, step // n)):
                 r = kept[first[j0]:first[j1]]
                 # one x goes in as a scalar, which spares a point-sized array
                 x = (xf[j0] if j1 - j0 == 1

@@ -174,31 +174,38 @@ class _RepStats:
     ticks0: int
 
 
-def _backoff_draw(rng: np.random.Generator):
+def _backoff_draw(rng: np.random.Generator, blocks: bool = False):
     """draw(w) for a window w >= 1: the value int(rng.integers(w)) would
-    return, from the same bit-generator calls.
+    return, from the same 32- or 64-bit words.
 
     Generator.integers(w) draws nothing for w == 1 and otherwise applies
     Lemire's multiply-and-reject method (Lemire, "Fast random integer
     generation in an interval", ACM TOMACS 2019) to the bit generator's
     next_uint32, or to next_uint64 for w > 2**32. draw repeats that
-    arithmetic on the same functions, called through the bit generator's
-    ctypes interface without integers()'s per-call overhead, so interleaved
-    calls to rng's other methods see the same stream.
+    arithmetic on the same words. By default it calls those functions
+    through the bit generator's ctypes interface, without integers()'s
+    per-call overhead, so interleaved calls to rng's other methods see
+    the same stream.
+
+    With blocks, draw takes its 32-bit words from _words, which reads them
+    ahead in blocks at a fraction of a ctypes call's cost. Those are the
+    words next_uint32 would return only for a fresh rng that nothing else
+    draws from, and only windows up to 2**32 may be drawn.
     """
     c = rng.bit_generator.ctypes
-    state, next32, next64 = c.state, c.next_uint32, c.next_uint64
+    state, next64 = c.state, c.next_uint64
+    src, next32 = (_words(rng.bit_generator), next) if blocks else (state, c.next_uint32)
 
     def draw(w: int) -> int:
         if w <= 0x100000000:
             if w == 1:
                 return 0
-            m = next32(state) * w
+            m = next32(src) * w
             if m & 0xFFFFFFFF < w:
                 # redraw while the low word falls in the biased cut
                 cut = (0x100000000 - w) % w
                 while m & 0xFFFFFFFF < cut:
-                    m = next32(state) * w
+                    m = next32(src) * w
             return m >> 32
         if w > 1 << 63:
             # integers() returns int64, so it refuses such a window
@@ -211,6 +218,17 @@ def _backoff_draw(rng: np.random.Generator):
         return m >> 64
 
     return draw
+
+
+def _words(bit_generator):
+    """The words next_uint32 returns from a fresh bit generator: the low half
+    of each 64-bit output, then its high half. random_raw reads the outputs
+    in blocks that double from 8, so a short replication reads few, up to
+    256 (a list of 512 words, about 20 kB)."""
+    k = 8
+    while True:
+        yield from bit_generator.random_raw(k).astype("<u8", copy=False).view("<u4").tolist()
+        k = min(2 * k, 256)
 
 
 def _run_one(config: SimConfig, rng: np.random.Generator) -> _RepStats:
@@ -230,7 +248,10 @@ def _run_one(config: SimConfig, rng: np.random.Generator) -> _RepStats:
     retry_limit = p.retry_limit
     # contention window after r retries: cw_min doubled r times, up to cw_max
     window = [min(p.cw_min << r, p.cw_max) for r in range(retry_limit)]
-    draw = _backoff_draw(rng)
+    # with no arrivals, rng (fresh, as _replicate makes it) draws nothing
+    # but backoffs, so their 32-bit words can be read in blocks
+    no_arrivals = saturated or config.rate <= 0
+    draw = _backoff_draw(rng, no_arrivals and p.cw_max <= 1 << 32)
 
     # Per-node MAC state in plain lists. bo holds the frozen backoff counter
     # of an empty queue. A backlogged node transmits at its expiry: the slot
@@ -246,7 +267,7 @@ def _run_one(config: SimConfig, rng: np.random.Generator) -> _RepStats:
     delay = 0
     next_tx = min(expiry)
     # next arrival of each node as (time, node): ties go to the lowest index
-    if saturated or config.rate <= 0:
+    if no_arrivals:
         mean_gap = _INF
         arrivals = [(_INF, j) for j in range(n)]
     else:

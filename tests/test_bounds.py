@@ -325,6 +325,20 @@ def test_quantile_is_the_smallest_crossing(rate, monkeypatch, impairment):
         assert set(calls) == ({"_search", "_evaluate_many"} if searched else set()), v
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_pass_memoizes_what_x_by_x_does(variant, impairment):
+    # at rate 0.0783 the martingale grid has one point and the general grid
+    # one row, so a pass takes many x at once: the memo must not depend on it
+    arrival, xs = PoissonTraffic(0.0783), list(range(0, 6000, 7))
+    one, each = (build_bound(variant, arrival, impairment) for _ in range(2))
+    assert one._grid.r_a.shape[0] == 1
+    one._evaluate_many(xs)
+    for x in xs:
+        each.evaluate(x)
+    assert one.meta["best"] == each.meta["best"]
+    assert {b["value"] < 1.0 for b in one.meta["best"].values()} == {True, False}
+
+
 # quantile tables at the benchmark's bound rates, for P_LIST + DEEP_P:
 # bound1, bound2, bound3 and bound4 per rate
 DEEP_P = (1e-3, 1e-6, 1e-9)
@@ -643,19 +657,22 @@ def _record_kernel_sizes(monkeypatch):
                                      GridOptions(theta_points=1, r_points=1)])
 def test_no_kernel_call_takes_more_points_than_the_grid(options, monkeypatch, impairment):
     # many p in one round: their x share floor passes and kernel calls, up
-    # to one grid's worth of points per call
+    # to one grid's worth of points per call, or one pass's x count
+    # (_GRID_POINTS_MAX // rows) on a grid small enough to have fewer points
     arrival = PoissonTraffic(0.04)
     p_list = [10.0 ** -k for k in range(1, 40)] + [0.9, 0.7, 0.5, 0.3]
-    points = {v: build_bound(v, arrival, impairment, options).meta["grid_points"]
-              for v in VARIANTS}
+    caps = {}
+    for v in VARIANTS:
+        b = build_bound(v, arrival, impairment, options)
+        caps[v] = max(len(b._grid), bounds_module._GRID_POINTS_MAX // b._grid.r_a.shape[0])
     want = quantile_table(arrival, impairment, p_list, options=options)
     sizes = _record_kernel_sizes(monkeypatch)
     assert quantile_table(arrival, impairment, p_list, options=options) == want
     for v in VARIANTS:
         # every value underflows at these two x, so each keeps every row:
-        # they share a floor pass but not a kernel call
+        # they share a floor pass, and a kernel call only within the cap
         b = build_bound(v, arrival, impairment, options)
         quantile(b, 0.5)
         b._evaluate_many([X_MAX - 1, X_MAX])
         assert b.meta["best"][X_MAX]["value"] == 0.0
-        assert sizes[v] and max(sizes[v]) <= points[v], (v, max(sizes[v]), points[v])
+        assert sizes[v] and max(sizes[v]) <= caps[v], (v, max(sizes[v]), caps[v])

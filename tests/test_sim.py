@@ -378,6 +378,75 @@ def test_backoff_draw_equals_integers():
             draw(w)
 
 
+def test_block_words_give_the_integers_values():
+    # value by value only: the block source reads its generator ahead, so the
+    # twins' states differ; seed 0 draws long enough to reach full blocks
+    order = np.random.default_rng(2019)
+    windows = [w for w in _WINDOWS if w <= 1 << 32]
+    for seed in range(100):
+        ref, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draw = _backoff_draw(rng, True)
+        for _ in range(20_000 if seed == 0 else 400):
+            w = windows[order.integers(len(windows))]
+            assert draw(w) == int(ref.integers(w)), (seed, w)
+
+
+# Replications with no arrivals, whose only draws are backoffs, each with a
+# check that its edge occurs
+_NO_ARRIVAL_CONFIGS = [
+    (SimConfig(traffic="saturated", duration=5.0, replications=2, sample_time=2.5, seed=41),
+     lambda reps: all(r.colls0 > 0 for r in reps)),
+    (SimConfig(params=Params80211(n_nodes=1), traffic="saturated", duration=2.0,
+               replications=2, sample_time=1.0, seed=43),
+     lambda reps: all(r.colls0 == 0 and r.attempts0 > 0 for r in reps)),
+    # every backoff is 0, so the source is never read after set-up
+    (SimConfig(params=Params80211(n_nodes=3, cw_min=1, cw_max=1), traffic="saturated",
+               duration=0.2, replications=2, sample_time=0.1, seed=47),
+     lambda reps: all(sum(r.drops) > 0 for r in reps)),
+    (SimConfig(params=Params80211(retry_limit=1), traffic="saturated", duration=2.0,
+               replications=2, sample_time=1.0, seed=53),
+     lambda reps: all(sum(r.drops) > 0 for r in reps)),
+    # the largest window the blocks serve: no countdown ends inside the horizon
+    (SimConfig(params=Params80211(n_nodes=4, cw_min=1 << 32, cw_max=1 << 32),
+               traffic="saturated", duration=0.1, replications=2, sample_time=0.05, seed=59),
+     lambda reps: all(r.attempts0 == 0 for r in reps)),
+    (SimConfig(traffic="poisson", rate=0.0, duration=2.0, replications=2,
+               sample_time=1.0, seed=61),
+     lambda reps: all(r.attempts0 == 0 and sum(r.succ) == 0 for r in reps)),
+]
+
+
+@pytest.mark.parametrize("cfg,edge_seen", _NO_ARRIVAL_CONFIGS,
+                         ids=["saturated", "saturated-one-node", "cw-1", "retry-limit-1",
+                              "cw-2-32", "poisson-rate-0"])
+def test_block_words_change_no_replication(cfg, edge_seen, monkeypatch):
+    # _run_one picks the block source here; forced off or on, it gives the
+    # same replication
+    draw, chosen = sim._backoff_draw, []
+    monkeypatch.setattr(sim, "_backoff_draw",
+                        lambda rng, blocks=False: chosen.append(blocks) or draw(rng, blocks))
+    children = np.random.SeedSequence(cfg.seed).spawn(cfg.replications)
+    reps = [_run_one(cfg, np.random.default_rng(child)) for child in children]
+    assert chosen == [True] * cfg.replications
+    assert edge_seen(reps)
+    for forced in (False, True):
+        monkeypatch.setattr(sim, "_backoff_draw", lambda rng, blocks=False: draw(rng, forced))
+        assert [_run_one(cfg, np.random.default_rng(child)) for child in children] == reps
+
+
+def test_arrivals_or_windows_past_2_32_keep_the_ctypes_path(monkeypatch):
+    draw, chosen = sim._backoff_draw, []
+    monkeypatch.setattr(sim, "_backoff_draw",
+                        lambda rng, blocks=False: chosen.append(blocks) or draw(rng, blocks))
+    saturated_past_2_32 = SimConfig(params=Params80211(n_nodes=4, cw_min=1 << 32,
+                                                       cw_max=1 << 33),
+                                    traffic="saturated", duration=0.1, replications=1,
+                                    sample_time=0.05, seed=67)
+    for cfg in (_EDGE_CONFIGS[4][0], _REFERENCE_CONFIGS[0], saturated_past_2_32):
+        _run_one(cfg, np.random.default_rng(cfg.seed))
+    assert chosen == [False] * 3
+
+
 # Workload-sized horizons are too long for the slot stepper. These tuples
 # (sample, succ, drops, attempts0, colls0, ticks0) of the first replication
 # were computed with the earlier event loop, which rescanned every node on
@@ -419,6 +488,8 @@ _POOL_CFG = SimConfig(traffic="poisson", rate=0.04, duration=6.0, replications=5
                       sample_time=6.0, seed=5)
 _POOL_ARGV = ["--rate", "0.04", "--duration", "6", "--replications", "5",
               "--sample-time", "6", "--seed", "5", "--format", "json"]
+# a saturated run's children read their backoff words in blocks
+_POOL_SATURATED_ARGV = ["--saturated", *_POOL_ARGV[2:]]
 
 
 def test_pool_gives_the_serial_result_for_any_worker_count(monkeypatch, capsys, tmp_path):
@@ -450,8 +521,9 @@ def test_pool_gives_the_serial_result_for_any_worker_count(monkeypatch, capsys, 
             # raised for a pid that is no child of this process, running or unreaped
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
-        for command in ("simulate", "compare"):
-            assert main([command, *_POOL_ARGV]) == 0
+        for command in ("simulate", "compare", "simulate --saturated"):
+            argv = _POOL_SATURATED_ARGV if "--saturated" in command else _POOL_ARGV
+            assert main([command.split()[0], *argv]) == 0
             outputs[workers, command] = capsys.readouterr().out
     a = results[1]
     for workers in (2, 3):
@@ -460,7 +532,7 @@ def test_pool_gives_the_serial_result_for_any_worker_count(monkeypatch, capsys, 
         assert np.array_equal(a.throughput_per_node, b.throughput_per_node)
         assert (a.drops, a.tagged_attempt_rate, a.tagged_collision_fraction) == \
             (b.drops, b.tagged_attempt_rate, b.tagged_collision_fraction)
-        for command in ("simulate", "compare"):
+        for command in ("simulate", "compare", "simulate --saturated"):
             assert outputs[1, command] == outputs[workers, command], (workers, command)
 
 
