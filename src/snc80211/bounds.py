@@ -136,10 +136,10 @@ _REL_SLACK = 1e-9
 _TINY = sys.float_info.min  # smallest normal float
 # Largest theta_points**2 * r_points (the general tail's grid), ten times the
 # default 96,000. A grid holds three floats per point, an _evaluate_many pass
-# as many row floors, and a kernel call (one grid pass of points at most) a
-# dozen per point: bounds --rate 0.02 peaks at 116 MB resident in 0.6-0.8 s
-# with theta_points = 1000, r_points = 1, at 61 MB in 0.05-0.06 s with 40 and
-# 625, and at 34 MB by default.
+# as many row floors, and a kernel call (a grid pass or a pass's x count of
+# points at most) a dozen per point: bounds --rate 0.02 peaks at 116 MB
+# resident in 0.6-0.8 s with theta_points = 1000, r_points = 1, at 61 MB in
+# 0.05-0.06 s with 40 and 625, and at 34 MB by default.
 _GRID_POINTS_MAX = 10 ** 6
 
 

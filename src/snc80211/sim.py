@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import heapq
+import itertools
 import math
 import numbers
 import os
@@ -222,13 +223,13 @@ def _backoff_draw(rng: np.random.Generator, blocks: bool = False):
 
 def _words(bit_generator):
     """The words next_uint32 returns from a fresh bit generator: the low half
-    of each 64-bit output, then its high half. random_raw reads the outputs
-    in blocks that double from 8, so a short replication reads few, up to
-    256 (a list of 512 words, about 20 kB)."""
-    k = 8
-    while True:
-        yield from bit_generator.random_raw(k).astype("<u8", copy=False).view("<u4").tolist()
-        k = min(2 * k, 256)
+    of each 64-bit output, then its high half, from blocks of outputs that
+    random_raw reads. The blocks double from 8, so a short replication reads
+    few, up to 256 (a list of 512 words, about 20 kB)."""
+    sizes = itertools.chain((8 << i for i in range(5)), itertools.repeat(256))
+    return itertools.chain.from_iterable(
+        bit_generator.random_raw(k).astype("<u8", copy=False).view("<u4").tolist()
+        for k in sizes)
 
 
 def _run_one(config: SimConfig, rng: np.random.Generator) -> _RepStats:
