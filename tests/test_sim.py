@@ -488,8 +488,10 @@ _POOL_CFG = SimConfig(traffic="poisson", rate=0.04, duration=6.0, replications=5
                       sample_time=6.0, seed=5)
 _POOL_ARGV = ["--rate", "0.04", "--duration", "6", "--replications", "5",
               "--sample-time", "6", "--seed", "5", "--format", "json"]
-# a saturated run's children read their backoff words in blocks
-_POOL_SATURATED_ARGV = ["--saturated", *_POOL_ARGV[2:]]
+# the CLI runs compared across process counts; a saturated run's
+# replications read their backoff words in blocks
+_POOL_COMMANDS = {"simulate": ["simulate", *_POOL_ARGV], "compare": ["compare", *_POOL_ARGV],
+                  "simulate --saturated": ["simulate", "--saturated", *_POOL_ARGV[2:]]}
 
 
 def test_pool_gives_the_serial_result_for_any_worker_count(monkeypatch, capsys, tmp_path):
@@ -521,9 +523,8 @@ def test_pool_gives_the_serial_result_for_any_worker_count(monkeypatch, capsys, 
             # raised for a pid that is no child of this process, running or unreaped
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
-        for command in ("simulate", "compare", "simulate --saturated"):
-            argv = _POOL_SATURATED_ARGV if "--saturated" in command else _POOL_ARGV
-            assert main([command.split()[0], *argv]) == 0
+        for command, argv in _POOL_COMMANDS.items():
+            assert main(argv) == 0
             outputs[workers, command] = capsys.readouterr().out
     a = results[1]
     for workers in (2, 3):
@@ -532,7 +533,7 @@ def test_pool_gives_the_serial_result_for_any_worker_count(monkeypatch, capsys, 
         assert np.array_equal(a.throughput_per_node, b.throughput_per_node)
         assert (a.drops, a.tagged_attempt_rate, a.tagged_collision_fraction) == \
             (b.drops, b.tagged_attempt_rate, b.tagged_collision_fraction)
-        for command in ("simulate", "compare", "simulate --saturated"):
+        for command in _POOL_COMMANDS:
             assert outputs[1, command] == outputs[workers, command], (workers, command)
 
 
