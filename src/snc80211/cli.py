@@ -18,7 +18,7 @@ from dataclasses import replace
 
 from .bounds import VARIANTS, InfeasibleBoundError, _check_p, quantile_table, rate_to_mbps
 from .characterize import FitConvergenceError, PoissonTraffic
-from .config import ConfigError, _replace_sim, load_run_config
+from .config import _RUN_SETTINGS, ConfigError, _replace_sim, load_run_config
 from .dcf import ImpairmentModel, solve_fixed_point, stable_rate_threshold
 from .sim import COLLISION_MODES, SimConfig, SimResult, _check_runnable, run
 
@@ -258,15 +258,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# SimConfig fields that a flag of the same name sets, where the subcommand
-# declares that flag
-_SIM_FLAGS = ("rate", "duration", "replications", "sample_time", "collision_mode", "seed")
-
-
 def _flag_values(args) -> dict:
     """The SimConfig fields the user's flags set. --saturated wins over
     --rate, and --rate implies Poisson traffic."""
-    values = {k: getattr(args, k) for k in _SIM_FLAGS
+    values = {k: getattr(args, k) for k in _RUN_SETTINGS
               if getattr(args, k, None) is not None}
     if getattr(args, "saturated", False):
         values["traffic"] = "saturated"

@@ -53,6 +53,10 @@ def _replace_sim(sim: SimConfig, **values) -> SimConfig:
     return replace(sim, **values)
 
 
+# The SimConfig fields a setting of the same name sets: each a CLI flag
+# where the subcommand declares it, and each but rate a [sim] key
+_RUN_SETTINGS = tuple(f.name for f in fields(SimConfig) if f.name not in ("params", "traffic"))
+
 # section -> (the dataclass whose fields it sets; INI key -> field name, or
 #             None when every field is a key under its own name). Sections
 #             are applied in this order, whatever their order in the file.
@@ -60,8 +64,7 @@ _SECTIONS = {
     "mac": (Params80211, None),
     "grid": (GridOptions, None),
     "traffic": (SimConfig, {"mode": "traffic", "rate": "rate"}),
-    "sim": (SimConfig, {k: k for k in ("duration", "replications", "sample_time",
-                                       "collision_mode", "seed")}),
+    "sim": (SimConfig, {k: k for k in _RUN_SETTINGS if k != "rate"}),
 }
 
 

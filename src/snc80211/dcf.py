@@ -84,10 +84,9 @@ class Params80211:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.cw_min < 1 or self.cw_max < self.cw_min:
             raise ValueError("need 1 <= cw_min <= cw_max")
-        if self.cw_max > 1 << 63:
-            # Generator.integers, and so the simulator's backoff draw, takes
-            # windows of at most 2**63
-            raise ValueError(f"cw_max must be at most 2**63, got a "
+        if self.cw_max > 1 << 32:
+            # the simulator draws each backoff from one 32-bit word
+            raise ValueError(f"cw_max must be at most 2**32, got a "
                              f"{self.cw_max.bit_length()}-bit number")
         ratio, rest = divmod(self.cw_max, self.cw_min)
         if rest or ratio & (ratio - 1):
@@ -191,6 +190,11 @@ def solve_fixed_point(params: Params80211) -> DcfFixedPoint:
     Bisection on eta: the residual 1-(1-tau(eta))^(n-1) - eta is positive at
     eta=0 and negative at eta=1 (or 0, rounded, at many nodes), and the
     composed map is monotone.
+
+    Stage i's window is 2**i * cw_min, uncapped, while the simulator caps
+    each window at cw_max. Capping it here would lower stable_rate_threshold
+    by 0.06 % at the defaults (0.0792952 to 0.0792451), 0.39 % at
+    n_nodes = 20 and 1.6 % at 50.
     """
     n = params.n_nodes
     stages = params.retry_limit

@@ -176,47 +176,35 @@ class _RepStats:
 
 
 def _backoff_draw(rng: np.random.Generator, blocks: bool = False):
-    """draw(w) for a window w >= 1: the value int(rng.integers(w)) would
-    return, from the same 32- or 64-bit words.
+    """draw(w) for a window 1 <= w <= 2**32: the value int(rng.integers(w))
+    would return, from the same 32-bit words.
 
     Generator.integers(w) draws nothing for w == 1 and otherwise applies
     Lemire's multiply-and-reject method (Lemire, "Fast random integer
     generation in an interval", ACM TOMACS 2019) to the bit generator's
-    next_uint32, or to next_uint64 for w > 2**32. draw repeats that
-    arithmetic on the same words. By default it calls those functions
-    through the bit generator's ctypes interface, without integers()'s
-    per-call overhead, so interleaved calls to rng's other methods see
-    the same stream.
+    next_uint32. draw repeats that arithmetic on the same words. By
+    default it calls next_uint32 through the bit generator's ctypes
+    interface, without integers()'s per-call overhead, so interleaved
+    calls to rng's other methods see the same stream.
 
-    With blocks, draw takes its 32-bit words from _words, which reads them
-    ahead in blocks at a fraction of a ctypes call's cost. Those are the
-    words next_uint32 would return only for a fresh rng that nothing else
-    draws from, and only windows up to 2**32 may be drawn.
+    With blocks, draw takes its words from _words, which reads them ahead
+    in blocks at a fraction of a ctypes call's cost. Those are the words
+    next_uint32 would return only for a fresh rng that nothing else draws
+    from.
     """
     c = rng.bit_generator.ctypes
-    state, next64 = c.state, c.next_uint64
-    src, next32 = (_words(rng.bit_generator), next) if blocks else (state, c.next_uint32)
+    src, next32 = (_words(rng.bit_generator), next) if blocks else (c.state, c.next_uint32)
 
     def draw(w: int) -> int:
-        if w <= 0x100000000:
-            if w == 1:
-                return 0
-            m = next32(src) * w
-            if m & 0xFFFFFFFF < w:
-                # redraw while the low word falls in the biased cut
-                cut = (0x100000000 - w) % w
-                while m & 0xFFFFFFFF < cut:
-                    m = next32(src) * w
-            return m >> 32
-        if w > 1 << 63:
-            # integers() returns int64, so it refuses such a window
-            raise ValueError("high is out of bounds for int64")
-        m = next64(state) * w
-        if m & 0xFFFFFFFFFFFFFFFF < w:
-            cut = ((1 << 64) - w) % w
-            while m & 0xFFFFFFFFFFFFFFFF < cut:
-                m = next64(state) * w
-        return m >> 64
+        if w == 1:
+            return 0
+        m = next32(src) * w
+        if m & 0xFFFFFFFF < w:
+            # redraw while the low word falls in the biased cut
+            cut = (0x100000000 - w) % w
+            while m & 0xFFFFFFFF < cut:
+                m = next32(src) * w
+        return m >> 32
 
     return draw
 
@@ -252,7 +240,7 @@ def _run_one(config: SimConfig, rng: np.random.Generator) -> _RepStats:
     # with no arrivals, rng (fresh, as _replicate makes it) draws nothing
     # but backoffs, so their 32-bit words can be read in blocks
     no_arrivals = saturated or config.rate <= 0
-    draw = _backoff_draw(rng, no_arrivals and p.cw_max <= 1 << 32)
+    draw = _backoff_draw(rng, no_arrivals)
 
     # Per-node MAC state in plain lists. bo holds the frozen backoff counter
     # of an empty queue. A backlogged node transmits at its expiry: the slot
