@@ -332,16 +332,15 @@ class BacklogBound:
                     best[chunk[j]] = {"value": value, "i": i}
 
     def _upper_bounds(self, kernel, xf):
-        """ub at each x of xf: the value there of the memoized winner of the
-        nearest x evaluated below 1, or 1 when there is none."""
+        """ub at each x of xf: the value there of the memoized winner of the largest x
+        below it (else the smallest above) evaluated below 1, or 1 when there is none."""
         g = self._grid
         seeds = sorted((y, b["i"]) for y, b in self.meta["best"].items() if b["value"] < 1.0)
         if not seeds:
             return np.ones_like(xf)
         sx, si = (np.array(col) for col in zip(*seeds))
-        j = np.searchsorted(sx, xf)
-        lo, hi = np.maximum(j - 1, 0), np.minimum(j, sx.size - 1)
-        k, c = np.divmod(si[np.where(xf - sx[lo] <= sx[hi] - xf, lo, hi)], g.r_a.shape[1])
+        j = np.maximum(np.searchsorted(sx, xf) - 1, 0)
+        k, c = np.divmod(si[j], g.r_a.shape[1])
         return kernel(g.a_f[k, c], g.theta1[k], g.a_g[k, c], g.theta2[k], xf)
 
     def spec_at(self, x: int) -> BoundSpec:

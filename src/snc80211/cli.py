@@ -201,60 +201,47 @@ def cmd_compare(args, cfg) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config",
-                        help="INI config path (or env SNC80211_CONFIG)")
-    common.add_argument("--seed", type=int, help="root RNG seed override")
-    common.add_argument("--format", choices=("table", "csv", "json"),
-                        default="table")
-    common.add_argument("--out", help="write to this file instead of stdout")
-    rate = argparse.ArgumentParser(add_help=False)
-    rate.add_argument("--rate", type=float,
-                      help="arrival rate, packets per network-calculus slot")
-    p_list = argparse.ArgumentParser(add_help=False)
-    p_list.add_argument("--p-list", dest="p_list", default=DEFAULT_P_LIST)
-    saturated = argparse.ArgumentParser(add_help=False)
-    saturated.add_argument("--saturated", action="store_true",
-                           help="every node always backlogged")
-    sim = argparse.ArgumentParser(add_help=False)
-    sim.add_argument("--duration", type=float, help="simulated seconds")
-    sim.add_argument("--replications", type=int)
-    sim.add_argument("--sample-time", type=float, dest="sample_time",
-                     help="backlog sampling instant, seconds")
-    sim.add_argument("--collision-mode", choices=COLLISION_MODES,
-                     dest="collision_mode")
+_FLAGS = {
+    "--config": dict(help="INI config path (or env SNC80211_CONFIG)"),
+    "--seed": dict(type=int, help="root RNG seed override"),
+    "--format": dict(choices=("table", "csv", "json"), default="table"),
+    "--out": dict(help="write to this file instead of stdout"),
+    "--rate": dict(type=float, help="arrival rate, packets per network-calculus slot"),
+    "--p-list": dict(default=DEFAULT_P_LIST),
+    "--saturated": dict(action="store_true", help="every node always backlogged"),
+    "--duration": dict(type=float, help="simulated seconds"),
+    "--replications": dict(type=int),
+    "--sample-time": dict(type=float, help="backlog sampling instant, seconds"),
+    "--collision-mode": dict(choices=COLLISION_MODES),
+    "--thetas": dict(help="comma-separated theta values"),
+    "--variants": dict(default=",".join(VARIANTS)),
+}
+_COMMON = ("--config", "--seed", "--format", "--out")
+_SIM = ("--duration", "--replications", "--sample-time", "--collision-mode")
+_SUBCOMMANDS = {  # handler, help, flags beyond _COMMON in help order
+    "fixed-point": (cmd_fixed_point, "attempt-rate / collision-probability fixed point", ()),
+    "characterize": (cmd_characterize, "impairment (sigma, rho) over a theta grid",
+                     ("--thetas",)),
+    "bounds": (cmd_bounds, "backlog quantile table for the four bounds",
+               ("--rate", "--p-list", "--variants")),
+    "stability": (cmd_stability, "can a finite backlog bound be derived?", ("--rate",)),
+    "simulate": (cmd_simulate, "discrete-event DCF simulation",
+                 ("--rate", "--saturated", *_SIM)),
+    "compare": (cmd_compare, "bounds table with the empirical column",
+                ("--rate", *_SIM, "--p-list")),
+}
 
+
+def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="snc80211",
         description="Backlog bounds and simulation for one 802.11 DCF node")
     sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("fixed-point", parents=[common],
-                        help="attempt-rate / collision-probability fixed point")
-    sp.set_defaults(func=cmd_fixed_point)
-
-    sp = sub.add_parser("characterize", parents=[common],
-                        help="impairment (sigma, rho) over a theta grid")
-    sp.add_argument("--thetas", help="comma-separated theta values")
-    sp.set_defaults(func=cmd_characterize)
-
-    sp = sub.add_parser("bounds", parents=[common, rate, p_list],
-                        help="backlog quantile table for the four bounds")
-    sp.add_argument("--variants", default=",".join(VARIANTS))
-    sp.set_defaults(func=cmd_bounds)
-
-    sp = sub.add_parser("stability", parents=[common, rate],
-                        help="can a finite backlog bound be derived?")
-    sp.set_defaults(func=cmd_stability)
-
-    sp = sub.add_parser("simulate", parents=[common, rate, saturated, sim],
-                        help="discrete-event DCF simulation")
-    sp.set_defaults(func=cmd_simulate)
-
-    sp = sub.add_parser("compare", parents=[common, rate, sim, p_list],
-                        help="bounds table with the empirical column")
-    sp.set_defaults(func=cmd_compare)
+    for name, (func, help_, flags) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        for flag in (*_COMMON, *flags):
+            sp.add_argument(flag, **_FLAGS[flag])
+        sp.set_defaults(func=func)
     return p
 
 

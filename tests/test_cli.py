@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import snc80211
-from snc80211.cli import main
+from snc80211.cli import _build_parser, main
 from snc80211.config import ENV_CONFIG, ConfigError, load_run_config
 
 
@@ -713,3 +713,34 @@ def test_cli_input_sweep(tmp_path, capsys):
         assert elapsed < 5.0, argv
         exits[code] = exits.get(code, 0) + 1
     assert set(exits) == {0, 2, 3, 4}
+
+
+# the flags each subcommand takes, written out rather than read from the CLI's own table
+_COMMON_FLAGS = {"--config", "--seed", "--format", "--out"}
+_SIM_FLAGS = {"--duration", "--replications", "--sample-time", "--collision-mode"}
+_SUBCOMMAND_FLAGS = {
+    "fixed-point": _COMMON_FLAGS,
+    "characterize": _COMMON_FLAGS | {"--thetas"},
+    "bounds": _COMMON_FLAGS | {"--rate", "--p-list", "--variants"},
+    "stability": _COMMON_FLAGS | {"--rate"},
+    "simulate": _COMMON_FLAGS | {"--rate", "--saturated"} | _SIM_FLAGS,
+    "compare": _COMMON_FLAGS | {"--rate", "--p-list"} | _SIM_FLAGS,
+}
+_FLAG_ARGS = {"--config": ["run.ini"], "--seed": ["7"], "--format": ["json"],
+              "--out": ["out.txt"], "--rate": ["0.04"], "--p-list": ["0.5"],
+              "--saturated": [], "--duration": ["1"], "--replications": ["2"],
+              "--sample-time": ["0.5"], "--collision-mode": ["data-plus-difs"],
+              "--thetas": ["0.1"], "--variants": ["bound1"]}
+
+
+@pytest.mark.parametrize("flag", list(_FLAG_ARGS))
+@pytest.mark.parametrize("command", list(_SUBCOMMAND_FLAGS))
+def test_subcommand_takes_exactly_its_flags(capsys, command, flag):
+    argv = [command, flag, *_FLAG_ARGS[flag]]
+    if flag in _SUBCOMMAND_FLAGS[command]:
+        assert _build_parser().parse_args(argv).command == command
+        return
+    with pytest.raises(SystemExit) as exc:
+        _build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
