@@ -58,8 +58,8 @@ def _minplus_vec(a, t1, b, t2, x):
     """min over 0 <= y <= x of a e^{-t1 y} + b e^{-t2 (x-y)}, clamped at 1,
     for prefactors a, b >= 1 (every vb prefactor, the martingale tail's a = 1):
     both end values then exceed 1, so a value below 1 is the stationary one,
-    e^{c - d x} for _minplus_floor's term (c, d). x may be one value per lane."""
-    ((c, d),) = _minplus_floor(a, t1, b, t2)
+    e^{c - d x} for _minplus_term's (c, d). x may be one value per lane."""
+    c, d = _minplus_term(a, t1, b, t2)
     return np.exp(np.minimum(c - d * x, 0.0))
 
 
@@ -102,11 +102,10 @@ def _indep_vec(a, t1, b, t2, x):
     return np.clip(vals, 0.0, 1.0)
 
 
-def _minplus_floor(a, t1, b, t2):
-    """The min-plus kernel's term (c, d): its stationary value is e^{c - d x},
-    and c grows in both prefactors, so a' <= a, b' <= b give a floor at a, b."""
+def _minplus_term(a, t1, b, t2):
+    """The min-plus kernel's term (c, d): its stationary value is e^{c - d x}."""
     c = (t2 * np.log(a) + t1 * np.log(b) + t1 * np.log(t2 / t1)) / (t1 + t2) + np.log1p(t1 / t2)
-    return ((c, t1 * t2 / (t1 + t2)),)
+    return c, t1 * t2 / (t1 + t2)
 
 
 def _indep_floor(a, t1, b, t2):
@@ -126,7 +125,6 @@ _FORMS = {
     "bound3": (False, _indep_vec),
     "bound4": (True, _indep_vec),
 }
-_FLOORS = {_minplus_vec: _minplus_floor, _indep_vec: _indep_floor}  # kernel -> row floor
 VARIANTS = tuple(_FORMS)
 X_MAX = 10 ** 6  # quantile cap
 CAPACITY = 1.0  # packets per slot, split between r_a and r_i
@@ -261,12 +259,12 @@ class BacklogBound:
     call of _evaluate_many, which memoizes each value and index "i" in
     meta["best"] and runs the kernel only on the rows that can still win:
     every value of a row is at least min(1, floor), its floor from
-    _floor_terms (on the min-plus kernel, the kernel's term at the row's
-    smallest prefactors). The memoized winner of the nearest x below 1, run
-    at x, gives ub (1 when there is none); a row whose floor passes ub (1 +
-    _REL_SLACK) is dropped, and every point of a kept row runs, so the result
-    is the full pass's, index 0 when all values are 1. A cut below the
-    smallest normal float keeps every row: the slack covers no rounding there.
+    _floor_terms (on the min-plus kernel, the row's exact term). The
+    memoized winner of the nearest x below 1, run at x, gives ub (1 when
+    there is none); a row whose floor passes ub (1 + _REL_SLACK) is dropped,
+    and every point of a kept row runs, so the result is the full pass's,
+    index 0 when all values are 1. A cut below the smallest normal float
+    keeps every row: the slack covers no rounding there.
     """
 
     def __init__(self, variant: str, grid: _Grid):
@@ -277,12 +275,16 @@ class BacklogBound:
     @cached_property
     def _floor_terms(self):
         """Terms (c, d) with min(1, exp(max(c - d x))) at most every value of
-        the row at x, up to rounding, from the row's smallest prefactors."""
+        the row at x, up to rounding: on the min-plus kernel the row's exact
+        term (d is fixed along a row), else from the row's smallest
+        prefactors. fmin skips a nan, whose point cannot win anyway."""
         g = self._grid
-        # fmin skips a nan prefactor, whose point cannot win anyway
-        row_a_f, row_a_g = (np.fmin.reduce(a, axis=1) for a in (g.a_f, g.a_g))
         with np.errstate(divide="ignore", invalid="ignore"):
-            return _FLOORS[_FORMS[self.variant][1]](row_a_f, g.theta1, row_a_g, g.theta2)
+            if _FORMS[self.variant][1] is _minplus_vec:
+                c, d = _minplus_term(g.a_f, g.theta1[:, None], g.a_g, g.theta2[:, None])
+                return ((np.fmin.reduce(c, axis=1), d[:, 0]),)
+            row_a_f, row_a_g = (np.fmin.reduce(a, axis=1) for a in (g.a_f, g.a_g))
+            return _indep_floor(row_a_f, g.theta1, row_a_g, g.theta2)
 
     def evaluate(self, x: int) -> float:
         if x < 0:
@@ -405,7 +407,6 @@ def _search(p: float):
     with value <= p. It tries x = 0, doubles x until the value crosses p,
     then bisects. Raises InfeasibleBoundError if the value stays above p
     up to X_MAX."""
-    _check_p(p)
     if (yield 0) <= p:
         return 0
     lo, hi = 0, 1
@@ -428,20 +429,14 @@ def _never_crosses(p: float) -> InfeasibleBoundError:
 
 def _lockstep(bound: BacklogBound, p_list) -> dict:
     """{p: quantile, or the error its search raised} for each distinct p of
-    p_list. A min-plus point is min(1, e^{c - d x}) with d constant along a
-    row: the quantile is max(0, ceil(min over rows of (c - log p)/d)). Else
-    the searches run in lockstep, one _evaluate_many call per round."""
+    p_list, each past _check_p. On the min-plus kernel the quantile is
+    max(0, ceil(min over rows of (c - log p)/d)) of the rows' exact terms
+    (_floor_terms). Else the searches run in lockstep, one _evaluate_many
+    call per round."""
     best, out = bound.meta["best"], {}
     if _FORMS[bound.variant][1] is _minplus_vec:
-        g = bound._grid
-        ((c, d),) = _minplus_floor(g.a_f, g.theta1[:, None], g.a_g, g.theta2[:, None])
-        c, d = c.min(axis=1), d[:, 0]
+        ((c, d),) = bound._floor_terms
         for p in dict.fromkeys(p_list):
-            try:
-                _check_p(p)
-            except ValueError as e:
-                out[p] = e
-                continue
             with np.errstate(divide="ignore", invalid="ignore"):  # d underflows at tiny theta
                 x = float(np.min(np.where(c > math.log(p), (c - math.log(p)) / d, 0.0)))
             out[p] = math.ceil(x) if x <= X_MAX else _never_crosses(p)
@@ -455,7 +450,7 @@ def _lockstep(bound: BacklogBound, p_list) -> dict:
                 asks[p] = search.send(values[p])
             except StopIteration as done:
                 out[p] = done.value
-            except (ValueError, InfeasibleBoundError) as e:
+            except InfeasibleBoundError as e:
                 out[p] = e
         searches = {p: searches[p] for p in asks}
         bound._evaluate_many(sorted(set(asks.values()) - best.keys()))
@@ -470,6 +465,7 @@ def quantile(bound: BacklogBound, p: float) -> int:
     Raises ValueError unless p lies in [sys.float_info.min, 1), and
     InfeasibleBoundError if the bound stays above p up to X_MAX.
     """
+    _check_p(p)
     q = _lockstep(bound, [p])[p]
     if isinstance(q, Exception):
         raise q
@@ -479,11 +475,14 @@ def quantile(bound: BacklogBound, p: float) -> int:
 def quantile_table(arrival: PoissonTraffic, impairment: ImpairmentModel, p_list,
                    variants=VARIANTS, options: GridOptions | None = None):
     """Rows of {p, variant -> quantile} for each p, as one quantile() call
-    per p and variant gives them, raising what the first of those calls
+    per p and variant gives them. An unknown variant or an invalid p raises
+    ValueError before any fit; else it raises what the first of those calls
     to fail would. Each arrival tail's variants share the grid of one
     build_bound call and run all their searches in lockstep."""
     p_list = list(p_list)
-    tails = {v: _form(v)[0] for v in variants}  # rejects an unknown variant before any fit
+    tails = {v: _form(v)[0] for v in variants}
+    for p in p_list:
+        _check_p(p)
     columns = {}
     for tail in sorted(set(tails.values())):
         same = [v for v in variants if tails[v] == tail]

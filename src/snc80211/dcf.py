@@ -249,6 +249,7 @@ def impairment_mgf(fp: DcfFixedPoint, theta: float, t: int) -> float:
         raise ValueError("t must be at least 1")
     if t > DEFAULT_T_CAP:
         raise ValueError(f"t={t} beyond cap {DEFAULT_T_CAP}")
+    _check_theta(theta, t)
     return _exp_or_diverge(float(_log_mgfs(fp, [theta], t)[0]), theta, t)
 
 
@@ -262,14 +263,12 @@ def _check_theta(theta: float, t: int) -> None:
 
 def _log_mgfs(fp: DcfFixedPoint, thetas, t: int) -> np.ndarray:
     """log M_I(t) of each theta, the float impairment_mgf takes the exp of,
-    raising for the first theta that it would raise for.
+    for thetas that pass _check_theta.
 
     Each row holds one theta's terms in a lone call's order: case I (rows i,
     columns k), then case II. The theta-free part of each term is built once
     and shared by every row; each row then adds its theta terms in a lone
     call's order of operations and sums on its own (_logsumexp)."""
-    for theta in thetas:
-        _check_theta(theta, t)
     L = fp.L
     p_t, p_nt, ps_c = fp.p_t, fp.p_nt, fp.p_s_cond
     log_pt = math.log(p_t) if p_t > 0 else -math.inf

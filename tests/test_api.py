@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -22,6 +23,23 @@ from snc80211.config import RunConfig
 from snc80211.sim import SimConfig, SimResult
 
 MODULES = ("bounds", "characterize", "config", "dcf", "sim")
+
+
+def _readme_library_names():
+    """{module: the backquoted names of its README Library bullet, up to the
+    bullet's first sentence end}."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    names = {}
+    for module, body in re.findall(r"^\* `snc80211\.(\w+)`:(.*?)(?=^\S|\Z)", library,
+                                   re.M | re.S):
+        names[module] = re.findall(r"`(\w+)`", re.split(r"\.\s", body, maxsplit=1)[0])
+    return names
+
+
+def test_readme_library_section_lists_each_module_export():
+    assert _readme_library_names() == {
+        name: list(importlib.import_module(f"snc80211.{name}").__all__) for name in MODULES}
 
 
 def test_package_exports_the_union_of_module_exports():

@@ -19,7 +19,7 @@ from snc80211.bounds import (
     _Grid,
     _indep_floor,
     _indep_vec,
-    _minplus_floor,
+    _minplus_term,
     _minplus_vec,
     _vb_prefactor,
     build_bound,
@@ -29,7 +29,7 @@ from snc80211.bounds import (
     rate_to_mbps,
 )
 from snc80211.characterize import PoissonTraffic, SigmaRho, poisson_sigma_rho
-from snc80211.dcf import stable_rate_threshold
+from snc80211.dcf import ImpairmentModel, stable_rate_threshold
 
 P_LIST = (0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.05)
 
@@ -163,18 +163,27 @@ def test_block_pruning_matches_full_pass_on_hand_built_grids():
         a_f = np.exp(rng.normal(1.0, 1.5, shape))
         # with no service tail a point's value is its floor on the independent
         # kernel, so the pruning cut has only its slack to spare; the min-plus
-        # kernel takes prefactors of at least 1, and a point that holds both
-        # of its row's smallest ones is its floor there
+        # kernel takes prefactors of at least 1, and its row floor is exact
         a_g = np.where(rng.random(shape) < 0.3, 0.0, np.exp(rng.normal(1.0, 1.5, shape)))
-        for v, floor, (f, g) in (("bound1", _minplus_floor, np.maximum((a_f, a_g), 1.0)),
-                                 ("bound3", _indep_floor, (a_f, a_g))):
+        for v, (f, g) in (("bound1", np.maximum((a_f, a_g), 1.0)), ("bound3", (a_f, a_g))):
             grid = _Grid(theta1=thetas[pairs[:, 0]], theta2=thetas[pairs[:, 1]],
                          r_a=np.full(shape, 0.5), a_f=f, a_g=g)
-            # each row's floor takes the row's smallest prefactors
-            with np.errstate(divide="ignore"):
-                assert np.array_equal(BacklogBound(v, grid)._floor_terms,
-                                      floor(f.min(axis=1), grid.theta1, g.min(axis=1),
-                                            grid.theta2))
+            terms = BacklogBound(v, grid)._floor_terms
+            if v == "bound1":
+                # the min-plus row term is exact: the row's smallest c with its
+                # d, whose value is the row's smallest at every x
+                c, d = _minplus_term(f, grid.theta1[:, None], g, grid.theta2[:, None])
+                assert np.array_equal(terms, ((c.min(axis=1), d[:, 0]),))
+                ((c_row, d_row),) = terms
+                for x in (0, 10, 60):
+                    vals = _minplus_vec(f, grid.theta1[:, None], g, grid.theta2[:, None], x)
+                    np.testing.assert_allclose(np.exp(np.minimum(c_row - d_row * x, 0.0)),
+                                               vals.min(axis=1), rtol=1e-12)
+            else:
+                # the independent kernel's floor takes the row's smallest prefactors
+                with np.errstate(divide="ignore"):
+                    assert np.array_equal(terms, _indep_floor(f.min(axis=1), grid.theta1,
+                                                              g.min(axis=1), grid.theta2))
             _assert_pruned_matches_full_pass(BacklogBound(v, grid),
                                              rng.permutation(np.arange(0, 120, 3)))
 
@@ -587,6 +596,24 @@ def test_lockstep_table_matches_one_search_per_p(rate, impairment):
             == _sequential_table(arrival, impairment, p_list))
 
 
+def test_invalid_p_is_refused_before_any_fit(monkeypatch, params):
+    # every p is checked before a grid is built, so no theta is fitted and a
+    # rate past the threshold is not reached
+    model = ImpairmentModel(params)
+
+    def unfitted(thetas):
+        raise AssertionError(f"fitted thetas {thetas[:3]}...")
+
+    monkeypatch.setattr(model, "sigma_rho_table", unfitted)
+    for p_list, err in (([0.5, 2.0], "p=2.0 must lie strictly between 0 and 1"),
+                        ([1e-300, 0.0], "p=0.0 must lie strictly between 0 and 1"),
+                        ([0.5, 5e-324], "p=5e-324 is below the smallest normal float")):
+        with pytest.raises(ValueError, match=f"^{err}"):
+            quantile_table(PoissonTraffic(0.04), model, p_list)
+        with pytest.raises(ValueError, match=f"^{err}"):
+            quantile_table(PoissonTraffic(0.5), model, p_list)  # past the threshold
+
+
 class _FlatImpairment:
     """An impairment envelope with rho = 1/2 and no burst at every theta."""
 
@@ -640,15 +667,18 @@ def test_p_below_the_smallest_normal_float_is_refused(bounds04, arr04, impairmen
 
 
 def _record_kernel_sizes(monkeypatch):
-    """Wrap each variant's kernel so that it records the points of every
-    call, by variant."""
-    sizes = {v: [] for v in VARIANTS}
-    for v, (martingale, kernel) in list(bounds_module._FORMS.items()):
-        def wrapped(*args, _v=v, _kernel=kernel):
-            sizes[_v].append(np.broadcast(*args).size)
+    """Wrap both kernels, in _FORMS and under their module names (which the
+    bound layer's min-plus checks read), so that each records the points of
+    every call in one list."""
+    sizes = []
+    for kernel in (_minplus_vec, _indep_vec):
+        def wrapped(*args, _kernel=kernel):
+            sizes.append(np.broadcast(*args).size)
             return _kernel(*args)
-        monkeypatch.setitem(bounds_module._FORMS, v, (martingale, wrapped))
-        monkeypatch.setitem(bounds_module._FLOORS, wrapped, bounds_module._FLOORS[kernel])
+        monkeypatch.setattr(bounds_module, kernel.__name__, wrapped)
+        for v, (martingale, k) in list(bounds_module._FORMS.items()):
+            if k is kernel:
+                monkeypatch.setitem(bounds_module._FORMS, v, (martingale, wrapped))
     return sizes
 
 
@@ -667,12 +697,14 @@ def test_no_kernel_call_takes_more_points_than_the_grid(options, monkeypatch, im
         caps[v] = max(len(b._grid), bounds_module._GRID_POINTS_MAX // b._grid.r_a.shape[0])
     want = quantile_table(arrival, impairment, p_list, options=options)
     sizes = _record_kernel_sizes(monkeypatch)
-    assert quantile_table(arrival, impairment, p_list, options=options) == want
     for v in VARIANTS:
+        sizes.clear()  # one variant's calls at a time
+        assert (quantile_table(arrival, impairment, p_list, variants=(v,), options=options)
+                == [{"p": row["p"], v: row[v]} for row in want])
         # every value underflows at these two x, so each keeps every row:
         # they share a floor pass, and a kernel call only within the cap
         b = build_bound(v, arrival, impairment, options)
         quantile(b, 0.5)
         b._evaluate_many([X_MAX - 1, X_MAX])
         assert b.meta["best"][X_MAX]["value"] == 0.0
-        assert sizes[v] and max(sizes[v]) <= caps[v], (v, max(sizes[v]), caps[v])
+        assert sizes and max(sizes) <= caps[v], (v, max(sizes), caps[v])

@@ -112,6 +112,7 @@ def test_bounds_rejects_unknown_variant(capsys):
 
 def test_bounds_rejects_bad_p(capsys):
     for p_list, err in (("2.0", "p=2.0 must lie strictly between 0 and 1"),
+                        ("0.5,2", "p=2.0 must lie strictly between 0 and 1"),
                         ("x", "cannot parse float list 'x'"),
                         (",", "empty p list")):
         assert main(["bounds", "--rate", "0.04", "--p-list", p_list]) == 2
@@ -473,11 +474,13 @@ SIM_1S = ["--duration", "1", "--replications", "1", "--sample-time", "1"]
     (["bounds"], 2),
     (["compare", *SIM_1S], 2),
     (["simulate", *SIM_1S], 0),
+    (["bounds", "--p-list", "2"], 2),
 ])
 def test_one_node_at_cw_min_one_is_refused_where_the_fixed_point_is_solved(
         tmp_path, capsys, argv, code):
     # a mean backoff of cw_min/2 = 0.5 slots solves to tau = 2 at one node;
-    # the simulator draws its backoffs and never solves the fixed point
+    # the simulator draws its backoffs and never solves the fixed point. The
+    # fixed point is solved before the bound layer checks p, so it fails first
     cfgfile = _write(tmp_path, "cw1.ini", "[mac]\ncw_min = 1\ncw_max = 1\nn_nodes = 1\n")
     assert main([*argv, "--config", cfgfile]) == code
     err = capsys.readouterr().err
